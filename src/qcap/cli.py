@@ -11,17 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("QCAP_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _round10(obj):
@@ -210,9 +200,14 @@ def cmd_rst_simulate(args) -> int:
     from .reverse_shannon import DMC, ProtocolConfig, cost_statistics
 
     variant = "general" if isinstance(channel, DMC) else "bsc"
-    cfg = ProtocolConfig(n=args.n, eps=args.eps, variant=variant)
-    source = _parse_source(args.source, args.n)
-    stats = cost_statistics(channel, cfg, args.trials, source, args.seed)
+    try:
+        cfg = ProtocolConfig(n=args.n, eps=args.eps, variant=variant)
+        source = _parse_source(args.source, args.n)
+        stats = cost_statistics(channel, cfg, args.trials, source, args.seed)
+    except ValueError as exc:
+        # every ValueError here stems from a flag value: a malformed
+        # --source, or a value the library rejects
+        raise UsageError(str(exc)) from exc
     _emit_json({"units": "bits", "variant": variant, **stats})
     return 0
 
@@ -316,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -47,6 +47,9 @@ class DMC:
         mat.setflags(write=False)
         self.matrix = mat
         self._cum = np.cumsum(mat, axis=1)
+        # a row summing to just under 1 would let u land past its last
+        # entry and yield the letter d_out; uniforms are always below 1
+        self._cum[:, -1] = 1.0
 
     @property
     def d_in(self) -> int:
@@ -249,6 +252,39 @@ def _letters_array(x, d: int, n: int) -> np.ndarray:
     return arr
 
 
+def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
+                rate: float, prefix: str, draw, scan, member):
+    """The set-substitution game, shared by both channel kinds.
+
+    The shared set holds _set_size(rate, n, eps) members. The sender draws
+    its private output y = draw(priv) and asks scan(size, y) for the
+    ascending indices of the members in y's match class. It sends prefix,
+    then 0 and the index of a uniformly picked match, or 1 and y as one
+    big-endian base-d_out integer when nothing matches. member(i)
+    regenerates set member i, which is all the receiver needs to decode.
+
+    Returns (receiver's output block, Transcript).
+    """
+    size = _set_size(rate, cfg.n, cfg.eps)
+    priv = shared.stream("private")
+    y = draw(priv)
+    matches = scan(size, y)
+    if len(matches):
+        chosen = int(matches[int(priv.integers(len(matches)))])
+        y_out, direction = member(chosen), "0"
+        width, payload = _index_width(size), chosen
+    else:
+        y_out, direction = y, "1"
+        width, payload = _index_width(d_out ** cfg.n), 0
+        for v in y:
+            payload = payload * d_out + int(v)
+    message = prefix + direction + (format(payload, f"0{width}b") if width else "")
+    tr = Transcript(bits_sent=len(message), fallback=direction == "1",
+                    itc_bits=len(prefix), index_bits=width,
+                    output=tuple(int(v) for v in y_out), message=message)
+    return y_out, tr
+
+
 def _regen_bsc_word(shared: SharedRandomness, index: int) -> int:
     # element i is word i of the raw stream: 4 words per counter block
     bg = shared.bitgen("Z")
@@ -279,44 +315,30 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     x_word = np.uint64(_bits_to_int(xs))
     mask = np.uint64((1 << n) - 1)
 
-    size = _set_size(bsc_capacity(p), n, cfg.eps)
-    width = _index_width(size)
+    def scan(size, y):
+        # stream over Z in chunks, collecting indices on y's shell around x
+        dist = int((y != xs).sum())
+        matches = []
+        bg = shared.bitgen("Z")
+        offset = 0
+        while offset < size:
+            m = min(_SCAN_CHUNK, ((size - offset + 3) // 4) * 4)
+            words = (bg.random_raw(m) & mask).astype(np.uint64)
+            hits = np.flatnonzero(np.bitwise_count(words ^ x_word) == dist)
+            hits = hits[hits + offset < size]
+            if hits.size:
+                matches.append(hits.astype(np.int64) + offset)
+            offset += m
+        return np.concatenate(matches) if matches else []
 
-    priv = shared.stream("private")
-    flips = priv.random(n) < p
-    y = (xs ^ flips).astype(np.int64)
-    dist = int(flips.sum())
+    def member(i):
+        word = _regen_bsc_word(shared, i) & int(mask)
+        return np.array([(word >> (n - 1 - j)) & 1 for j in range(n)],
+                        dtype=np.int64)
 
-    # stream over Z in chunks, collecting indices on the distance-d shell
-    matches = []
-    bg = shared.bitgen("Z")
-    offset = 0
-    while offset < size:
-        m = min(_SCAN_CHUNK, ((size - offset + 3) // 4) * 4)
-        words = (bg.random_raw(m) & mask).astype(np.uint64)
-        hits = np.flatnonzero(np.bitwise_count(words ^ x_word) == dist)
-        hits = hits[hits + offset < size]
-        if hits.size:
-            matches.append(hits.astype(np.int64) + offset)
-        offset += m
-
-    if matches:
-        pool = np.concatenate(matches)
-        chosen = int(pool[priv.integers(pool.size)])
-        word = _regen_bsc_word(shared, chosen) & int(mask)
-        y_out = np.array([(word >> (n - 1 - j)) & 1 for j in range(n)],
-                         dtype=np.int64)
-        message = "0" + format(chosen, f"0{width}b") if width else "0"
-        tr = Transcript(bits_sent=1 + width, fallback=False, itc_bits=0,
-                        index_bits=width, output=tuple(int(v) for v in y_out),
-                        message=message)
-    else:
-        y_out = y
-        message = "1" + "".join(str(int(b)) for b in y)
-        tr = Transcript(bits_sent=1 + n, fallback=True, itc_bits=0,
-                        index_bits=n, output=tuple(int(v) for v in y_out),
-                        message=message)
-    return y_out, tr
+    return _substitute(shared, cfg, 2, bsc_capacity(p), "",
+                       lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
+                       scan, member)
 
 
 def _type_rank(counts: tuple) -> int:
@@ -332,10 +354,9 @@ def _type_rank(counts: tuple) -> int:
     return rank
 
 
-def _regen_dmc_element(dmc: DMC, shared: SharedRandomness, tc: TypeClass,
-                       k: int, i: int) -> np.ndarray:
-    xp = sample_from_type(tc, shared.element_stream("X", k, i))
-    return dmc.sample_outputs(xp, shared.element_stream("Y", k, i))
+def _class_rate(dmc: DMC, tc: TypeClass) -> float:
+    """Set-sizing rate of the general protocol: I(type of x, N)."""
+    return constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / tc.n)
 
 
 def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
@@ -355,46 +376,39 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     xs = _letters_array(x, dmc.d_in, n)
     tc = type_of(xs, dmc.d_in)
     k = _type_rank(tc.counts)
-    k_total = math.comb(n + dmc.d_in - 1, dmc.d_in - 1)
-    itc_bits = _index_width(k_total)
-
-    rate = constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / n)
-    size = _set_size(rate, n, cfg.eps)
-    width = _index_width(size)
-
-    priv = shared.stream("private")
-    y = dmc.sample_outputs(xs, priv)
+    itc_bits = _index_width(math.comb(n + dmc.d_in - 1, dmc.d_in - 1))
     # pair-count match done on flat bincounts; equals joint-type equality
     n_pair = dmc.d_in * dmc.d_out
-    target = np.bincount(xs * dmc.d_out + y, minlength=n_pair)
+    pair_base = xs * dmc.d_out
 
-    matches = []
-    for i in range(size):
-        cand = _regen_dmc_element(dmc, shared, tc, k, i)
-        pair = np.bincount(xs * dmc.d_out + cand, minlength=n_pair)
-        if np.array_equal(pair, target):
-            matches.append(i)
+    def scan(size, y):
+        target = np.bincount(pair_base + y, minlength=n_pair)
+        return [i for i in range(size) if np.array_equal(
+            np.bincount(pair_base + member(i), minlength=n_pair), target)]
 
-    itc_msg = format(k, f"0{itc_bits}b") if itc_bits else ""
-    if matches:
-        chosen = matches[int(priv.integers(len(matches)))]
-        y_out = _regen_dmc_element(dmc, shared, tc, k, chosen)
-        message = itc_msg + ("0" + format(chosen, f"0{width}b") if width else "0")
-        tr = Transcript(bits_sent=itc_bits + 1 + width, fallback=False,
-                        itc_bits=itc_bits, index_bits=width,
-                        output=tuple(int(v) for v in y_out), message=message)
-    else:
-        y_out = y
-        # raw path sends y as one base-d_out integer, big-endian letters
-        raw_bits = _index_width(dmc.d_out ** n)
-        val = 0
-        for v in y:
-            val = val * dmc.d_out + int(v)
-        message = itc_msg + "1" + (format(val, f"0{raw_bits}b") if raw_bits else "")
-        tr = Transcript(bits_sent=itc_bits + 1 + raw_bits, fallback=True,
-                        itc_bits=itc_bits, index_bits=raw_bits,
-                        output=tuple(int(v) for v in y_out), message=message)
-    return y_out, tr
+    def member(i):
+        xp = sample_from_type(tc, shared.element_stream("X", k, i))
+        return dmc.sample_outputs(xp, shared.element_stream("Y", k, i))
+
+    prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
+    return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix,
+                       lambda priv: dmc.sample_outputs(xs, priv), scan, member)
+
+
+def _channel_kind(channel):
+    """The one dispatch on the channel kind.
+
+    A flip probability (bit protocol) or a DMC (general protocol) maps to
+    (DMC, capacity(), rate(x), simulate(cfg, shared, x)), where rate(x)
+    sizes the shared set for input block x.
+    """
+    if isinstance(channel, DMC):
+        return (channel, lambda: ba_capacity(channel, 1e-10)[0],
+                lambda x: _class_rate(channel, type_of(x, channel.d_in)),
+                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x))
+    p = float(channel)
+    return (bsc(p), lambda: bsc_capacity(p), lambda x: bsc_capacity(p),
+            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +444,7 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
-    is_bsc = not isinstance(channel, DMC)
-    dmc = bsc(float(channel)) if is_bsc else channel
+    dmc, _, rate, _ = _channel_kind(channel)
     d_i, d_o = dmc.d_in, dmc.d_out
     yout = _block_outputs(d_o, n)
     n_out = len(yout)
@@ -440,15 +453,11 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
 
     xin = _block_outputs(d_i, n)
     for xi, xb in enumerate(xin):
-        if is_bsc:
-            size = zsize if zsize is not None else _set_size(
-                bsc_capacity(float(channel)), n, eps)
-            member_probs = np.full(n_out, 1.0 / n_out)
-        else:
-            tc = type_of(xb, d_i)
-            rate = constrained_mi(dmc, np.asarray(tc.counts, float) / n)
-            size = zsize if zsize is not None else _set_size(rate, n, eps)
+        size = zsize if zsize is not None else _set_size(rate(xb), n, eps)
+        # the reference's own member law and match labels, per protocol
+        if isinstance(channel, DMC):
             # set members: channel outputs of a uniform same-class input
+            tc = type_of(xb, d_i)
             member_probs = np.zeros(n_out)
             class_inputs = [xc for xc in xin
                             if type_of(xc, d_i).counts == tc.counts]
@@ -456,15 +465,15 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
                 xci = int(np.ravel_multi_index(tuple(xc), (d_i,) * n))
                 member_probs += true_block[xci]
             member_probs /= len(class_inputs)
+            labels = [joint_type(xb, yb, d_i, d_o).key() for yb in yout]
+        else:
+            member_probs = np.full(n_out, 1.0 / n_out)
+            labels = [int((yb != xb).sum()) for yb in yout]
 
         if (n_out ** size) * n_out > ORACLE_MAX_COMBOS:
             raise ValueError(
                 f"{n_out}^{size} set draws exceed the enumeration guard")
 
-        if is_bsc:
-            labels = [int((yb != xb).sum()) for yb in yout]
-        else:
-            labels = [joint_type(xb, yb, d_i, d_o).key() for yb in yout]
         ids = {}
         sig = np.array([ids.setdefault(s, len(ids)) for s in labels])
 
@@ -509,8 +518,7 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable histogram")
-    is_bsc = not isinstance(channel, DMC)
-    dmc = bsc(float(channel)) if is_bsc else channel
+    dmc, _, _, simulate = _channel_kind(channel)
     n = cfg.n
     if dmc.d_out ** n > 10 ** 4:
         raise ValueError("output space too large to bin")
@@ -522,11 +530,7 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     hist = np.zeros(dmc.d_out ** n, dtype=np.int64)
     radix = dmc.d_out ** np.arange(n - 1, -1, -1)
     for t in range(trials):
-        shared = base.derive("trial", t)
-        if is_bsc:
-            y_out, _ = bsc_simulate(float(channel), cfg, shared, xs)
-        else:
-            y_out, _ = dmc_simulate(dmc, cfg, shared, xs)
+        y_out, _ = simulate(cfg, base.derive("trial", t), xs)
         hist[int(np.dot(y_out, radix))] += 1
 
     tv = 0.5 * float(np.abs(hist / trials - exact).sum())
@@ -549,45 +553,37 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     rate of blocks costing more than n(C+eps), and the fallback rate,
     each with a standard error.
     """
-    is_bsc = not isinstance(channel, DMC)
-    dmc = bsc(float(channel)) if is_bsc else channel
+    dmc, capacity, _, simulate = _channel_kind(channel)
     n = cfg.n
-    cap = bsc_capacity(float(channel)) if is_bsc else ba_capacity(dmc, 1e-10)[0]
+    cap = capacity()
     threshold = n * (cap + cfg.eps)
 
+    base = SharedRandomness(seed)
     kind, arg = source
     if kind == "fixed":
         fixed = _letters_array(arg, dmc.d_in, n)
+        inputs = lambda t: fixed
     elif kind == "iid":
         q = np.asarray(arg, dtype=np.float64)
         if q.ndim != 1 or q.size != dmc.d_in or abs(q.sum() - 1.0) > 1e-9:
             raise ValueError("iid source needs a distribution over the input alphabet")
         qcum = np.cumsum(q)
+        inputs = lambda t: np.searchsorted(
+            qcum, base.stream("input", t).random(n)).astype(np.int64)
     elif kind == "itc-uniform":
         tc = TypeClass(tuple(arg))
         if tc.n != n or tc.d != dmc.d_in:
             raise ValueError("type counts must sum to n over the input alphabet")
+        inputs = lambda t: sample_from_type(tc, base.stream("input", t))
     else:
         raise ValueError(f"unknown source kind {kind!r}")
 
-    base = SharedRandomness(seed)
     bits = np.empty(trials)
     exceed = np.empty(trials, dtype=bool)
     fell = np.empty(trials, dtype=bool)
     itc_bits = 0
     for t in range(trials):
-        shared = base.derive("trial", t)
-        if kind == "fixed":
-            xs = fixed
-        elif kind == "iid":
-            u = base.stream("input", t).random(n)
-            xs = np.searchsorted(qcum, u).astype(np.int64)
-        else:
-            xs = sample_from_type(tc, base.stream("input", t))
-        if is_bsc:
-            _, tr = bsc_simulate(float(channel), cfg, shared, xs)
-        else:
-            _, tr = dmc_simulate(dmc, cfg, shared, xs)
+        _, tr = simulate(cfg, base.derive("trial", t), inputs(t))
         bits[t] = tr.bits_sent
         exceed[t] = tr.bits_sent > threshold
         fell[t] = tr.fallback

@@ -183,6 +183,15 @@ def test_rst_simulate_source_parsing(capsys):
     code, _, _ = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "6",
                      "--eps", "0.3", "--trials", "1000", "--source", "weird:1")
     assert code == 2
+    # malformed sources are input errors, whether the CLI or the library
+    # rejects them: wrong alphabet size, wrong length, bad letter, counts
+    # not summing to n, non-numeric probabilities
+    for source in ("iid:0.3", "fixed:0101", "fixed:01x10101",
+                   "itc-uniform:3,3", "iid:a,b"):
+        code, out, err = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "8",
+                             "--eps", "0.3", "--trials", "10", "--source", source)
+        assert code == 2, source
+        assert out == "" and "error:" in err
 
 
 def test_byte_determinism(capsys):

@@ -35,6 +35,16 @@ def test_dmc_validation():
         d.matrix[0, 0] = 0.9  # frozen
 
 
+def test_dmc_sample_outputs_stays_in_alphabet():
+    class TopUniform:
+        def random(self, size):
+            return np.full(size, 1.0 - 1e-13)
+
+    # passes validation, but its row sums round below 1
+    d = DMC([[0.5, 0.5 - 5e-13], [0.5, 0.5]])
+    assert d.sample_outputs(np.array([0, 1]), TopUniform()).tolist() == [1, 1]
+
+
 def test_dmc_json_round_trip():
     d = DMC([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5]])
     d2 = DMC.from_json(d.to_json())
@@ -205,6 +215,26 @@ def test_dmc_simulate_deterministic():
     assert np.array_equal(runs[0][0], runs[1][0])
 
 
+def test_dmc_simulate_frozen_transcript():
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    x = [0, 1, 0, 1, 1]
+    y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=0.8, variant="general"),
+                         SharedRandomness(1), x)
+    assert not tr.fallback
+    assert tr.message == "01100101"
+    assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (8, 3, 4)
+    assert tr.output == (0, 2, 1, 1, 2)
+    assert tuple(int(v) for v in y) == tr.output
+
+    y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=1e-9, variant="general"),
+                         SharedRandomness(0), x)
+    assert tr.fallback
+    assert tr.message == "011110001101"
+    assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (12, 3, 8)
+    assert tr.output == (1, 2, 0, 2, 0)
+    assert tuple(int(v) for v in y) == tr.output
+
+
 def test_dmc_simulate_fallback_raw_width():
     # 3-letter outputs: raw path packs the block as one base-3 integer
     d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
@@ -301,6 +331,19 @@ def test_cost_statistics_sources_and_determinism():
     assert itc["itc_bits"] == _index_width(math.comb(9, 1)) == 4
     with pytest.raises(ValueError):
         cost_statistics(0.1, cfg, 100, ("bad-kind", None), seed=1)
+
+
+def test_cost_statistics_dmc_iid_frozen():
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    cfg = ProtocolConfig(n=6, eps=1.2, variant="general")
+    cs = cost_statistics(d, cfg, 200, ("iid", [0.6, 0.4]), seed=4)
+    assert cs["capacity"] == pytest.approx(0.33288667259985943, abs=1e-15)
+    assert (cs["n"], cs["trials"], cs["itc_bits"]) == (6, 200, 3)
+    # bit counts, exceedances and fallbacks are integers: exact ratios
+    assert cs["mean_bits_per_symbol"] == 2460 / 200 / 6
+    assert cs["p_exceed"] == 174 / 200
+    assert cs["fallback_rate"] == 123 / 200
+    assert cs["mean_bits_se"] == pytest.approx(0.025803665354531387, rel=1e-12)
 
 
 def test_cost_stays_below_capacity_plus_eps_margin():
