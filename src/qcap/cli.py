@@ -217,8 +217,12 @@ def cmd_rst_verify(args) -> int:
     channel = _rst_channel(args)
     from .reverse_shannon import exact_faithfulness_oracle
 
-    dev = exact_faithfulness_oracle(channel, args.n, eps=args.eps,
-                                    zsize=args.zsize)
+    try:
+        dev = exact_faithfulness_oracle(channel, args.n, eps=args.eps,
+                                        zsize=args.zsize)
+    except ValueError as exc:
+        # a missing --eps/--zsize, a bad --bsc, or a set past the guards
+        raise UsageError(str(exc)) from exc
     _emit_json({"max_deviation": dev, "tolerance": 1e-12,
                 "exact": bool(dev <= 1e-12)})
     return 0

@@ -26,6 +26,14 @@ BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
 _SCAN_CHUNK = 1 << 20  # words per streamed Z block; multiple of 4
+_MEMBER_CHUNK = 1 << 16  # letters per batch of generated DMC set members
+
+# numpy's Philox4x64-10 (Random123): round multipliers, key-bump constants
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U64 = 2 ** 64
 
 
 class DMC:
@@ -189,7 +197,10 @@ class SharedRandomness:
 
     Streams are keyed by hashing (seed, tag, indices) into a counter-based
     generator, so the receiver can regenerate any single set element in
-    O(1) without replaying the sender's scan.
+    O(1) without replaying the sender's scan. The general protocol's
+    sender builds set members in batches straight from the element keys
+    (_batch_members); they are bit-identical to the receiver's
+    one-at-a-time regeneration through element_stream.
     """
 
     seed: int
@@ -317,14 +328,20 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
 
     def scan(size, y):
         # stream over Z in chunks, collecting indices on y's shell around x
-        dist = int((y != xs).sum())
+        dist = np.uint8((y != xs).sum())
         matches = []
         bg = shared.bitgen("Z")
         offset = 0
+        # popcounts and shell flags land in buffers reused by every chunk
+        width = min(_SCAN_CHUNK, ((size + 3) // 4) * 4)
+        pops, on_shell = np.empty(width, dtype=np.uint8), np.empty(width, dtype=bool)
         while offset < size:
             m = min(_SCAN_CHUNK, ((size - offset + 3) // 4) * 4)
-            words = (bg.random_raw(m) & mask).astype(np.uint64)
-            hits = np.flatnonzero(np.bitwise_count(words ^ x_word) == dist)
+            words = bg.random_raw(m)
+            np.bitwise_and(words, mask, out=words)
+            np.bitwise_xor(words, x_word, out=words)
+            np.bitwise_count(words, out=pops[:m])
+            hits = np.flatnonzero(np.equal(pops[:m], dist, out=on_shell[:m]))
             hits = hits[hits + offset < size]
             if hits.size:
                 matches.append(hits.astype(np.int64) + offset)
@@ -359,6 +376,114 @@ def _class_rate(dmc: DMC, tc: TypeClass) -> float:
     return constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / tc.n)
 
 
+def _mulhilo(m: int, v: np.ndarray):
+    """Low and high 64-bit words of the 128-bit products m * v.
+
+    The high word is assembled from 32-bit partial products (Hacker's
+    Delight, mulhu), none of which overflows a uint64.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    v_lo, v_hi = v & _LO32, v >> 32
+    t = v_lo * m_hi
+    t += (v_lo * m_lo) >> 32
+    hi = v_hi * m_hi
+    hi += t >> 32
+    t &= _LO32
+    t += v_hi * m_lo
+    hi += t >> 32
+    return np.uint64(m) * v, hi
+
+
+def _philox_words(key0: int, idx, n_blocks: int, first: int = 1) -> np.ndarray:
+    """Raw words of many element streams, computed as array arithmetic.
+
+    Row r holds the 4 * n_blocks words that Philox(key=[key0, idx[r]])
+    yields from counter block first onwards. numpy increments the counter
+    before each block, so a fresh stream starts at block 1. Philox is
+    counter-based (Salmon et al., SC'11): any block of any key is a pure
+    function of the two, with no generator to build.
+    """
+    idx = np.asarray(idx, dtype=np.uint64).reshape(-1, 1)
+    c0 = np.broadcast_to(np.arange(first, first + n_blocks, dtype=np.uint64),
+                         (len(idx), n_blocks))
+    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((key0 + r * _PHILOX_W[0]) % _U64)
+        k1 = idx + np.uint64(r * _PHILOX_W[1] % _U64)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=2).reshape(len(idx), 4 * n_blocks)
+
+
+def _shuffle_blocks(n: int) -> int:
+    """Philox blocks holding the mean uint32 draw count of an n-letter shuffle."""
+    # position i accepts a draw masked to 2^b - 1 >= i with odds (i+1)/2^b
+    mean = sum((1 << i.bit_length()) / (i + 1) for i in range(1, n))
+    return max(math.ceil(mean / 8), 1)
+
+
+def _batch_type_samples(tc: TypeClass, key0: int, idx: np.ndarray) -> np.ndarray:
+    """Row r is sample_from_type(tc, stream of key [key0, idx[r]]).
+
+    numpy's 1-d shuffle is Fisher-Yates from the last position down to 1:
+    position i swaps with random_interval(i), which masks uint32 draws to
+    the smallest 2^b - 1 >= i and rejects them while above i. The draws
+    are consumed column by column, every row at its own position; rows
+    that use up their words get the next blocks of their own counter.
+    """
+    m, n = len(idx), tc.n
+    blocks = _shuffle_blocks(n)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(n)])
+    bound = np.arange(n)
+    bound[0] = -1  # a finished row rejects everything
+    step = np.full(m, n - 1)  # position each row is drawing a partner for
+    base = np.arange(m) * n
+    # partner[r * n + i]: where position i swaps to; a rejected draw is
+    # overwritten by the next one at the same position
+    partner = np.zeros(m * n, dtype=np.int64)
+    live, first = np.flatnonzero(step), 1
+    while live.size:
+        s, b = step[live], base[live]
+        words = _philox_words(key0, idx[live], blocks, first).T
+        # numpy's next_uint32 takes each word's low half, then its high half
+        draws = np.stack((words & _LO32, words >> 32), axis=1).reshape(-1, len(live))
+        for v in draws.view(np.int64):
+            v &= masks[s]
+            partner[b + s] = v
+            s -= v <= bound[s]
+        step[live] = s
+        live, first = live[s > 0], first + blocks
+    out = np.tile(np.repeat(np.arange(tc.d, dtype=np.int64), tc.counts), (m, 1))
+    rows = np.arange(m)
+    partner = partner.reshape(m, n)
+    for i in range(n - 1, 0, -1):
+        j = partner[:, i]
+        picked = out[rows, j]
+        out[rows, j] = out[:, i]
+        out[:, i] = picked
+    return out
+
+
+def _batch_members(dmc: DMC, tc: TypeClass, keys: tuple, idx: np.ndarray) -> np.ndarray:
+    """Set members idx of a DMC class set, one row each.
+
+    keys holds word 0 of the "X" and "Y" element-stream keys. Row r is
+    bit-identical to what sample_from_type and DMC.sample_outputs draw
+    from element_stream("X"/"Y", k, idx[r]): uniforms are the top 53 bits
+    of each Y word, counted against the cumulative rows as sample_outputs
+    counts them.
+    """
+    xp = _batch_type_samples(tc, keys[0], idx)
+    n = tc.n
+    words = _philox_words(keys[1], idx, -(-n // 4))[:, :n]
+    u = (words >> 11).astype(np.float64) * 2.0 ** -53
+    y = np.zeros(xp.shape, dtype=np.int64)
+    for c in range(dmc.d_out - 1):  # no u < 1 passes the last entry, 1.0
+        y += u > dmc._cum[:, c][xp]
+    return y
+
+
 def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     """One protocol run over a general discrete memoryless channel.
 
@@ -382,9 +507,18 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     pair_base = xs * dmc.d_out
 
     def scan(size, y):
+        # members in batches; row r's pair counts sit at r * n_pair onwards
         target = np.bincount(pair_base + y, minlength=n_pair)
-        return [i for i in range(size) if np.array_equal(
-            np.bincount(pair_base + member(i), minlength=n_pair), target)]
+        keys = tuple(int(shared._key(tag, k)[0]) for tag in ("X", "Y"))
+        rows = max(_MEMBER_CHUNK // n, 1)
+        matches = []
+        for lo in range(0, size, rows):
+            idx = np.arange(lo, min(lo + rows, size))
+            codes = (np.arange(len(idx))[:, None] * n_pair + pair_base
+                     + _batch_members(dmc, tc, keys, idx))
+            counts = np.bincount(codes.ravel(), minlength=len(idx) * n_pair)
+            matches.append(idx[(counts.reshape(-1, n_pair) == target).all(axis=1)])
+        return np.concatenate(matches)
 
     def member(i):
         xp = sample_from_type(tc, shared.element_stream("X", k, i))

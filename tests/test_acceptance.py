@@ -266,7 +266,8 @@ def test_criterion_10_protocol_cost_trend():
     # at n=32 the shared set is still too small for sub-10% overshoot: the
     # index path already costs 22 bits > n(C+eps) = 24.99 - 3 so every
     # fallback (about a third of trials) exceeds, and the fallback surcharge
-    # keeps the mean above C+eps; both margins need n in the hundreds
+    # keeps the mean above C+eps; by the exact fallback law the mean first
+    # enters the window at n=47 and P(exceed) first falls under 0.10 at n=145
     assert small and mean_ok, (
         f"P(exceed at n=32) = {exceeds[-1]:.4f} (need <= 0.10), "
         f"mean {mean32:.4f} not in [{cap:.4f}, {cap + eps:.4f}]")

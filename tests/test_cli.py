@@ -162,6 +162,14 @@ def test_rst_verify_exact_dmc(tmp_path, capsys):
     assert json.loads(out)["exact"] is True
 
 
+def test_rst_verify_exact_input_errors(capsys):
+    # neither --eps nor --zsize; a set past the oracle's enumeration guard
+    for extra in (("--n", "2"), ("--n", "4", "--zsize", "1000")):
+        code, out, err = run(capsys, "rst", "verify-exact", "--bsc", "0.3", *extra)
+        assert code == 2, extra
+        assert out == "" and "error:" in err
+
+
 def test_rst_simulate_reports_cost(capsys):
     code, out, _ = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "8",
                        "--eps", "0.25", "--trials", "1000", "--seed", "1")

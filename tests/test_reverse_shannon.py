@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
+import qcap.reverse_shannon as rs
 from qcap.rand import generator
 from qcap.reverse_shannon import (
     DMC,
@@ -19,8 +21,17 @@ from qcap.reverse_shannon import (
     empirical_faithfulness,
     exact_faithfulness_oracle,
 )
-from qcap.reverse_shannon import _index_width, _regen_bsc_word, _set_size, _type_rank
-from qcap.typeclasses import enumerate_types, joint_type
+from qcap.reverse_shannon import (
+    _batch_members,
+    _class_rate,
+    _index_width,
+    _philox_words,
+    _regen_bsc_word,
+    _set_size,
+    _shuffle_blocks,
+    _type_rank,
+)
+from qcap.typeclasses import TypeClass, enumerate_types, joint_type, sample_from_type
 
 
 def test_dmc_validation():
@@ -233,6 +244,61 @@ def test_dmc_simulate_frozen_transcript():
     assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (12, 3, 8)
     assert tr.output == (1, 2, 0, 2, 0)
     assert tuple(int(v) for v in y) == tr.output
+
+
+def test_dmc_batch_members_match_reference(monkeypatch):
+    # the kernel reproduces numpy's Philox words, keys with the top bit set
+    # included, from the first block or any later one
+    key0 = 0xF1E2D3C4B5A69788
+    idx = [0, 1, 2 ** 26, 2 ** 63, 2 ** 63 + 12345, 2 ** 64 - 1]
+    words, later = _philox_words(key0, idx, 3), _philox_words(key0, idx, 2, first=3)
+    for r, i in enumerate(idx):
+        ref = Philox(key=np.array([key0, i], dtype=np.uint64)).random_raw(16)
+        assert np.array_equal(words[r], ref[:12])
+        assert np.array_equal(later[r], ref[8:])
+
+    # every member the sender's batches build is the receiver's member(i)
+    refills = []
+
+    def spy(key0, idx, n_blocks, first=1):
+        if first > 1:
+            refills.append(first)
+        return _philox_words(key0, idx, n_blocks, first)
+
+    monkeypatch.setattr(rs, "_philox_words", spy)
+    shared = SharedRandomness(11)
+    classes = {2: [(1, 0), (0, 1), (5, 0), (2, 3), (0, 16), (9, 7)],
+               3: [(0, 1, 0), (2, 0, 3), (16, 0, 0), (7, 0, 9), (5, 5, 6)]}
+    long_shuffles = 0
+    for matrix in ([[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]],
+                   [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]],
+                   [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]]):
+        d = DMC(matrix)
+        for counts in classes[d.d_in]:
+            tc, k = TypeClass(counts), _type_rank(counts)
+            size = _set_size(_class_rate(d, tc), tc.n, 0.5)
+            keys = tuple(int(shared._key(tag, k)[0]) for tag in ("X", "Y"))
+            batch = _batch_members(d, tc, keys, np.arange(size))
+            assert batch.shape == (size, tc.n)
+            for i in range(size):
+                x_stream = shared.element_stream("X", k, i)
+                xp = sample_from_type(tc, x_stream)
+                ref = d.sample_outputs(xp, shared.element_stream("Y", k, i))
+                assert np.array_equal(batch[i], ref), (matrix, counts, i)
+                # shuffles that drew past the first blocks of their stream
+                blocks_used = int(x_stream.bit_generator.state["state"]["counter"][0])
+                long_shuffles += blocks_used > _shuffle_blocks(tc.n)
+    assert long_shuffles > 0 and refills
+
+
+def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
+    d = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
+    cfg = ProtocolConfig(n=16, eps=0.5, variant="general")
+    x = [0, 1] * 4 + [0] * 8
+    whole = [dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)]
+    assert any(not tr.fallback for tr in whole)
+    monkeypatch.setattr(rs, "_MEMBER_CHUNK", 7 * 16)  # 7-member chunks
+    assert [dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)] == whole
 
 
 def test_dmc_simulate_fallback_raw_width():
