@@ -2,24 +2,29 @@
 
 The capacity is the maximum over input states of
 f(rho) = H(rho) + H(N(rho)) - H(E(rho)), with E the environment output.
-f is concave, so a conditional-gradient (Frank-Wolfe) ascent over the
-density-operator spectrahedron converges with a duality-gap certificate:
-the gap lambda_max(G) - tr(G rho) bounds the remaining suboptimality.
+f is concave, and its maximizer is found by mirror ascent (the quantum
+Blahut-Arimoto iteration of Ramakrishnan, Iten, Scholz and Berta,
+arXiv:1905.01286): rho <- exp2(log2 rho + G) / tr, with G the gradient.
+Each result carries a duality-gap certificate: for any mu >= 0,
+lambda_max(G - mu A) + mu b - tr(G rho) bounds the remaining suboptimality
+over every state with tr(A rho) <= b (mu = 0 without a constraint).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qmath import (
     EIG_ZERO_TOL,
-    DensityOperator,
     DimensionMismatchError,
     QuantumChannel,
+    _adjoint_raw,
     _apply_raw,
     _check_hermitian,
+    _complementary_adjoint_raw,
     _complementary_raw,
     _state_matrix,
     entropy_of_spectrum,
@@ -29,7 +34,7 @@ from .qmath import (
 )
 
 MAX_ITERS = 100_000
-LINESEARCH_TOL = 1e-12
+FEASIBILITY_SLACK = 1e-12
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -93,57 +98,128 @@ def holevo_chi(ensemble) -> float:
     return chi
 
 
-def _log2_psd(mat: np.ndarray) -> np.ndarray:
-    # eigenvalues below the zero tolerance are clamped before the log
+def _entropy_and_log2(mat: np.ndarray):
+    # an output may be singular: eigenvalues below the zero tolerance are
+    # clamped before the log
     evals, vecs = np.linalg.eigh(mat)
-    evals = np.clip(evals.real, EIG_ZERO_TOL, None)
-    return (vecs * np.log2(evals)) @ vecs.conj().T
+    log2 = np.log2(np.clip(evals, EIG_ZERO_TOL, None))
+    return entropy_of_spectrum(evals), (vecs * log2) @ vecs.conj().T
 
 
 def _entropy_psd(mat: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(mat))
 
 
-def _channel_adjoint(kraus_stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_k A_k^dag X A_k
-    return np.einsum("koi,op,kpj->ij", kraus_stack.conj(), x, kraus_stack,
-                     optimize=True)
+def _gibbs(y: np.ndarray, obs, mu: float):
+    """rho proportional to exp2(y - mu obs) as (log2 spectrum, eigenvectors, load)."""
+    shifted = y if mu == 0.0 else y - mu * obs
+    w, vecs = np.linalg.eigh(shifted)
+    w = w - w[-1]
+    w -= np.log2(np.sum(np.exp2(w)))
+    if obs is None:
+        return w, vecs, 0.0
+    load = float(np.exp2(w) @ np.real(np.sum(vecs.conj() * (obs @ vecs), axis=0)))
+    return w, vecs, load
 
 
-def _env_adjoint(kraus_stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_{kl} X_{kl} A_k^dag A_l
-    b = np.tensordot(x, kraus_stack, axes=([1], [0]))
-    return np.einsum("koi,koj->ij", kraus_stack.conj(), b, optimize=True)
+def _project(y: np.ndarray, obs, bound: float):
+    """KL projection of exp2(y) onto tr(obs rho) <= bound.
+
+    The projection is exp2(y - mu obs) normalized, with the least mu >= 0
+    that meets the bound. Doubling brackets mu against the bound plus the
+    feasibility slack (reachable, as bound >= lambda_min(obs)); bisection
+    then tightens it against the bound itself. Returns (mu, log2 spectrum,
+    eigenvectors).
+    """
+    w, vecs, load = _gibbs(y, obs, 0.0)
+    if load <= bound + FEASIBILITY_SLACK:
+        return 0.0, w, vecs
+    lo, hi = 0.0, 1.0
+    w, vecs, load = _gibbs(y, obs, hi)
+    while load > bound + FEASIBILITY_SLACK:
+        lo, hi = hi, 2.0 * hi
+        w, vecs, load = _gibbs(y, obs, hi)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        trial = _gibbs(y, obs, mid)
+        if trial[2] <= bound:
+            hi, (w, vecs, load) = mid, trial
+        else:
+            lo = mid
+    return hi, w, vecs
 
 
-class _Objective:
-    """Cached channel data for repeated objective/gradient evaluation."""
+def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
+                   max_iters: int, callback) -> CeResult:
+    """Mirror ascent on f under tr(obs rho) <= bound (obs None: no constraint).
 
-    def __init__(self, channel: QuantumChannel):
-        self.channel = channel
-        self.stack = np.stack(channel.kraus)
+    Carries rho by its eigen-decomposition, so log2 rho is exact and never
+    the log of a clamped spectrum. Each step is the unit step
+    rho <- exp2(log2 rho + G) / tr, projected onto the constraint; data
+    processing makes it an ascent step (arXiv:1905.01286).
+    """
+    d = channel.d_in
+    mu, w, vecs = _project(np.zeros((d, d), dtype=np.complex128), obs, bound)
+    for it in itertools.count():
+        p = np.exp2(w)
+        rho = (vecs * p) @ vecs.conj().T
+        h_out, log_out = _entropy_and_log2(_apply_raw(channel, rho))
+        h_env, log_env = _entropy_and_log2(_complementary_raw(channel, rho))
+        value = entropy_of_spectrum(p) + h_out - h_env
+        # y = log2 rho + G, with G the gradient of f at rho
+        y = _complementary_adjoint_raw(channel, log_env) - _adjoint_raw(channel, log_out)
+        grad = y - (vecs * w) @ vecs.conj().T
+        top = grad if mu == 0.0 else grad - mu * obs
+        gap = (float(np.linalg.eigvalsh(top)[-1]) + mu * bound
+               - float(np.vdot(rho, grad).real))
+        result = CeResult(value=value, rho=rho, iterations=it, gap_bound=max(gap, 0.0))
+        if gap <= tol:
+            return result
+        if it >= max_iters:
+            raise ConvergenceError(
+                f"no convergence to gap {tol} within {max_iters} iterations", result)
+        if callback is not None and callback(it, value, result.gap_bound):
+            raise OptimizationCancelled("cancelled by callback", result)
+        mu, w, vecs = _project(y, obs, bound)
 
-    def primary(self, rho):
-        return _apply_raw(self.channel, rho)
 
-    def env(self, rho):
-        return _complementary_raw(self.channel, rho)
+def ce_maximize(channel: QuantumChannel, tol: float = 1e-7,
+                max_iters: int = MAX_ITERS, callback=None) -> CeResult:
+    """Maximize H(rho) + H(N(rho)) - H(E(rho)) over density operators.
 
-    def value(self, rho) -> float:
-        return (_entropy_psd(rho) + _entropy_psd(self.primary(rho))
-                - _entropy_psd(self.env(rho)))
-
-    def value_parts(self, rho, out, env) -> float:
-        return _entropy_psd(rho) + _entropy_psd(out) - _entropy_psd(env)
-
-    def gradient(self, rho) -> np.ndarray:
-        g = (-_log2_psd(rho)
-             - _channel_adjoint(self.stack, _log2_psd(self.primary(rho)))
-             + _env_adjoint(self.stack, _log2_psd(self.env(rho))))
-        return 0.5 * (g + g.conj().T)
+    Mirror ascent (quantum Blahut-Arimoto) from the maximally mixed state.
+    Stops when the duality gap lambda_max(G) - tr(G rho) drops to `tol`
+    (bits); the returned value is then within `tol` of the maximum over all
+    density operators. Raises ConvergenceError with the last iterate
+    attached if `max_iters` steps do not reach `tol`, and
+    OptimizationCancelled if `callback(iteration, value, gap)` returns true.
+    """
+    return _mirror_ascent(channel, None, 0.0, tol, max_iters, callback)
 
 
-def _golden_max(fun, lo=0.0, hi=1.0, xtol=LINESEARCH_TOL):
+def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstraint,
+                            tol: float = 1e-7, max_iters: int = MAX_ITERS,
+                            callback=None) -> CeResult:
+    """Capacity maximization restricted to tr(observable rho) <= bound.
+
+    The same mirror ascent as `ce_maximize`, with every step (and the
+    maximally mixed start, which becomes a Gibbs state) projected onto the
+    constraint in relative entropy: rho proportional to exp2(Y - mu A), mu
+    bisected. The gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the
+    value over the whole feasible set. A bound below the observable's least
+    eigenvalue by more than 1e-12 raises ValueError.
+    """
+    obs = constraint.observable
+    if obs.shape[0] != channel.d_in:
+        raise DimensionMismatchError("observable dimension mismatch")
+    lam_min = float(np.linalg.eigvalsh(obs)[0])
+    bound = float(constraint.bound)
+    if bound < lam_min - FEASIBILITY_SLACK:
+        raise ValueError(f"infeasible constraint: bound {bound} < min eigenvalue {lam_min}")
+    return _mirror_ascent(channel, obs, max(bound, lam_min), tol, max_iters, callback)
+
+
+def _golden_max(fun, lo, hi, xtol):
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -159,125 +235,6 @@ def _golden_max(fun, lo=0.0, hi=1.0, xtol=LINESEARCH_TOL):
             fd = fun(d)
     x = 0.5 * (a + b)
     return x, fun(x)
-
-
-def _frank_wolfe(obj: _Objective, rho0: np.ndarray, oracle, tol: float,
-                 max_iters: int, callback):
-    rho = rho0
-    fval = obj.value(rho)
-    gap = np.inf
-    stalled = 0
-    for it in range(max_iters):
-        grad = obj.gradient(rho)
-        sigma, gap = oracle(grad, rho)
-        if gap <= tol:
-            return CeResult(value=fval, rho=rho, iterations=it, gap_bound=float(gap))
-        out_rho, out_sig = obj.primary(rho), obj.primary(sigma)
-        env_rho, env_sig = obj.env(rho), obj.env(sigma)
-
-        def along(t):
-            return obj.value_parts((1 - t) * rho + t * sigma,
-                                   (1 - t) * out_rho + t * out_sig,
-                                   (1 - t) * env_rho + t * env_sig)
-
-        t_star, f_star = _golden_max(along)
-        # ascent guarantee: never accept a step below the current value
-        if f_star < fval:
-            t_star, f_star = 0.0, fval
-        # a zero step repeats forever (same gradient, same vertex): give up
-        stalled = stalled + 1 if t_star == 0.0 else 0
-        if stalled >= 2:
-            raise ConvergenceError(
-                f"stalled at gap {gap:.3e} before reaching {tol} (float precision floor)",
-                CeResult(value=fval, rho=rho, iterations=it + 1, gap_bound=float(gap)))
-        rho = (1 - t_star) * rho + t_star * sigma
-        rho = 0.5 * (rho + rho.conj().T)
-        fval = f_star
-        if callback is not None and callback(it, fval, float(gap)):
-            raise OptimizationCancelled(
-                "cancelled by callback",
-                CeResult(value=fval, rho=rho, iterations=it + 1, gap_bound=float(gap)))
-    raise ConvergenceError(
-        f"no convergence to gap {tol} within {max_iters} iterations",
-        CeResult(value=fval, rho=rho, iterations=max_iters, gap_bound=float(gap)))
-
-
-def ce_maximize(channel: QuantumChannel, tol: float = 1e-7,
-                max_iters: int = MAX_ITERS, callback=None) -> CeResult:
-    """Maximize H(rho) + H(N(rho)) - H(E(rho)) over density operators.
-
-    Conditional-gradient ascent from the maximally mixed state with exact
-    golden-section line search. Stops when the duality gap
-    lambda_max(G) - tr(G rho) drops to `tol` (bits); the returned value is
-    then within `tol` of the maximum. Raises ConvergenceError with the best
-    iterate attached if the iteration cap is reached, and
-    OptimizationCancelled if `callback(iteration, value, gap)` returns true.
-    """
-    obj = _Objective(channel)
-    d = channel.d_in
-    rho0 = np.eye(d, dtype=np.complex128) / d
-
-    def oracle(grad, rho):
-        evals, vecs = np.linalg.eigh(grad)
-        u = vecs[:, -1]
-        sigma = np.outer(u, u.conj())
-        gap = evals[-1] - float(np.sum(grad * rho.T).real)
-        return sigma, gap
-
-    return _frank_wolfe(obj, rho0, oracle, tol, max_iters, callback)
-
-
-def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstraint,
-                            tol: float = 1e-7, max_iters: int = MAX_ITERS,
-                            callback=None) -> CeResult:
-    """Capacity maximization restricted to tr(observable rho) <= bound.
-
-    The linear subproblem is solved over the two-point family mixing the top
-    gradient eigenprojector with the observable's ground-state projector,
-    taking the largest feasible weight on the former. The reported gap bound
-    is therefore certified over that family rather than the full feasible
-    set; for the energy-style constraints exercised here the optimum is in
-    the family's convex hull.
-    """
-    obs = constraint.observable
-    bound = float(constraint.bound)
-    if obs.shape[0] != channel.d_in:
-        raise DimensionMismatchError("observable dimension mismatch")
-    oevals, ovecs = np.linalg.eigh(obs)
-    lam_min = float(oevals[0])
-    if bound < lam_min - 1e-12:
-        raise ValueError(f"infeasible constraint: bound {bound} < min eigenvalue {lam_min}")
-    w = ovecs[:, 0]
-    ground = np.outer(w, w.conj())
-    w_val = float(np.real(w.conj() @ obs @ w))
-
-    d = channel.d_in
-    mixed = np.eye(d, dtype=np.complex128) / d
-    mixed_val = float(np.trace(obs @ mixed).real)
-    if mixed_val <= bound:
-        rho0 = mixed
-    elif abs(mixed_val - w_val) < 1e-15:
-        rho0 = ground
-    else:
-        alpha = (bound - w_val) / (mixed_val - w_val)
-        rho0 = alpha * mixed + (1 - alpha) * ground
-
-    def oracle(grad, rho):
-        evals, vecs = np.linalg.eigh(grad)
-        u = vecs[:, -1]
-        top = np.outer(u, u.conj())
-        u_val = float(np.real(u.conj() @ obs @ u))
-        if u_val <= bound + 1e-14:
-            sigma = top
-        else:
-            t = (bound - w_val) / (u_val - w_val)
-            t = min(max(t, 0.0), 1.0)
-            sigma = t * top + (1 - t) * ground
-        gap = float(np.sum(grad * sigma.T).real) - float(np.sum(grad * rho.T).real)
-        return sigma, max(gap, 0.0)
-
-    obj = _Objective(channel)
-    return _frank_wolfe(obj, rho0, oracle, tol, max_iters, callback)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Finite-dimensional density operators, quantum channels, and entropy primitives.
 
 All entropies are in bits (log base 2). Matrices are dense complex numpy
-arrays; a channel is a list of Kraus operators mapping dimension d_in to
-d_out. The complementary (environment) output of a channel with Kraus list
+arrays; a channel is one stacked (c, d_out, d_in) array of Kraus operators.
+The complementary (environment) output of a channel with Kraus operators
 {A_k} is the c x c matrix E(rho)_{kl} = tr(A_k rho A_l^dag), whose entropy
 equals the entropy exchange of the channel on rho.
 """
@@ -134,7 +134,9 @@ class QuantumChannel:
     ----------
     kraus : sequence of array_like
         Operators of common shape (d_out, d_in). Completeness
-        sum_k A_k^dag A_k = I must hold within 1e-9.
+        sum_k A_k^dag A_k = I must hold within 1e-9. They are kept as one
+        read-only (c, d_out, d_in) array, which the maps below act on with
+        batched matrix products.
     """
 
     __slots__ = ("kraus", "d_in", "d_out")
@@ -147,15 +149,13 @@ class QuantumChannel:
         if len(shape) != 2 or any(op.shape != shape for op in ops):
             raise InvalidChannelError("Kraus operators must share one 2-D shape")
         d_out, d_in = shape
-        acc = np.zeros((d_in, d_in), dtype=np.complex128)
-        for op in ops:
-            acc += op.conj().T @ op
-        dev = np.max(np.abs(acc - np.eye(d_in)))
+        stack = np.stack(ops)
+        rows = stack.reshape(-1, d_in)
+        dev = np.max(np.abs(rows.conj().T @ rows - np.eye(d_in)))
         if dev > KRAUS_TOL:
             raise InvalidChannelError(f"completeness violated by {dev:.3e}")
-        for op in ops:
-            op.flags.writeable = False
-        self.kraus = tuple(ops)
+        stack.flags.writeable = False
+        self.kraus = stack
         self.d_in = d_in
         self.d_out = d_out
 
@@ -210,10 +210,15 @@ def apply_channel(channel: QuantumChannel, rho) -> DensityOperator:
 
 
 def _apply_raw(channel: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros((channel.d_out, channel.d_out), dtype=np.complex128)
-    for op in channel.kraus:
-        out += op @ mat @ op.conj().T
-    return out
+    # sum_k A_k rho A_k^dag
+    ks = channel.kraus
+    return (ks @ mat @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def _adjoint_raw(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
+    # sum_k A_k^dag X A_k
+    ks = channel.kraus
+    return (ks.conj().transpose(0, 2, 1) @ x @ ks).sum(axis=0)
 
 
 def complementary_apply(channel: QuantumChannel, rho) -> DensityOperator:
@@ -228,14 +233,16 @@ def complementary_apply(channel: QuantumChannel, rho) -> DensityOperator:
 def _complementary_raw(channel: QuantumChannel, mat: np.ndarray) -> np.ndarray:
     # E_{kl} = tr(A_k rho A_l^dag) = sum_{ij} (A_k rho)_{ij} conj(A_l)_{ij}
     c = channel.env_dim
-    prods = [op @ mat for op in channel.kraus]
-    env = np.empty((c, c), dtype=np.complex128)
-    for k in range(c):
-        for l in range(k, c):
-            val = np.sum(prods[k] * channel.kraus[l].conj())
-            env[k, l] = val
-            env[l, k] = val.conjugate()
-    return env
+    ks = channel.kraus
+    prods = (ks.reshape(-1, channel.d_in) @ mat).reshape(c, -1)
+    return prods @ ks.reshape(c, -1).conj().T
+
+
+def _complementary_adjoint_raw(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
+    # sum_{kl} X_{kl} A_k^dag A_l
+    c = channel.env_dim
+    rows = channel.kraus.reshape(-1, channel.d_in)
+    return rows.conj().T @ (x @ channel.kraus.reshape(c, -1)).reshape(rows.shape)
 
 
 def entropy_exchange(channel: QuantumChannel, rho) -> float:

@@ -294,29 +294,29 @@ def typical_subspace_report(rho, n: int, delta: float,
     entropy = entropy_of_spectrum(support)
     delta_prime = float(delta) * d * math.log2(float(support[0] / support[-1]))
 
+    # weights and multiplicities reach 2^(+-n H), past the float range for
+    # n in the thousands, so every product and window test is a log2 sum
     tset = TypicalEigenstateSet(support / support.sum(), n, delta)
     trace_mass = 0.0
     dim = 0
-    min_eig, max_eig = math.inf, -math.inf
+    min_log, max_log = math.inf, -math.inf
     log_support = np.log2(support.astype(np.float64))
     for counts in tset.admissible_types():
         weight_log = float(np.dot(np.asarray(counts, dtype=np.float64), log_support))
-        weight = 2.0 ** weight_log
         mult = _multinomial(n, counts)
-        trace_mass += mult * weight
+        trace_mass += 2.0 ** (math.log2(mult) + weight_log)
         dim += mult
-        min_eig = min(min_eig, weight)
-        max_eig = max(max_eig, weight)
-    if dim == 0:
-        min_eig = max_eig = math.nan
+        min_log = min(min_log, weight_log)
+        max_log = max(max_log, weight_log)
 
-    lo_eig = 2.0 ** (-n * (entropy + delta_prime))
-    hi_eig = 2.0 ** (-n * (entropy - delta_prime))
+    lo_log = -n * (entropy + delta_prime)
+    hi_log = -n * (entropy - delta_prime)
     prop1 = trace_mass > 1.0 - eps
-    prop2 = dim == 0 or (min_eig >= lo_eig * (1.0 - 1e-9)
-                         and max_eig <= hi_eig * (1.0 + 1e-9))
-    prop3 = ((1.0 - eps) * 2.0 ** (n * (entropy - delta_prime)) <= dim
-             and dim <= 2.0 ** (n * (entropy + delta_prime)) * (1.0 + 1e-9))
+    prop2 = dim == 0 or (min_log >= lo_log + math.log2(1.0 - 1e-9)
+                         and max_log <= hi_log + math.log2(1.0 + 1e-9))
+    prop3 = dim > 0 and (math.log2(1.0 - eps) - hi_log <= math.log2(dim)
+                         <= math.log2(1.0 + 1e-9) - lo_log)
+    min_eig, max_eig = (2.0 ** min_log, 2.0 ** max_log) if dim else (math.nan, math.nan)
     return TypicalSubspaceReport(
         n=n, delta=float(delta), eps=eps, entropy=entropy, delta_prime=delta_prime,
         trace_mass=float(trace_mass), min_eig=float(min_eig),

@@ -4,6 +4,7 @@ import pytest
 from qcap.capacity import (
     ConvergenceError,
     EnergyConstraint,
+    OptimizationCancelled,
     ad_asymptotics,
     ad_ce,
     ad_ch,
@@ -92,9 +93,10 @@ def test_switched_channel_reaches_two_bits():
 
 
 def test_convergence_error_carries_best_iterate():
-    # the duality gap floors around 1e-9 on this channel; 1e-12 must stall
+    # five mirror-ascent steps leave a gap near 1e-3 on this channel, far
+    # above the default tolerance, so the iteration cap is hit
     with pytest.raises(ConvergenceError) as exc:
-        ce_maximize(amplitude_damping(0.3), tol=1e-12)
+        ce_maximize(amplitude_damping(0.3), max_iters=5)
     best = exc.value.best
     assert best.value == pytest.approx(ad_ce(0.3)[0], abs=1e-6)
     assert best.gap_bound > 1e-12
@@ -156,6 +158,79 @@ def test_constrained_matches_diagonal_grid():
     grid = max(quantum_mutual_information(ch, np.diag([1 - x, x]).astype(complex))
                for x in xs)
     assert res.value == pytest.approx(grid, abs=1e-7)
+
+
+def _h_cols(lams):
+    safe = np.where(lams > 1e-12, lams, 1.0)
+    return -np.sum(lams * np.log2(safe), axis=-1)
+
+
+def _qubit_spectra(mats):
+    # closed-form eigenvalues of a stack of 2x2 Hermitian matrices
+    mid = 0.5 * (mats[:, 0, 0].real + mats[:, 1, 1].real)
+    half = np.sqrt(0.25 * (mats[:, 0, 0].real - mats[:, 1, 1].real) ** 2
+                   + np.abs(mats[:, 0, 1]) ** 2)
+    return np.clip(np.stack([mid + half, mid - half], axis=-1), 0.0, None)
+
+
+def _capped_bloch_grid(channel, bound, resolution):
+    """Objective maximum over Bloch-grid states with (1 - r_z)/2 <= bound.
+
+    Every grid point is a feasible state, so this is a lower bound on the
+    constrained maximum. The maps act through explicit Kraus sums.
+    """
+    axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
+    zs = axis[(1.0 - axis) / 2 <= bound]
+    rx, ry, rz = (g.ravel() for g in np.meshgrid(axis, axis, zs, indexing="ij"))
+    keep = rx**2 + ry**2 + rz**2 <= 1.0
+    rx, ry, rz = rx[keep], ry[keep], rz[keep]
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+              np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    coeffs = np.stack([np.ones_like(rx), rx, ry, rz], axis=1) / 2
+
+    def family(apply):
+        return np.einsum("nj,jab->nab", coeffs, np.stack([apply(s) for s in paulis]))
+
+    ks = list(channel.kraus)
+    out = family(lambda s: sum(k @ s @ k.conj().T for k in ks))
+    env = family(lambda s: np.array([[np.trace(a @ s @ b.conj().T) for b in ks]
+                                     for a in ks]))
+    rnorm = np.sqrt(rx**2 + ry**2 + rz**2)
+    h_in = _h_cols(np.stack([(1 + rnorm) / 2, (1 - rnorm) / 2], axis=-1))
+    h_env = _h_cols(np.clip(np.linalg.eigvalsh(env), 0.0, None))
+    return float(np.max(h_in + _h_cols(_qubit_spectra(out)) - h_env))
+
+
+def test_constrained_certificate_against_capped_bloch_grid():
+    rng = generator(11)
+    bound = 0.15
+    cons = EnergyConstraint(np.diag([0.0, 1.0]), bound)
+    for i in range(6):
+        ch = random_channel(2, 2, 2 + i % 3, rng)
+        res = ce_maximize_constrained(ch, cons)
+        grid = _capped_bloch_grid(ch, bound, 0.02)
+        assert res.value >= grid - 1e-9
+        assert res.gap_bound <= 1e-7
+        assert float(res.rho[1, 1].real) <= bound + 1e-12
+
+
+def test_large_random_channels_converge_with_certificate():
+    for seed, (d, env) in enumerate([(6, 2), (8, 3), (8, 8), (16, 16)]):
+        ch = random_channel(d, d, env, generator(seed))
+        values = []
+        res = ce_maximize(ch, callback=lambda it, value, gap: values.append(value))
+        assert res.gap_bound <= 1e-7
+        assert res.value == pytest.approx(quantum_mutual_information(ch, res.rho),
+                                          abs=1e-9)
+        assert len(values) == res.iterations >= 3
+        assert np.all(np.diff(values) >= -1e-12)
+        with pytest.raises(OptimizationCancelled) as exc:
+            ce_maximize(ch, callback=lambda it, value, gap: it == 2)
+        best = exc.value.best
+        assert best.iterations == 2
+        assert best.value == pytest.approx(values[2], abs=1e-12)
+        assert best.value == pytest.approx(quantum_mutual_information(ch, best.rho),
+                                           abs=1e-9)
 
 
 def test_constrained_infeasible_raises():

@@ -138,6 +138,16 @@ def test_typical_check_float_delta_matches_fraction(capsys):
     assert json.loads(out_f)["dim"] == json.loads(out_q)["dim"]
 
 
+def test_typical_check_large_block_length(capsys):
+    # multiplicities and weights at n=2000 lie far outside the float range
+    code, out, _ = run(capsys, "typical", "check", "--probs", "0.7,0.3",
+                       "--n", "2000", "--delta", "1/10")
+    assert code == 0
+    rep = json.loads(out)
+    assert len(rep["bounds_ok"]) == 3
+    assert all(isinstance(flag, bool) for flag in rep["bounds_ok"])
+
+
 def test_typical_check_bad_probs(capsys):
     code, _, _ = run(capsys, "typical", "check", "--probs", "0.7,0.7",
                      "--n", "10", "--delta", "0.1")
