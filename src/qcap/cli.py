@@ -153,16 +153,20 @@ def cmd_gaussian(args) -> int:
     _echo_config(args)
     from . import gaussian
 
-    s_vals = _floats(args.photons)
-    if args.limit:
-        print("S,ce_over_cshan_limit")
-        for s in s_vals:
-            print(f"{s:.10g},{gaussian.ce_over_cshan_limit(s):.10g}")
-        return 0
-    if args.noise is None or args.gain is None:
-        raise UsageError("need --N and --k unless --limit is given")
-    rows = gaussian.sweep(s_vals, _floats(args.noise), _floats(args.gain))
-    sys.stdout.write(gaussian.sweep_csv(rows))
+    try:
+        # every row before any output, so a bad value prints nothing
+        s_vals = _floats(args.photons)
+        if args.limit:
+            text = "S,ce_over_cshan_limit\n" + "".join(
+                f"{s:.10g},{gaussian.ce_over_cshan_limit(s):.10g}\n" for s in s_vals)
+        elif args.noise is None or args.gain is None:
+            raise UsageError("need --N and --k unless --limit is given")
+        else:
+            text = gaussian.sweep_csv(gaussian.sweep(
+                s_vals, _floats(args.noise), _floats(args.gain)))
+    except ValueError as exc:  # a non-numeric entry or an out-of-range value
+        raise UsageError(str(exc)) from exc
+    sys.stdout.write(text)
     return 0
 
 
@@ -230,18 +234,21 @@ def cmd_rst_verify(args) -> int:
 
 def cmd_typical(args) -> int:
     _echo_config(args)
+    from fractions import Fraction
+
     from .qmath import DensityOperator
     from .typeclasses import typical_subspace_report
     import numpy as np
 
-    probs = _floats(args.probs)
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise UsageError("--probs must sum to 1")
-    from fractions import Fraction
-
-    delta = Fraction(args.delta) if "/" in args.delta else float(args.delta)
-    rho = DensityOperator(np.diag(probs))
-    report = typical_subspace_report(rho, args.n, delta, eps=args.eps)
+    try:
+        probs = _floats(args.probs)
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise UsageError("--probs must sum to 1")
+        delta = Fraction(args.delta) if "/" in args.delta else float(args.delta)
+        rho = DensityOperator(np.diag(probs))
+        report = typical_subspace_report(rho, args.n, delta, eps=args.eps)
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. --delta abc, --n 0
+        raise UsageError(str(exc)) from exc
     _emit_json(report.to_json())
     return 0
 

@@ -12,6 +12,7 @@ block length, not just asymptotically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.stats import chisquare
 
-from .typeclasses import TypeClass, joint_type, sample_from_type, type_of
+from .typeclasses import (TypeClass, enumerate_types, joint_type, sample_from_type,
+                          type_of)
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
@@ -533,113 +535,90 @@ def _channel_kind(channel):
     """The one dispatch on the channel kind.
 
     A flip probability (bit protocol) or a DMC (general protocol) maps to
-    (DMC, capacity(), rate(x), simulate(cfg, shared, x)), where rate(x)
-    sizes the shared set for input block x.
+    (DMC, capacity(), rate(x), simulate(cfg, shared, x), law(x)), where
+    rate(x) sizes the shared set for input block x and law(x) gives the
+    exact oracle the law of one set member over the output blocks (as
+    ordered by _blocks) and the match label of each output block.
     """
     if isinstance(channel, DMC):
+        d_in, d_out = channel.d_in, channel.d_out
+
+        def law(x):
+            # members: channel outputs of a uniform input of x's type class
+            n = len(x)
+            same = (np.sort(_blocks(d_in, n), axis=1) == np.sort(x)).all(axis=1)
+            return (_block_law(channel, n)[same].mean(axis=0),
+                    [joint_type(x, y, d_in, d_out).key() for y in _blocks(d_out, n)])
+
         return (channel, lambda: ba_capacity(channel, 1e-10)[0],
-                lambda x: _class_rate(channel, type_of(x, channel.d_in)),
-                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x))
+                lambda x: _class_rate(channel, type_of(x, d_in)),
+                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), law)
+
+    def law(x):
+        # members: uniform words; a match lies on y's Hamming shell around x
+        ys = _blocks(2, len(x))
+        return np.full(len(ys), 1.0 / len(ys)), (ys != x).sum(axis=1)
+
     p = float(channel)
     return (bsc(p), lambda: bsc_capacity(p), lambda x: bsc_capacity(p),
-            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x))
+            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x), law)
 
 
 # ---------------------------------------------------------------------------
 # Faithfulness verification.
 
-def _block_outputs(d_out: int, n: int) -> np.ndarray:
-    """All length-n output blocks, last letter fastest."""
-    grids = np.meshgrid(*([np.arange(d_out)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _blocks(d: int, n: int) -> np.ndarray:
+    """All length-n blocks over d letters, one per row, last letter fastest."""
+    return np.indices((d,) * n).reshape(n, -1).T
 
 
-def _block_matrix(dmc: DMC, n: int) -> np.ndarray:
-    """(N^n)_{xy} for all input/output blocks, both block-indexed."""
-    out = np.ones((dmc.d_in ** n, dmc.d_out ** n))
-    xin = _block_outputs(dmc.d_in, n)
-    yout = _block_outputs(dmc.d_out, n)
-    for xi, xb in enumerate(xin):
-        for yi, yb in enumerate(yout):
-            out[xi, yi] = dmc.block_probability(xb, yb)
-    return out
+def _block_law(dmc: DMC, n: int) -> np.ndarray:
+    """N^(x)n: row x, column y holds P(y | x), both indexed as by _blocks."""
+    return functools.reduce(np.kron, [dmc.matrix] * n)
 
 
 def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
                               zsize: int | None = None) -> float:
     """Max deviation of the induced block channel from the true one.
 
-    Integrates the protocol analytically: every ordered draw of the
-    shared set, every private channel outcome, every uniform pick among
-    matching members, weighted by its probability. channel is a flip
-    probability (bit protocol) or a DMC (general protocol). The set size
-    comes from zsize, or from eps via the protocol's own sizing rule.
-    Refuses enumerations beyond ORACLE_MAX_COMBOS weight terms.
+    Integrates the protocol analytically, summing over multisets of set
+    draws. A set of M iid members is summarized by its count vector c
+    over the output blocks, of weight multinomial(M; c) * prod(law^c).
+    Given c, a private output in match class s, which holds K_s > 0
+    members, ends on member y' of s with odds c_y' / K_s: the law of any
+    exchangeable pick among the matches. With K_s = 0 it falls back to
+    itself. channel is a flip probability (bit protocol) or a DMC
+    (general protocol). The set size comes from zsize, or from eps via
+    the protocol's own sizing rule. Refuses sums beyond
+    ORACLE_MAX_COMBOS weight terms.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
-    dmc, _, rate, _ = _channel_kind(channel)
-    d_i, d_o = dmc.d_in, dmc.d_out
-    yout = _block_outputs(d_o, n)
-    n_out = len(yout)
-    true_block = _block_matrix(dmc, n)
+    dmc, _, rate, _, law = _channel_kind(channel)
+    block = _block_law(dmc, n)
+    n_out = block.shape[1]
+    multisets = {}
     worst = 0.0
-
-    xin = _block_outputs(d_i, n)
-    for xi, xb in enumerate(xin):
-        size = zsize if zsize is not None else _set_size(rate(xb), n, eps)
-        # the reference's own member law and match labels, per protocol
-        if isinstance(channel, DMC):
-            # set members: channel outputs of a uniform same-class input
-            tc = type_of(xb, d_i)
-            member_probs = np.zeros(n_out)
-            class_inputs = [xc for xc in xin
-                            if type_of(xc, d_i).counts == tc.counts]
-            for xc in class_inputs:
-                xci = int(np.ravel_multi_index(tuple(xc), (d_i,) * n))
-                member_probs += true_block[xci]
-            member_probs /= len(class_inputs)
-            labels = [joint_type(xb, yb, d_i, d_o).key() for yb in yout]
-        else:
-            member_probs = np.full(n_out, 1.0 / n_out)
-            labels = [int((yb != xb).sum()) for yb in yout]
-
-        if (n_out ** size) * n_out > ORACLE_MAX_COMBOS:
+    for x, true in zip(_blocks(dmc.d_in, n), block):
+        size = zsize if zsize is not None else _set_size(rate(x), n, eps)
+        n_sets = math.comb(n_out + size - 1, size)
+        if n_sets * n_out > ORACLE_MAX_COMBOS:
             raise ValueError(
-                f"{n_out}^{size} set draws exceed the enumeration guard")
-
-        ids = {}
-        sig = np.array([ids.setdefault(s, len(ids)) for s in labels])
-
-        # extended-precision accumulator: millions of ordered draws would
-        # otherwise pile up ~1e-12 of float64 rounding in each bucket
-        induced = np.zeros(n_out, dtype=np.longdouble)
-        for draw in np.ndindex(*([n_out] * size)):
-            w_draw = float(np.prod(member_probs[list(draw)]))
-            if w_draw == 0.0:
-                continue
-            draw_sigs = sig[list(draw)]
-            for yi in range(n_out):
-                w = w_draw * true_block[xi, yi]
-                if w == 0.0:
-                    continue
-                hits = np.flatnonzero(draw_sigs == sig[yi])
-                if hits.size:
-                    share = w / hits.size
-                    for h in hits:
-                        induced[draw[h]] += share
-                else:
-                    induced[yi] += w
-        diff = induced.astype(np.float64) - true_block[xi]
-        worst = max(worst, float(np.max(np.abs(diff))))
+                f"{n_sets} multisets of {size} set draws exceed the enumeration guard")
+        if size not in multisets:
+            types = enumerate_types(size, n_out)
+            multisets[size] = (np.array([t.counts for t in types]),
+                               np.array([float(t.multiplicity()) for t in types]))
+        counts, mult = multisets[size]
+        member, labels = law(x)
+        sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
+        in_class = sig[:, None] == np.arange(sig.max() + 1)
+        weight = mult * np.prod(member ** counts, axis=1)
+        k = (counts @ in_class)[:, sig]  # members in each output's class
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = np.where(k > 0, (true @ in_class)[sig] * counts / k, true)
+        worst = max(worst, float(np.max(np.abs(weight @ share - true))))
     return worst
-
-
-def _exact_block_distribution(dmc: DMC, xs: np.ndarray) -> np.ndarray:
-    probs = np.array([1.0])
-    for letter in xs:
-        probs = np.multiply.outer(probs, dmc.matrix[letter]).ravel()
-    return probs
 
 
 def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
@@ -652,13 +631,13 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable histogram")
-    dmc, _, _, simulate = _channel_kind(channel)
+    dmc, _, _, simulate, _ = _channel_kind(channel)
     n = cfg.n
     if dmc.d_out ** n > 10 ** 4:
         raise ValueError("output space too large to bin")
     xs = (_letters_array(x, dmc.d_in, n) if x is not None
           else np.zeros(n, dtype=np.int64))
-    exact = _exact_block_distribution(dmc, xs)
+    exact = functools.reduce(np.kron, dmc.matrix[xs])
 
     base = SharedRandomness(seed)
     hist = np.zeros(dmc.d_out ** n, dtype=np.int64)
@@ -687,7 +666,7 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     rate of blocks costing more than n(C+eps), and the fallback rate,
     each with a standard error.
     """
-    dmc, capacity, _, simulate = _channel_kind(channel)
+    dmc, capacity, _, simulate, _ = _channel_kind(channel)
     n = cfg.n
     cap = capacity()
     threshold = n * (cap + cfg.eps)
@@ -699,9 +678,11 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
         inputs = lambda t: fixed
     elif kind == "iid":
         q = np.asarray(arg, dtype=np.float64)
-        if q.ndim != 1 or q.size != dmc.d_in or abs(q.sum() - 1.0) > 1e-9:
+        if (q.ndim != 1 or q.size != dmc.d_in or abs(q.sum() - 1.0) > 1e-9
+                or np.any(q < -1e-12)):
             raise ValueError("iid source needs a distribution over the input alphabet")
         qcum = np.cumsum(q)
+        qcum[-1] = 1.0  # as in DMC._cum: no uniform lands past the last letter
         inputs = lambda t: np.searchsorted(
             qcum, base.stream("input", t).random(n)).astype(np.int64)
     elif kind == "itc-uniform":

@@ -145,9 +145,11 @@ def sample_from_type(tc: TypeClass, rng) -> np.ndarray:
 
 
 def _multinomial(n: int, counts) -> int:
-    out = math.factorial(n)
+    # each letter picks its slots among those still free; no n! at large n
+    out = 1
     for c in counts:
-        out //= math.factorial(c)
+        out *= math.comb(n, c)
+        n -= c
     return out
 
 

@@ -154,6 +154,23 @@ def test_typical_check_bad_probs(capsys):
     assert code == 2
 
 
+def test_typical_and_gaussian_input_errors(capsys):
+    # malformed or out-of-range flag values exit 2 before printing anything
+    for argv in (
+        ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "abc"),
+        ("typical", "check", "--probs", "0.7,x", "--n", "20", "--delta", "1/10"),
+        ("typical", "check", "--probs", "0.7,0.3", "--n", "0", "--delta", "1/10"),
+        ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "1/10",
+         "--eps", "2"),
+        ("gaussian", "--S", "-1", "--N", "1", "--k", "1"),
+        ("gaussian", "--S", "1", "--N", "1,x", "--k", "1"),
+        ("gaussian", "--S", "0", "--limit"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error:" in err, argv
+
+
 def test_rst_verify_exact(capsys):
     code, out, _ = run(capsys, "rst", "verify-exact", "--bsc", "0.3", "--n", "2",
                        "--eps", "1.0")
@@ -205,7 +222,7 @@ def test_rst_simulate_source_parsing(capsys):
     # rejects them: wrong alphabet size, wrong length, bad letter, counts
     # not summing to n, non-numeric probabilities
     for source in ("iid:0.3", "fixed:0101", "fixed:01x10101",
-                   "itc-uniform:3,3", "iid:a,b"):
+                   "itc-uniform:3,3", "iid:a,b", "iid:1.5,-0.5"):
         code, out, err = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "8",
                              "--eps", "0.3", "--trials", "10", "--source", source)
         assert code == 2, source

@@ -345,6 +345,23 @@ def test_exact_oracle_general():
     assert exact_faithfulness_oracle(d, 2, zsize=1) <= 1e-12
 
 
+def test_exact_oracle_past_ordered_draw_guard():
+    # a 9-member set over 8 outputs was 8^10 ordered draws; 11,440 multisets now
+    assert exact_faithfulness_oracle(0.1, 3, eps=1.0) <= 1e-12
+    assert exact_faithfulness_oracle(DMC([[0.75, 0.25], [0.25, 0.75]]), 3,
+                                     zsize=6) <= 1e-12
+
+
+def test_kronecker_block_law_matches_block_probability():
+    d = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    law = rs._block_law(d, 3)
+    xs, ys = rs._blocks(d.d_in, 3), rs._blocks(d.d_out, 3)
+    assert law.shape == (len(xs), len(ys)) == (8, 27)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert law[i, j] == d.block_probability(x, y)
+
+
 def test_exact_oracle_guards():
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 2)  # neither eps nor zsize
