@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import amplitude_damping
 from .qmath import (
     EIG_ZERO_TOL,
     DimensionMismatchError,
@@ -30,6 +31,7 @@ from .qmath import (
     entropy_of_spectrum,
     matrix_to_json,
     quantum_mutual_information,
+    tensor_channels,
     von_neumann_entropy,
 )
 
@@ -158,6 +160,8 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
     rho <- exp2(log2 rho + G) / tr, projected onto the constraint; data
     processing makes it an ascent step (arXiv:1905.01286).
     """
+    if not tol >= 0.0:  # NaN fails this too
+        raise ValueError(f"tol must be a nonnegative gap, got {tol}")
     d = channel.d_in
     mu, w, vecs = _project(np.zeros((d, d), dtype=np.complex128), obs, bound)
     for it in itertools.count():
@@ -243,8 +247,6 @@ def _golden_max(fun, lo, hi, xtol):
 def _ad_channel_entropies(p: float, x: float):
     # closed forms for the damping channel on diag(1-x, x):
     # output spectrum {1-(1-p)x, (1-p)x}, environment spectrum {1-px, px}
-    from .channels import amplitude_damping
-
     ch = amplitude_damping(p)
     rho = np.diag([1.0 - x, x]).astype(np.complex128)
     return quantum_mutual_information(ch, rho)
@@ -266,8 +268,6 @@ def ad_ch(p: float):
     Signal states have Bloch off-diagonals +-sqrt(x(1-x)) and are used with
     equal probabilities; returns (value, x_star).
     """
-    from .channels import amplitude_damping
-
     ch = amplitude_damping(p)
 
     def chi(x):
@@ -353,8 +353,6 @@ def pgm_error(codewords, projector):
 def ce_additivity_slack(ch1: QuantumChannel, ch2: QuantumChannel,
                         tol: float = 1e-5) -> float:
     """|ce(ch1 x ch2) - ce(ch1) - ce(ch2)| with each term solved to `tol`."""
-    from .qmath import tensor_channels
-
     joint = ce_maximize(tensor_channels(ch1, ch2), tol=tol).value
     single = ce_maximize(ch1, tol=tol).value + ce_maximize(ch2, tol=tol).value
     return abs(joint - single)

@@ -12,6 +12,7 @@ from .qmath import (
     PureState,
     QuantumChannel,
     _apply_raw,
+    extend_channel,
     matrix_from_json,
     matrix_to_json,
 )
@@ -187,7 +188,7 @@ def superdense_ensemble(channel: QuantumChannel) -> Ensemble:
     d = channel.d_in
     phi = maximally_entangled(d)
     base = np.outer(phi.vec, phi.vec.conj())
-    big = QuantumChannel([np.kron(op, np.eye(d)) for op in channel.kraus])
+    big = extend_channel(channel, d)
     states = []
     eye = np.eye(d, dtype=np.complex128)
     for j in range(d):

@@ -1,10 +1,13 @@
 """Command-line front end. All numeric output is in bits.
 
 Results go to stdout as JSON or CSV; the resolved configuration and any
-diagnostics go to stderr. Exit codes: 0 success, 1 computation failure,
-2 usage or input error. Output is deterministic given the flags, byte for
-byte, with floats printed to 10 significant digits. The environment
-variable QCAP_THREADS caps the linear-algebra thread pools.
+diagnostics go to stderr. Exit codes: 0 success; 1 a computation failure
+(a RuntimeError, such as a solve that does not converge); 2 a usage
+error, which includes any ValueError raised from an argument's value.
+An input error prints nothing on stdout. Output is deterministic given
+the flags, byte for byte, with floats printed to 10 significant digits.
+The environment variable QCAP_THREADS caps the linear-algebra thread
+pools.
 """
 
 from __future__ import annotations
@@ -12,6 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+
+import numpy as np
+
+# the solver, sweep, protocol and report entry points are called through
+# their modules, so a wrapper installed on the module attribute sees them
+from . import capacity, channels, gaussian, reverse_shannon, typeclasses
+from .channels import ChannelSpec, Ensemble
+from .qmath import DensityOperator, apply_channel, matrix_from_json
 
 
 def _round10(obj):
@@ -28,9 +40,8 @@ def _emit_json(payload):
     print(json.dumps(_round10(payload), indent=2))
 
 
-def _echo_config(args, **extra):
+def _echo_config(args):
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    cfg.update(extra)
     print("config: " + json.dumps(_round10(cfg), sort_keys=True, default=str),
           file=sys.stderr)
 
@@ -39,51 +50,52 @@ class UsageError(Exception):
     pass
 
 
-def _parse_preset(text):
-    from . import channels
-
-    name, _, rest = text.partition(":")
-    parts = rest.split(":") if rest else []
+def _load_json(path, what, build):
+    """build(parsed file); a file that cannot be read or built is a usage error."""
     try:
-        if name == "noiseless":
-            return channels.noiseless(int(parts[0]) if parts else 2)
-        if name == "amplitude-damping":
-            return channels.amplitude_damping(float(parts[0]))
-        if name == "erasure":
-            d = int(parts[1]) if len(parts) > 1 else 2
-            return channels.erasure(d, float(parts[0]))
-        if name == "depolarizing":
-            d = int(parts[1]) if len(parts) > 1 else 2
-            return channels.depolarizing(d, float(parts[0]))
-        if name == "dephasing":
-            return channels.dephasing(int(parts[0]) if parts else 2)
-        if name == "switched-3to2":
-            return channels.switched_3to2()
-    except (IndexError, ValueError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} {path}: {exc}") from exc
+
+
+# preset name -> (ChannelSpec kind, names of its positional parameters)
+_PRESETS = {
+    "noiseless": ("noiseless", ("d",)),
+    "amplitude-damping": ("amplitude_damping", ("p",)),
+    "erasure": ("erasure", ("p", "d")),
+    "depolarizing": ("depolarizing", ("q", "d")),
+    "dephasing": ("dephasing", ("d",)),
+    "switched-3to2": ("switched_3to2", ()),
+}
+
+
+def _parse_preset(text):
+    name, _, rest = text.partition(":")
+    if name not in _PRESETS:
+        raise UsageError(f"unknown preset {name!r}")
+    kind, names = _PRESETS[name]
+    params = {"d": 2, **dict(zip(names, rest.split(":") if rest else []))}
+    try:
+        return ChannelSpec(kind, params).resolve()
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"bad preset parameters in {text!r}: {exc}") from exc
-    raise UsageError(f"unknown preset {name!r}")
 
 
 def _load_channel(args):
     if args.preset:
         return _parse_preset(args.preset)
-    from .channels import ChannelSpec
+    return _load_json(args.spec, "channel spec",
+                      lambda data: ChannelSpec.from_json(data).resolve())
 
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            return ChannelSpec.from_json(json.load(fh)).resolve()
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot load channel spec {args.spec}: {exc}") from exc
+
+def _constraint(spec):
+    return capacity.EnergyConstraint(matrix_from_json(spec["observable"]),
+                                     float(spec["bound"]))
 
 
 def cmd_table1(args) -> int:
     _echo_config(args)
-    from . import channels
-    from .capacity import ce_maximize, holevo_chi
-    from .channels import Ensemble
-    from .qmath import DensityOperator, apply_channel
-    import numpy as np
-
     cases = [
         ("noiseless qubit", channels.noiseless(2), 2.0),
         ("50% erasure", channels.erasure(2, 0.5), 1.0),
@@ -92,14 +104,13 @@ def cmd_table1(args) -> int:
     ]
     rows = []
     for label, ch, ref in cases:
-        res = ce_maximize(ch, tol=args.tol)
+        res = capacity.ce_maximize(ch, tol=args.tol)
         row = {"channel": label, "ce": res.value, "reference": ref,
                "delta": res.value - ref, "iterations": res.iterations}
         if label == "2/3 depolarizing":
-            dep = channels.depolarizing(2, 2.0 / 3.0)
-            outs = tuple(apply_channel(dep, DensityOperator(np.diag(v)))
+            outs = tuple(apply_channel(ch, DensityOperator(np.diag(v)))
                          for v in ([1.0, 0.0], [0.0, 1.0]))
-            chi = holevo_chi(Ensemble(probs=(0.5, 0.5), states=outs))
+            chi = capacity.holevo_chi(Ensemble(probs=(0.5, 0.5), states=outs))
             row["chi_orthogonal"] = chi
             row["chi_reference"] = 0.0817
             row["chi_delta"] = chi - 0.0817
@@ -111,20 +122,11 @@ def cmd_table1(args) -> int:
 def cmd_capacity(args) -> int:
     _echo_config(args)
     channel = _load_channel(args)
-    from .capacity import EnergyConstraint, ce_maximize, ce_maximize_constrained
-    from .qmath import matrix_from_json
-
     if args.constraint:
-        try:
-            with open(args.constraint, encoding="utf-8") as fh:
-                spec = json.load(fh)
-            cons = EnergyConstraint(matrix_from_json(spec["observable"]),
-                                    float(spec["bound"]))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot load constraint: {exc}") from exc
-        res = ce_maximize_constrained(channel, cons, tol=args.tol)
+        cons = _load_json(args.constraint, "constraint", _constraint)
+        res = capacity.ce_maximize_constrained(channel, cons, tol=args.tol)
     else:
-        res = ce_maximize(channel, tol=args.tol)
+        res = capacity.ce_maximize(channel, tol=args.tol)
     _emit_json({"units": "bits", **res.to_json()})
     return 0
 
@@ -133,13 +135,10 @@ def cmd_sweep(args) -> int:
     _echo_config(args)
     if not (0.0 <= args.pmin <= args.pmax < 1.0) or args.count < 2:
         raise UsageError("need 0 <= pmin <= pmax < 1 and count >= 2")
-    from .capacity import ad_ce, ad_ch
-    import numpy as np
-
     print("p,ce,ch,ratio")
     for p in np.linspace(args.pmin, args.pmax, args.count):
-        ce, _ = ad_ce(float(p))
-        ch, _ = ad_ch(float(p))
+        ce, _ = capacity.ad_ce(float(p))
+        ch, _ = capacity.ad_ch(float(p))
         ratio = ce / ch if ch > 0.0 else float("inf")
         print(",".join(f"{v:.10g}" for v in (p, ce, ch, ratio)))
     return 0
@@ -151,21 +150,16 @@ def _floats(text):
 
 def cmd_gaussian(args) -> int:
     _echo_config(args)
-    from . import gaussian
-
-    try:
-        # every row before any output, so a bad value prints nothing
-        s_vals = _floats(args.photons)
-        if args.limit:
-            text = "S,ce_over_cshan_limit\n" + "".join(
-                f"{s:.10g},{gaussian.ce_over_cshan_limit(s):.10g}\n" for s in s_vals)
-        elif args.noise is None or args.gain is None:
-            raise UsageError("need --N and --k unless --limit is given")
-        else:
-            text = gaussian.sweep_csv(gaussian.sweep(
-                s_vals, _floats(args.noise), _floats(args.gain)))
-    except ValueError as exc:  # a non-numeric entry or an out-of-range value
-        raise UsageError(str(exc)) from exc
+    # every row before any output, so a bad value prints nothing
+    s_vals = _floats(args.photons)
+    if args.limit:
+        text = "S,ce_over_cshan_limit\n" + "".join(
+            f"{s:.10g},{gaussian.ce_over_cshan_limit(s):.10g}\n" for s in s_vals)
+    elif args.noise is None or args.gain is None:
+        raise UsageError("need --N and --k unless --limit is given")
+    else:
+        text = gaussian.sweep_csv(gaussian.sweep(
+            s_vals, _floats(args.noise), _floats(args.gain)))
     sys.stdout.write(text)
     return 0
 
@@ -189,29 +183,16 @@ def _rst_channel(args):
         return args.bsc
     if not args.dmc:
         raise UsageError("need --bsc or --dmc")
-    from .reverse_shannon import DMC
-
-    try:
-        with open(args.dmc, encoding="utf-8") as fh:
-            return DMC.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot load channel {args.dmc}: {exc}") from exc
+    return _load_json(args.dmc, "channel", reverse_shannon.DMC.from_json)
 
 
 def cmd_rst_simulate(args) -> int:
     _echo_config(args)
     channel = _rst_channel(args)
-    from .reverse_shannon import DMC, ProtocolConfig, cost_statistics
-
-    variant = "general" if isinstance(channel, DMC) else "bsc"
-    try:
-        cfg = ProtocolConfig(n=args.n, eps=args.eps, variant=variant)
-        source = _parse_source(args.source, args.n)
-        stats = cost_statistics(channel, cfg, args.trials, source, args.seed)
-    except ValueError as exc:
-        # every ValueError here stems from a flag value: a malformed
-        # --source, or a value the library rejects
-        raise UsageError(str(exc)) from exc
+    variant = "bsc" if args.bsc is not None else "general"
+    cfg = reverse_shannon.ProtocolConfig(n=args.n, eps=args.eps, variant=variant)
+    source = _parse_source(args.source, args.n)
+    stats = reverse_shannon.cost_statistics(channel, cfg, args.trials, source, args.seed)
     _emit_json({"units": "bits", "variant": variant, **stats})
     return 0
 
@@ -219,14 +200,8 @@ def cmd_rst_simulate(args) -> int:
 def cmd_rst_verify(args) -> int:
     _echo_config(args)
     channel = _rst_channel(args)
-    from .reverse_shannon import exact_faithfulness_oracle
-
-    try:
-        dev = exact_faithfulness_oracle(channel, args.n, eps=args.eps,
-                                        zsize=args.zsize)
-    except ValueError as exc:
-        # a missing --eps/--zsize, a bad --bsc, or a set past the guards
-        raise UsageError(str(exc)) from exc
+    dev = reverse_shannon.exact_faithfulness_oracle(channel, args.n, eps=args.eps,
+                                                    zsize=args.zsize)
     _emit_json({"max_deviation": dev, "tolerance": 1e-12,
                 "exact": bool(dev <= 1e-12)})
     return 0
@@ -234,21 +209,15 @@ def cmd_rst_verify(args) -> int:
 
 def cmd_typical(args) -> int:
     _echo_config(args)
-    from fractions import Fraction
-
-    from .qmath import DensityOperator
-    from .typeclasses import typical_subspace_report
-    import numpy as np
-
+    probs = _floats(args.probs)
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise UsageError("--probs must sum to 1")
     try:
-        probs = _floats(args.probs)
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise UsageError("--probs must sum to 1")
         delta = Fraction(args.delta) if "/" in args.delta else float(args.delta)
-        rho = DensityOperator(np.diag(probs))
-        report = typical_subspace_report(rho, args.n, delta, eps=args.eps)
-    except (ValueError, ZeroDivisionError) as exc:  # e.g. --delta abc, --n 0
-        raise UsageError(str(exc)) from exc
+    except ZeroDivisionError as exc:  # --delta 1/0
+        raise UsageError(f"bad --delta {args.delta!r}: {exc}") from exc
+    report = typeclasses.typical_subspace_report(
+        DensityOperator(np.diag(probs)), args.n, delta, eps=args.eps)
     _emit_json(report.to_json())
     return 0
 
@@ -325,10 +294,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:  # ConvergenceError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

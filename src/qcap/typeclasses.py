@@ -237,10 +237,6 @@ def _arrangements(counts):
             counts[j] += 1
 
 
-def typical_eigenstate_set(eigs, n: int, delta: float) -> TypicalEigenstateSet:
-    return TypicalEigenstateSet(eigs, n, delta)
-
-
 @dataclass
 class TypicalSubspaceReport:
     """Exact diagnostics of one frequency-typical subspace."""

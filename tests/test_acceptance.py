@@ -6,6 +6,7 @@ together in the pytest output."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,3 +305,42 @@ def test_criterion_12_pgm_bound():
     ok = worst <= 1e-12
     verdict(12, ok, f"max (exact - bound) = {worst:.2e} over 50 instances")
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Executable analyses of the honest failures. The criteria above stay as
+# they are; these tests pin down why and where each one is missed.
+
+def test_analysis_08c_assisted_ratio_approaches_one():
+    # r3(S) = C_E / (-S log2(S) / 2) falls toward 1 only as log2(1/S) grows:
+    # 1.1451, 1.1086 and 1.0869 at S = 1e-3, 1e-4 and 1e-5
+    r3 = [gaussian_ce(GaussianParams(s, 1.0, 1.0)) / (-0.5 * s * math.log2(s))
+          for s in (1e-3, 1e-4, 1e-5)]
+    assert r3 == pytest.approx([1.1451, 1.1086, 1.0869], abs=5e-5)
+    assert r3[0] > r3[1] > r3[2]
+    assert 0.9 <= r3[2] <= 1.1
+
+
+def _binomial_typical_mass(n):
+    # exact mass of the delta = 0.1 typical projector of diag(0.7, 0.3)^(x)n:
+    # both letter counts strictly within delta*n of their centres, with the
+    # floats 0.1, 0.3 and 0.7 taken as the binary rationals they denote
+    width = Fraction(0.1) * n
+    return sum(math.comb(n, k) * 0.3**k * 0.7**(n - k) for k in range(n + 1)
+               if abs(k - Fraction(0.3) * n) < width
+               and abs(n - k - Fraction(0.7) * n) < width)
+
+
+def test_analysis_11_trace_mass_crossings():
+    mass = {}
+    for n in range(20, 301):
+        rep = typical_subspace_report(np.diag([0.7, 0.3]), n, 0.1, eps=0.1)
+        assert rep.trace_mass == pytest.approx(_binomial_typical_mass(n), abs=1e-12), n
+        mass[n] = rep.trace_mass
+    assert mass[20] == pytest.approx(0.5348, abs=5e-5)
+    # the mass first clears 1 - eps at n = 53, then dips under it at six
+    # more lengths up to n = 65, and stays above it from n = 66 on
+    assert min(n for n in mass if mass[n] > 0.9) == 53
+    assert mass[53] == pytest.approx(0.9021, abs=5e-5)
+    assert [n for n in range(53, 301) if mass[n] <= 0.9] == [54, 55, 56, 57, 60, 65]
+    assert mass[65] == pytest.approx(0.8968, abs=5e-5)

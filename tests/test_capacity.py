@@ -233,6 +233,19 @@ def test_large_random_channels_converge_with_certificate():
                                            abs=1e-9)
 
 
+def test_negative_or_nan_tol_is_rejected():
+    # a gap never falls below a negative tolerance, so the solver would run
+    # to its iteration cap; tol = 0 is reachable and stays allowed
+    ch = amplitude_damping(0.3)
+    cons = EnergyConstraint(np.diag([0.0, 1.0]), 0.2)
+    for tol in (-1.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            ce_maximize(ch, tol=tol)
+        with pytest.raises(ValueError):
+            ce_maximize_constrained(ch, cons, tol=tol)
+    assert ce_maximize(ch, tol=0.0).value == pytest.approx(ad_ce(0.3)[0], abs=1e-9)
+
+
 def test_constrained_infeasible_raises():
     ch = amplitude_damping(0.3)
     with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from qcap.cli import main
@@ -256,3 +260,58 @@ def test_config_echo_goes_to_stderr(capsys):
     assert "config:" not in out
     # --limit needs no N or k; anything else does
     assert run(capsys, "gaussian", "--S", "1", "--N", "1")[0] == 2
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    # a ValueError from any argument's value is a usage error: exit 2,
+    # nothing on stdout, one error line on stderr
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def cons(name, obs, bound):
+        return write(name, {"observable": [[[v, 0.0] for v in row] for row in obs],
+                            "bound": bound})
+
+    bad_row = write("dmc.json", {"matrix": [[0.5, 0.4], [0.25, 0.75]]})
+    ad = ("capacity", "ce", "--preset", "amplitude-damping:0.3", "--constraint")
+    for argv in (
+        ("capacity", "ce", "--spec", write("kind.json", {"kind": "teleporter"})),
+        ("capacity", "ce", "--spec", write("kraus.json", {
+            "kind": "explicit_kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]})),
+        ad + (cons("herm.json", [[0.0, 1.0], [0.0, 1.0]], 1.0),),
+        ad + (cons("neg.json", [[0.0, 0.0], [0.0, 1.0]], -0.5),),
+        ad + (cons("lam.json", [[1.0, 0.0], [0.0, 2.0]], 0.5),),  # below lambda_min
+        ad + (cons("dim.json", np.eye(3).tolist(), 1.0),),
+        ("rst", "simulate", "--dmc", bad_row, "--n", "4", "--eps", "0.3",
+         "--trials", "10"),
+        ("rst", "verify-exact", "--dmc", bad_row, "--n", "2", "--zsize", "4"),
+        ("capacity", "ce", "--spec", str(tmp_path / "missing.json")),
+        ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "1/0"),
+        ("table1", "--tol", "-1"),                      # rejected before any step
+        ("capacity", "ce", "--preset", "amplitude-damping:0.3", "--tol", "nan"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error:" in err, argv
+
+
+def test_zero_tol_is_allowed(capsys):
+    code, out, _ = run(capsys, "capacity", "ce", "--preset", "amplitude-damping:0.3",
+                       "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["gap_bound"] == 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only empirical_faithfulness's p-value; the package and
+    # the CLI start without it
+    code = ("import sys, qcap, qcap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
