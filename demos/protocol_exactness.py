@@ -1,9 +1,9 @@
 """The channel-simulation protocol is exactly faithful, not just nearly.
 
 The oracle sums over multisets of shared-set draws with multinomial
-weights, over every private channel outcome and every uniform pick among
-the matches, then compares the induced conditional distribution against
-the true block channel. The deviation is pure float roundoff regardless
+weights, over every private channel outcome and the first match, then
+compares the induced conditional distribution against the true block
+channel. The deviation is pure float roundoff regardless
 of the set size, because substituting a same-signature set member never
 changes the conditional law.
 

@@ -245,8 +245,8 @@ def _golden_max(fun, lo, hi, xtol):
 # Amplitude-damping one-parameter families.
 
 def _ad_channel_entropies(p: float, x: float):
-    # closed forms for the damping channel on diag(1-x, x):
-    # output spectrum {1-(1-p)x, (1-p)x}, environment spectrum {1-px, px}
+    # the capacity objective on diag(1-x, x), through the Kraus maps; its
+    # output spectrum is {1-(1-p)x, (1-p)x}, its environment's {1-px, px}
     ch = amplitude_damping(p)
     rho = np.diag([1.0 - x, x]).astype(np.complex128)
     return quantum_mutual_information(ch, rho)

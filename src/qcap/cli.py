@@ -75,7 +75,11 @@ def _parse_preset(text):
     if name not in _PRESETS:
         raise UsageError(f"unknown preset {name!r}")
     kind, names = _PRESETS[name]
-    params = {"d": 2, **dict(zip(names, rest.split(":") if rest else []))}
+    fields = rest.split(":") if rest else []
+    if len(fields) > len(names):
+        raise UsageError(f"preset {name!r} takes at most {len(names)} parameters, "
+                         f"got {len(fields)}")
+    params = {"d": 2, **dict(zip(names, fields))}
     try:
         return ChannelSpec(kind, params).resolve()
     except (KeyError, ValueError) as exc:
@@ -181,8 +185,6 @@ def _parse_source(text, n):
 def _rst_channel(args):
     if args.bsc is not None:
         return args.bsc
-    if not args.dmc:
-        raise UsageError("need --bsc or --dmc")
     return _load_json(args.dmc, "channel", reverse_shannon.DMC.from_json)
 
 
@@ -220,6 +222,12 @@ def cmd_typical(args) -> int:
         DensityOperator(np.diag(probs)), args.n, delta, eps=args.eps)
     _emit_json(report.to_json())
     return 0
+
+
+def _rst_channel_flags(parser):
+    g = parser.add_mutually_exclusive_group(required=True)
+    g.add_argument("--bsc", type=float, help="flip probability")
+    g.add_argument("--dmc", help="transition-matrix JSON file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rst", help="classical channel simulation protocol")
     rsub = p.add_subparsers(dest="mode", required=True)
     ps = rsub.add_parser("simulate", help="Monte-Carlo cost statistics")
-    ps.add_argument("--bsc", type=float, help="flip probability")
-    ps.add_argument("--dmc", help="transition-matrix JSON file")
+    _rst_channel_flags(ps)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--eps", type=float, required=True)
     ps.add_argument("--seed", type=int, default=0)
@@ -270,8 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--source", default="fixed:")
     ps.set_defaults(func=cmd_rst_simulate)
     pv = rsub.add_parser("verify-exact", help="enumerate the protocol exactly")
-    pv.add_argument("--bsc", type=float)
-    pv.add_argument("--dmc")
+    _rst_channel_flags(pv)
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--eps", type=float)
     pv.add_argument("--zsize", type=int)

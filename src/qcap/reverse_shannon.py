@@ -26,15 +26,7 @@ from .typeclasses import (TypeClass, enumerate_types, joint_type, sample_from_ty
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
-_SCAN_CHUNK = 1 << 20  # words per streamed Z block; multiple of 4
-_MEMBER_CHUNK = 1 << 16  # letters per batch of generated DMC set members
-
-# numpy's Philox4x64-10 (Random123): round multipliers, key-bump constants
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_U64 = 2 ** 64
+_SCAN_CHUNK = 1 << 16  # shared-set words drawn per step of a scan
 
 
 class DMC:
@@ -68,11 +60,16 @@ class DMC:
     def d_out(self) -> int:
         return self.matrix.shape[1]
 
+    def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Channel outputs on inputs x, each driven by the uniform in u at its place."""
+        y = np.zeros(np.shape(x), dtype=np.int64)
+        for c in range(self.d_out - 1):  # no u < 1 passes the last entry, 1.0
+            y += u > self._cum[:, c][x]
+        return y
+
     def sample_outputs(self, x: np.ndarray, rng: Generator) -> np.ndarray:
         """One channel use per letter of x, consuming len(x) uniforms."""
-        u = rng.random(len(x))
-        cum = self._cum[x]
-        return (u[:, None] > cum).sum(axis=1).astype(np.int64)
+        return self.outputs(x, rng.random(len(x)))
 
     def block_probability(self, x, y) -> float:
         """Probability of output block y given input block x."""
@@ -198,10 +195,10 @@ class SharedRandomness:
 
     Streams are keyed by hashing (seed, tag, indices) into a counter-based
     generator, so the receiver can regenerate any single set element in
-    O(1) without replaying the sender's scan. The general protocol's
-    sender builds set members in batches straight from the element keys
-    (_batch_members); they are bit-identical to the receiver's
-    one-at-a-time regeneration through element_stream.
+    O(1) without replaying the sender's scan. Each shared set is one
+    stream, bitgen("Z", *set index), its members consecutive runs of
+    words: the sender scans them in chunks, and the receiver advances
+    straight to the one it was sent.
     """
 
     seed: int
@@ -264,26 +261,53 @@ def _letters_array(x, d: int, n: int) -> np.ndarray:
     return arr
 
 
+def _first_match(bg, size: int, width: int, hit):
+    """Index of the first of size set members that hit flags, or None.
+
+    Member i is words [i * width, (i + 1) * width) of bg's stream. The
+    scan draws about _SCAN_CHUNK words at a time, hands hit one row of
+    words per member, and stops at the first chunk holding a match.
+    """
+    rows = max(_SCAN_CHUNK // width, 1)
+    for lo in range(0, size, rows):
+        m = min(rows, size - lo)
+        hits = np.flatnonzero(hit(bg.random_raw(m * width).reshape(m, width)))
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
+def _member_words(bg, i: int, width: int) -> np.ndarray:
+    """The words of member i alone, in O(1): 4 words per Philox counter block."""
+    skip = i * width % 4
+    bg.advance(i * width // 4)
+    return bg.random_raw(skip + width)[skip:]
+
+
 def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
-                rate: float, prefix: str, draw, scan, member):
+                rate: float, prefix: str, set_idx: tuple, member_width: int,
+                draw, hit, decode):
     """The set-substitution game, shared by both channel kinds.
 
-    The shared set holds _set_size(rate, n, eps) members. The sender draws
-    its private output y = draw(priv) and asks scan(size, y) for the
-    ascending indices of the members in y's match class. It sends prefix,
-    then 0 and the index of a uniformly picked match, or 1 and y as one
-    big-endian base-d_out integer when nothing matches. member(i)
-    regenerates set member i, which is all the receiver needs to decode.
+    The shared set holds _set_size(rate, n, eps) members; member i is
+    words [i * member_width, (i + 1) * member_width) of the keyed stream
+    bitgen("Z", *set_idx), and decode maps rows of member words to output
+    blocks. The sender draws its private output y = draw(priv) and sends
+    prefix, then 0 and the index of the first member that hit(y) flags,
+    or 1 and y as one big-endian base-d_out integer when no member
+    matches. Members are iid, so the first match is a uniform pick among
+    the matches. The receiver regenerates the sent member with
+    _member_words, which is all it needs to decode.
 
     Returns (receiver's output block, Transcript).
     """
     size = _set_size(rate, cfg.n, cfg.eps)
-    priv = shared.stream("private")
-    y = draw(priv)
-    matches = scan(size, y)
-    if len(matches):
-        chosen = int(matches[int(priv.integers(len(matches)))])
-        y_out, direction = member(chosen), "0"
+    y = draw(shared.stream("private"))
+    zset = ("Z",) + set_idx
+    chosen = _first_match(shared.bitgen(*zset), size, member_width, hit(y))
+    if chosen is not None:
+        words = _member_words(shared.bitgen(*zset), chosen, member_width)
+        y_out, direction = decode(words[None])[0], "0"
         width, payload = _index_width(size), chosen
     else:
         y_out, direction = y, "1"
@@ -297,24 +321,17 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
     return y_out, tr
 
 
-def _regen_bsc_word(shared: SharedRandomness, index: int) -> int:
-    # element i is word i of the raw stream: 4 words per counter block
-    bg = shared.bitgen("Z")
-    bg.advance(index // 4)
-    return int(bg.random_raw(4)[index % 4])
-
-
 def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     """One protocol run over the binary symmetric channel.
 
     The shared set Z holds ceil(2^(n(C+eps/2))) uniform n-bit strings,
-    materialized as consecutive 64-bit words of one keyed stream. The
+    the low n bits of consecutive 64-bit words of one keyed stream. The
     sender privately simulates the channel, then transmits either
-    (prefix 0, index of a uniformly chosen set member at the same
-    Hamming distance from x) or (prefix 1, the raw simulated output).
-    Swapping the simulated output for an equidistant set member leaves
-    the output distribution exactly BSC(p)^n because the channel law is
-    constant on each Hamming shell and set members are exchangeable.
+    (prefix 0, index of the first set member at the same Hamming
+    distance from x) or (prefix 1, the raw simulated output). Swapping
+    the simulated output for an equidistant set member leaves the output
+    distribution exactly BSC(p)^n because the channel law is constant on
+    each Hamming shell and set members are iid.
 
     Returns (receiver's output block, Transcript).
     """
@@ -326,37 +343,16 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     xs = _letters_array(x, 2, n)
     x_word = np.uint64(_bits_to_int(xs))
     mask = np.uint64((1 << n) - 1)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
 
-    def scan(size, y):
-        # stream over Z in chunks, collecting indices on y's shell around x
-        dist = np.uint8((y != xs).sum())
-        matches = []
-        bg = shared.bitgen("Z")
-        offset = 0
-        # popcounts and shell flags land in buffers reused by every chunk
-        width = min(_SCAN_CHUNK, ((size + 3) // 4) * 4)
-        pops, on_shell = np.empty(width, dtype=np.uint8), np.empty(width, dtype=bool)
-        while offset < size:
-            m = min(_SCAN_CHUNK, ((size - offset + 3) // 4) * 4)
-            words = bg.random_raw(m)
-            np.bitwise_and(words, mask, out=words)
-            np.bitwise_xor(words, x_word, out=words)
-            np.bitwise_count(words, out=pops[:m])
-            hits = np.flatnonzero(np.equal(pops[:m], dist, out=on_shell[:m]))
-            hits = hits[hits + offset < size]
-            if hits.size:
-                matches.append(hits.astype(np.int64) + offset)
-            offset += m
-        return np.concatenate(matches) if matches else []
+    def hit(y):
+        # members on y's Hamming shell around x
+        dist = (y != xs).sum()
+        return lambda words: np.bitwise_count((words[:, 0] & mask) ^ x_word) == dist
 
-    def member(i):
-        word = _regen_bsc_word(shared, i) & int(mask)
-        return np.array([(word >> (n - 1 - j)) & 1 for j in range(n)],
-                        dtype=np.int64)
-
-    return _substitute(shared, cfg, 2, bsc_capacity(p), "",
+    return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       scan, member)
+                       hit, lambda words: (words >> shifts & np.uint64(1)).astype(np.int64))
 
 
 def _type_rank(counts: tuple) -> int:
@@ -377,112 +373,18 @@ def _class_rate(dmc: DMC, tc: TypeClass) -> float:
     return constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / tc.n)
 
 
-def _mulhilo(m: int, v: np.ndarray):
-    """Low and high 64-bit words of the 128-bit products m * v.
+def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
+    """Members of class tc's shared set from their 2n words, one row each.
 
-    The high word is assembled from 32-bit partial products (Hacker's
-    Delight, mulhu), none of which overflows a uint64.
+    A member is tc's letters ordered by its first n words, a uniform
+    shuffle (the argsort is stable, and ties have odds below
+    C(n, 2) * 2^-64), then the channel on those letters driven by n
+    uniforms, the top 53 bits of its other n words.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    v_lo, v_hi = v & _LO32, v >> 32
-    t = v_lo * m_hi
-    t += (v_lo * m_lo) >> 32
-    hi = v_hi * m_hi
-    hi += t >> 32
-    t &= _LO32
-    t += v_hi * m_lo
-    hi += t >> 32
-    return np.uint64(m) * v, hi
-
-
-def _philox_words(key0: int, idx, n_blocks: int, first: int = 1) -> np.ndarray:
-    """Raw words of many element streams, computed as array arithmetic.
-
-    Row r holds the 4 * n_blocks words that Philox(key=[key0, idx[r]])
-    yields from counter block first onwards. numpy increments the counter
-    before each block, so a fresh stream starts at block 1. Philox is
-    counter-based (Salmon et al., SC'11): any block of any key is a pure
-    function of the two, with no generator to build.
-    """
-    idx = np.asarray(idx, dtype=np.uint64).reshape(-1, 1)
-    c0 = np.broadcast_to(np.arange(first, first + n_blocks, dtype=np.uint64),
-                         (len(idx), n_blocks))
-    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((key0 + r * _PHILOX_W[0]) % _U64)
-        k1 = idx + np.uint64(r * _PHILOX_W[1] % _U64)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=2).reshape(len(idx), 4 * n_blocks)
-
-
-def _shuffle_blocks(n: int) -> int:
-    """Philox blocks holding the mean uint32 draw count of an n-letter shuffle."""
-    # position i accepts a draw masked to 2^b - 1 >= i with odds (i+1)/2^b
-    mean = sum((1 << i.bit_length()) / (i + 1) for i in range(1, n))
-    return max(math.ceil(mean / 8), 1)
-
-
-def _batch_type_samples(tc: TypeClass, key0: int, idx: np.ndarray) -> np.ndarray:
-    """Row r is sample_from_type(tc, stream of key [key0, idx[r]]).
-
-    numpy's 1-d shuffle is Fisher-Yates from the last position down to 1:
-    position i swaps with random_interval(i), which masks uint32 draws to
-    the smallest 2^b - 1 >= i and rejects them while above i. The draws
-    are consumed column by column, every row at its own position; rows
-    that use up their words get the next blocks of their own counter.
-    """
-    m, n = len(idx), tc.n
-    blocks = _shuffle_blocks(n)
-    masks = np.array([(1 << i.bit_length()) - 1 for i in range(n)])
-    bound = np.arange(n)
-    bound[0] = -1  # a finished row rejects everything
-    step = np.full(m, n - 1)  # position each row is drawing a partner for
-    base = np.arange(m) * n
-    # partner[r * n + i]: where position i swaps to; a rejected draw is
-    # overwritten by the next one at the same position
-    partner = np.zeros(m * n, dtype=np.int64)
-    live, first = np.flatnonzero(step), 1
-    while live.size:
-        s, b = step[live], base[live]
-        words = _philox_words(key0, idx[live], blocks, first).T
-        # numpy's next_uint32 takes each word's low half, then its high half
-        draws = np.stack((words & _LO32, words >> 32), axis=1).reshape(-1, len(live))
-        for v in draws.view(np.int64):
-            v &= masks[s]
-            partner[b + s] = v
-            s -= v <= bound[s]
-        step[live] = s
-        live, first = live[s > 0], first + blocks
-    out = np.tile(np.repeat(np.arange(tc.d, dtype=np.int64), tc.counts), (m, 1))
-    rows = np.arange(m)
-    partner = partner.reshape(m, n)
-    for i in range(n - 1, 0, -1):
-        j = partner[:, i]
-        picked = out[rows, j]
-        out[rows, j] = out[:, i]
-        out[:, i] = picked
-    return out
-
-
-def _batch_members(dmc: DMC, tc: TypeClass, keys: tuple, idx: np.ndarray) -> np.ndarray:
-    """Set members idx of a DMC class set, one row each.
-
-    keys holds word 0 of the "X" and "Y" element-stream keys. Row r is
-    bit-identical to what sample_from_type and DMC.sample_outputs draw
-    from element_stream("X"/"Y", k, idx[r]): uniforms are the top 53 bits
-    of each Y word, counted against the cumulative rows as sample_outputs
-    counts them.
-    """
-    xp = _batch_type_samples(tc, keys[0], idx)
     n = tc.n
-    words = _philox_words(keys[1], idx, -(-n // 4))[:, :n]
-    u = (words >> 11).astype(np.float64) * 2.0 ** -53
-    y = np.zeros(xp.shape, dtype=np.int64)
-    for c in range(dmc.d_out - 1):  # no u < 1 passes the last entry, 1.0
-        y += u > dmc._cum[:, c][xp]
-    return y
+    letters = np.repeat(np.arange(tc.d), tc.counts)
+    xp = letters[np.argsort(words[:, :n], axis=1, kind="stable")]
+    return dmc.outputs(xp, (words[:, n:] >> 11) * 2.0 ** -53)
 
 
 def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
@@ -490,11 +392,12 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
 
     The sender announces the letter-frequency class of x (its index among
     all count vectors, fixed width), then plays the set-substitution game
-    within that class: the shared set holds outputs of the channel fed
-    with uniform inputs of the same class, one independent keyed stream
-    per element, and a set member replaces the privately simulated output
-    when their pair-count matrices against x agree. The block transition
-    law is constant on each such pair class, so the swap is exact.
+    within that class: the shared set, one keyed stream per class, holds
+    outputs of the channel fed with uniform inputs of the same class
+    (_class_members), and a set member replaces the privately simulated
+    output when their pair-count matrices against x agree. The block
+    transition law is constant on each such pair class, so the swap is
+    exact.
 
     Returns (receiver's output block, Transcript).
     """
@@ -503,31 +406,25 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     tc = type_of(xs, dmc.d_in)
     k = _type_rank(tc.counts)
     itc_bits = _index_width(math.comb(n + dmc.d_in - 1, dmc.d_in - 1))
+    decode = functools.partial(_class_members, dmc, tc)
     # pair-count match done on flat bincounts; equals joint-type equality
     n_pair = dmc.d_in * dmc.d_out
     pair_base = xs * dmc.d_out
 
-    def scan(size, y):
-        # members in batches; row r's pair counts sit at r * n_pair onwards
+    def hit(y):
         target = np.bincount(pair_base + y, minlength=n_pair)
-        keys = tuple(int(shared._key(tag, k)[0]) for tag in ("X", "Y"))
-        rows = max(_MEMBER_CHUNK // n, 1)
-        matches = []
-        for lo in range(0, size, rows):
-            idx = np.arange(lo, min(lo + rows, size))
-            codes = (np.arange(len(idx))[:, None] * n_pair + pair_base
-                     + _batch_members(dmc, tc, keys, idx))
-            counts = np.bincount(codes.ravel(), minlength=len(idx) * n_pair)
-            matches.append(idx[(counts.reshape(-1, n_pair) == target).all(axis=1)])
-        return np.concatenate(matches)
 
-    def member(i):
-        xp = sample_from_type(tc, shared.element_stream("X", k, i))
-        return dmc.sample_outputs(xp, shared.element_stream("Y", k, i))
+        def flags(words):
+            # row r's pair counts sit at r * n_pair onwards
+            m = len(words)
+            codes = np.arange(m)[:, None] * n_pair + pair_base + decode(words)
+            counts = np.bincount(codes.ravel(), minlength=m * n_pair)
+            return (counts.reshape(m, n_pair) == target).all(axis=1)
+        return flags
 
     prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
-    return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix,
-                       lambda priv: dmc.sample_outputs(xs, priv), scan, member)
+    return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix, (k,),
+                       2 * n, lambda priv: dmc.sample_outputs(xs, priv), hit, decode)
 
 
 def _channel_kind(channel):

@@ -80,6 +80,13 @@ def test_preset_bad_parameter_is_usage_error(capsys):
     assert code == 2
 
 
+
+def test_preset_surplus_fields_are_usage_errors(capsys):
+    for preset in ("noiseless:2:9", "switched-3to2:1", "amplitude-damping:0.3:0.1"):
+        code, out, err = run(capsys, "capacity", "ce", "--preset", preset)
+        assert code == 2, preset
+        assert out == "" and "error:" in err, preset
+
 def test_sweep_endpoints(capsys):
     code, out, _ = run(capsys, "sweep", "--pmin", "0", "--pmax", "0.9999",
                        "--count", "3")
@@ -252,6 +259,18 @@ def test_argparse_usage_errors(capsys):
         main(["sweep", "--frobnicate"])
     assert exc.value.code == 2
 
+
+
+def test_rst_needs_exactly_one_channel_flag(tmp_path, capsys):
+    mat = tmp_path / "dmc.json"
+    mat.write_text(json.dumps({"matrix": [[0.75, 0.25], [0.25, 0.75]]}))
+    for verb, rest in (("simulate", ("--n", "4", "--eps", "0.3", "--trials", "10")),
+                       ("verify-exact", ("--n", "2", "--zsize", "4"))):
+        for flags in (("--bsc", "0.1", "--dmc", str(mat)), ()):
+            with pytest.raises(SystemExit) as exc:
+                main(["rst", verb, *flags, *rest])
+            assert exc.value.code == 2, (verb, flags)
+            assert capsys.readouterr().out == ""
 
 def test_config_echo_goes_to_stderr(capsys):
     code, out, err = run(capsys, "gaussian", "--S", "1", "--N", "1", "--k", "1")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Philox
 
 import qcap.reverse_shannon as rs
 from qcap.rand import generator
@@ -22,16 +21,16 @@ from qcap.reverse_shannon import (
     exact_faithfulness_oracle,
 )
 from qcap.reverse_shannon import (
-    _batch_members,
+    _channel_kind,
+    _class_members,
     _class_rate,
+    _first_match,
     _index_width,
-    _philox_words,
-    _regen_bsc_word,
+    _member_words,
     _set_size,
-    _shuffle_blocks,
     _type_rank,
 )
-from qcap.typeclasses import TypeClass, enumerate_types, joint_type, sample_from_type
+from qcap.typeclasses import TypeClass, enumerate_types, joint_type, type_of
 
 
 def test_dmc_validation():
@@ -140,8 +139,8 @@ def test_bsc_simulate_frozen_transcript():
     y, tr = bsc_simulate(0.1, cfg, SharedRandomness(0), [0] * 8)
     assert not tr.fallback
     assert tr.bits_sent == 7 and tr.index_bits == 6 and tr.itc_bits == 0
-    assert tr.message == "0010111"
-    assert tr.output == (0, 1, 0, 0, 0, 0, 0, 1)
+    assert tr.message == "0000110"
+    assert tr.output == (0, 1, 1, 0, 0, 0, 0, 0)
     assert tuple(int(v) for v in y) == tr.output
 
 
@@ -152,7 +151,7 @@ def test_bsc_simulate_receiver_decode():
     y, tr = bsc_simulate(0.1, cfg, sh, [0] * 8)
     assert tr.message[0] == "0"
     idx = int(tr.message[1:], 2)
-    word = _regen_bsc_word(sh, idx) & 0xFF
+    word = int(_member_words(sh.bitgen("Z"), idx, 1)[0]) & 0xFF
     decoded = tuple((word >> (7 - j)) & 1 for j in range(8))
     assert decoded == tr.output
 
@@ -231,10 +230,18 @@ def test_dmc_simulate_frozen_transcript():
     x = [0, 1, 0, 1, 1]
     y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=0.8, variant="general"),
                          SharedRandomness(1), x)
+    assert tr.fallback
+    assert tr.message == "011101000100"
+    assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (12, 3, 8)
+    assert tr.output == (0, 2, 1, 1, 2)
+    assert tuple(int(v) for v in y) == tr.output
+
+    y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=0.8, variant="general"),
+                         SharedRandomness(13), x)
     assert not tr.fallback
     assert tr.message == "01100101"
     assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (8, 3, 4)
-    assert tr.output == (0, 2, 1, 1, 2)
+    assert tr.output == (2, 2, 1, 1, 2)
     assert tuple(int(v) for v in y) == tr.output
 
     y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=1e-9, variant="general"),
@@ -246,59 +253,102 @@ def test_dmc_simulate_frozen_transcript():
     assert tuple(int(v) for v in y) == tr.output
 
 
-def test_dmc_batch_members_match_reference(monkeypatch):
-    # the kernel reproduces numpy's Philox words, keys with the top bit set
-    # included, from the first block or any later one
-    key0 = 0xF1E2D3C4B5A69788
-    idx = [0, 1, 2 ** 26, 2 ** 63, 2 ** 63 + 12345, 2 ** 64 - 1]
-    words, later = _philox_words(key0, idx, 3), _philox_words(key0, idx, 2, first=3)
-    for r, i in enumerate(idx):
-        ref = Philox(key=np.array([key0, i], dtype=np.uint64)).random_raw(16)
-        assert np.array_equal(words[r], ref[:12])
-        assert np.array_equal(later[r], ref[8:])
-
-    # every member the sender's batches build is the receiver's member(i)
-    refills = []
-
-    def spy(key0, idx, n_blocks, first=1):
-        if first > 1:
-            refills.append(first)
-        return _philox_words(key0, idx, n_blocks, first)
-
-    monkeypatch.setattr(rs, "_philox_words", spy)
+def test_dmc_batch_members_match_reference():
+    # every member decoded from the scan's batches is the receiver's lone
+    # regeneration of it, for member widths 2n that are and are not
+    # multiples of the 4-word Philox block
     shared = SharedRandomness(11)
     classes = {2: [(1, 0), (0, 1), (5, 0), (2, 3), (0, 16), (9, 7)],
                3: [(0, 1, 0), (2, 0, 3), (16, 0, 0), (7, 0, 9), (5, 5, 6)]}
-    long_shuffles = 0
     for matrix in ([[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]],
                    [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]],
                    [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]]):
         d = DMC(matrix)
         for counts in classes[d.d_in]:
             tc, k = TypeClass(counts), _type_rank(counts)
-            size = _set_size(_class_rate(d, tc), tc.n, 0.5)
-            keys = tuple(int(shared._key(tag, k)[0]) for tag in ("X", "Y"))
-            batch = _batch_members(d, tc, keys, np.arange(size))
+            size, width = _set_size(_class_rate(d, tc), tc.n, 0.5), 2 * tc.n
+            batches = []
+
+            def record(words):
+                batches.append(_class_members(d, tc, words))
+                return np.zeros(len(words), dtype=bool)
+
+            assert _first_match(shared.bitgen("Z", k), size, width, record) is None
+            batch = np.concatenate(batches)
             assert batch.shape == (size, tc.n)
             for i in range(size):
-                x_stream = shared.element_stream("X", k, i)
-                xp = sample_from_type(tc, x_stream)
-                ref = d.sample_outputs(xp, shared.element_stream("Y", k, i))
-                assert np.array_equal(batch[i], ref), (matrix, counts, i)
-                # shuffles that drew past the first blocks of their stream
-                blocks_used = int(x_stream.bit_generator.state["state"]["counter"][0])
-                long_shuffles += blocks_used > _shuffle_blocks(tc.n)
-    assert long_shuffles > 0 and refills
+                alone = _member_words(shared.bitgen("Z", k), i, width)
+                assert np.array_equal(batch[i], _class_members(d, tc, alone[None])[0]), (
+                    matrix, counts, i)
+
+
+def test_dmc_member_law_matches_oracle_law():
+    from scipy.stats import chisquare
+
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    x = np.array([0, 1, 1])
+    tc = type_of(x, 2)
+    words = SharedRandomness(1).bitgen("Z", _type_rank(tc.counts)).random_raw(60000 * 6)
+    members = _class_members(d, tc, words.reshape(60000, 6))
+    hist = np.bincount(members @ [9, 3, 1], minlength=27)
+    law = _channel_kind(d)[4](x)[0]
+    assert chisquare(hist, law * 60000).pvalue > 1e-3
+
+
+def test_first_match_sends_no_later_member():
+    # no member before the sent index lies in the private output's match class
+    sent_late = 0
+    cfg = ProtocolConfig(n=6, eps=0.25, variant="bsc")
+    x = np.array([0, 1, 1, 0, 0, 1])
+    for seed in range(8):
+        sh = SharedRandomness(seed)
+        _, tr = bsc_simulate(0.2, cfg, sh, x)
+        priv = sh.stream("private").random(6) < 0.2
+        if tr.fallback:
+            continue
+        chosen = int(tr.message[1:], 2)
+        words = sh.bitgen("Z").random_raw(chosen + 1) & 0x3F  # 6-bit members
+        shells = [bin(int(w) ^ 0b011001).count("1") for w in words]  # distance to x
+        assert shells.index(int(priv.sum())) == chosen
+        sent_late += chosen > 0
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    cfg = ProtocolConfig(n=4, eps=0.8, variant="general")
+    x = np.array([0, 1, 1, 0])
+    tc, k = type_of(x, 2), _type_rank((2, 2))
+    for seed in range(12):
+        sh = SharedRandomness(seed)
+        _, tr = dmc_simulate(d, cfg, sh, x)
+        if tr.fallback:
+            continue
+        y = d.sample_outputs(x, sh.stream("private"))
+        chosen = int(tr.message[tr.itc_bits + 1:], 2)
+        members = _class_members(d, tc, sh.bitgen("Z", k).random_raw(
+            (chosen + 1) * 8).reshape(chosen + 1, 8))
+        keys = [joint_type(x, m, 2, 3).key() for m in members]
+        assert keys.index(joint_type(x, y, 2, 3).key()) == chosen
+        sent_late += chosen > 0
+    assert sent_late >= 4
 
 
 def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
     d = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
     cfg = ProtocolConfig(n=16, eps=0.5, variant="general")
     x = [0, 1] * 4 + [0] * 8
-    whole = [dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)]
-    assert any(not tr.fallback for tr in whole)
-    monkeypatch.setattr(rs, "_MEMBER_CHUNK", 7 * 16)  # 7-member chunks
-    assert [dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)] == whole
+    cfg_b = ProtocolConfig(n=16, eps=0.25, variant="bsc")
+    x_b = [0, 1, 1] * 5 + [1]
+
+    def runs():
+        return ([dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)],
+                [bsc_simulate(0.1, cfg_b, SharedRandomness(s), x_b)[1] for s in range(6)])
+
+    whole = runs()
+    assert all(any(not tr.fallback for tr in kind) for kind in whole)
+    assert any(int(tr.message[tr.itc_bits + 1:], 2) >= 7
+               for kind in whole for tr in kind if not tr.fallback)
+    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7 * 32)  # 7 DMC members, 224 BSC ones
+    assert runs() == whole
+    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7)  # 1 DMC member, 7 BSC ones
+    assert runs() == whole
 
 
 def test_dmc_simulate_fallback_raw_width():
@@ -423,10 +473,10 @@ def test_cost_statistics_dmc_iid_frozen():
     assert cs["capacity"] == pytest.approx(0.33288667259985943, abs=1e-15)
     assert (cs["n"], cs["trials"], cs["itc_bits"]) == (6, 200, 3)
     # bit counts, exceedances and fallbacks are integers: exact ratios
-    assert cs["mean_bits_per_symbol"] == 2460 / 200 / 6
-    assert cs["p_exceed"] == 174 / 200
-    assert cs["fallback_rate"] == 123 / 200
-    assert cs["mean_bits_se"] == pytest.approx(0.025803665354531387, rel=1e-12)
+    assert cs["mean_bits_per_symbol"] == 2403 / 200 / 6
+    assert cs["p_exceed"] == 172 / 200
+    assert cs["fallback_rate"] == 109 / 200
+    assert cs["mean_bits_se"] == pytest.approx(0.026085520027572345, rel=1e-12)
 
 
 def test_cost_stays_below_capacity_plus_eps_margin():
