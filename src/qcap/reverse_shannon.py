@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .typeclasses import (TypeClass, enumerate_types, joint_type, sample_from_type,
-                          type_of)
+from .typeclasses import TypeClass, joint_type, sample_from_type, type_arrays, type_of
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
@@ -196,9 +195,11 @@ class SharedRandomness:
     Streams are keyed by hashing (seed, tag, indices) into a counter-based
     generator, so the receiver can regenerate any single set element in
     O(1) without replaying the sender's scan. Each shared set is one
-    stream, bitgen("Z", *set index), its members consecutive runs of
-    words: the sender scans them in chunks, and the receiver advances
-    straight to the one it was sent.
+    stream, bitgen("Z", *set index), whose words are cut into
+    little-endian lanes (8 to 64 bits; several BSC members share a word),
+    its members consecutive runs of lanes: the sender scans them in
+    chunks, and the receiver advances straight to the word holding the
+    one it was sent.
     """
 
     seed: int
@@ -261,42 +262,62 @@ def _letters_array(x, d: int, n: int) -> np.ndarray:
     return arr
 
 
-def _first_match(bg, size: int, width: int, hit):
+def _lanes(words: np.ndarray, lane_bits: int) -> np.ndarray:
+    """Words read as little-endian unsigned lane_bits-bit lanes, lowest lane first."""
+    return words.astype("<u8", copy=False).view(f"<u{lane_bits // 8}")
+
+
+def _first_match(bg, size: int, width: int, hit, lane_bits: int = 64):
     """Index of the first of size set members that hit flags, or None.
 
-    Member i is words [i * width, (i + 1) * width) of bg's stream. The
-    scan draws about _SCAN_CHUNK words at a time, hands hit one row of
-    words per member, and stops at the first chunk holding a match.
+    Member i is lanes [i * width, (i + 1) * width) of bg's stream, its
+    words cut into lane_bits-bit lanes (_lanes). The scan draws about
+    _SCAN_CHUNK words at a time, drops the spare lanes past the last
+    member, hands hit one row of lanes per member, and stops at the first
+    chunk holding a match. A chunk holds whole words and whole members,
+    as the layouts in use have width 1 or 64-bit lanes.
     """
-    rows = max(_SCAN_CHUNK // width, 1)
+    per_word = 64 // lane_bits
+    rows = max(_SCAN_CHUNK * per_word // width, 1)
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        hits = np.flatnonzero(hit(bg.random_raw(m * width).reshape(m, width)))
+        words = bg.random_raw(-(-m * width // per_word))
+        lanes = _lanes(words, lane_bits)[:m * width].reshape(m, width)
+        hits = np.flatnonzero(hit(lanes))
         if hits.size:
             return lo + int(hits[0])
     return None
 
 
-def _member_words(bg, i: int, width: int) -> np.ndarray:
-    """The words of member i alone, in O(1): 4 words per Philox counter block."""
-    skip = i * width % 4
-    bg.advance(i * width // 4)
-    return bg.random_raw(skip + width)[skip:]
+def _member_words(bg, i: int, width: int, lane_bits: int = 64) -> np.ndarray:
+    """The lanes of member i alone, in O(1).
+
+    Advances bg to the word holding lane i * width (4 words per Philox
+    counter block), draws the words that hold the member's width lanes,
+    and cuts them as _first_match does.
+    """
+    per_word = 64 // lane_bits
+    first, off = divmod(i * width, per_word)  # word holding lane i * width
+    skip = first % 4
+    bg.advance(first // 4)
+    words = bg.random_raw(skip + -(-(off + width) // per_word))[skip:]
+    return _lanes(words, lane_bits)[off:off + width]
 
 
 def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
                 rate: float, prefix: str, set_idx: tuple, member_width: int,
-                draw, hit, decode):
+                lane_bits: int, draw, hit, decode):
     """The set-substitution game, shared by both channel kinds.
 
     The shared set holds _set_size(rate, n, eps) members; member i is
-    words [i * member_width, (i + 1) * member_width) of the keyed stream
-    bitgen("Z", *set_idx), and decode maps rows of member words to output
-    blocks. The sender draws its private output y = draw(priv) and sends
-    prefix, then 0 and the index of the first member that hit(y) flags,
-    or 1 and y as one big-endian base-d_out integer when no member
-    matches. Members are iid, so the first match is a uniform pick among
-    the matches. The receiver regenerates the sent member with
+    lanes [i * member_width, (i + 1) * member_width) of the keyed stream
+    bitgen("Z", *set_idx), read as little-endian lane_bits-bit lanes
+    (_lanes), and decode maps rows of member lanes to output blocks. The
+    sender draws its private output y = draw(priv) and sends prefix,
+    then 0 and the index of the first member that hit(y) flags, or 1 and
+    y as one big-endian base-d_out integer when no member matches.
+    Members are iid, so the first match is a uniform pick among the
+    matches. The receiver regenerates the sent member with
     _member_words, which is all it needs to decode.
 
     Returns (receiver's output block, Transcript).
@@ -304,10 +325,10 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
     size = _set_size(rate, cfg.n, cfg.eps)
     y = draw(shared.stream("private"))
     zset = ("Z",) + set_idx
-    chosen = _first_match(shared.bitgen(*zset), size, member_width, hit(y))
+    chosen = _first_match(shared.bitgen(*zset), size, member_width, hit(y), lane_bits)
     if chosen is not None:
-        words = _member_words(shared.bitgen(*zset), chosen, member_width)
-        y_out, direction = decode(words[None])[0], "0"
+        lanes = _member_words(shared.bitgen(*zset), chosen, member_width, lane_bits)
+        y_out, direction = decode(lanes[None])[0], "0"
         width, payload = _index_width(size), chosen
     else:
         y_out, direction = y, "1"
@@ -324,14 +345,16 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
 def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     """One protocol run over the binary symmetric channel.
 
-    The shared set Z holds ceil(2^(n(C+eps/2))) uniform n-bit strings,
-    the low n bits of consecutive 64-bit words of one keyed stream. The
-    sender privately simulates the channel, then transmits either
-    (prefix 0, index of the first set member at the same Hamming
-    distance from x) or (prefix 1, the raw simulated output). Swapping
-    the simulated output for an equidistant set member leaves the output
-    distribution exactly BSC(p)^n because the channel law is constant on
-    each Hamming shell and set members are iid.
+    The shared set Z holds ceil(2^(n(C+eps/2))) uniform n-bit strings:
+    member i is the low n bits of lane i of one keyed stream, whose
+    64-bit words are cut into the narrowest of 8-, 16-, 32- and 64-bit
+    little-endian lanes that holds n bits (8 members per word at n <= 8,
+    2 at n = 32). The sender privately simulates the channel, then
+    transmits either (prefix 0, index of the first set member at the
+    same Hamming distance from x) or (prefix 1, the raw simulated
+    output). Swapping the simulated output for an equidistant set member
+    leaves the output distribution exactly BSC(p)^n because the channel
+    law is constant on each Hamming shell and set members are iid.
 
     Returns (receiver's output block, Transcript).
     """
@@ -341,18 +364,24 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     if n > 64:
         raise ValueError("bit blocks above 64 are not supported")
     xs = _letters_array(x, 2, n)
-    x_word = np.uint64(_bits_to_int(xs))
-    mask = np.uint64((1 << n) - 1)
+    lane_bits = next(b for b in (8, 16, 32, 64) if b >= n)
+    lane = np.dtype(f"u{lane_bits // 8}").type
+    x_lane, mask = lane(_bits_to_int(xs)), lane((1 << n) - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
 
     def hit(y):
-        # members on y's Hamming shell around x
+        # members on y's Hamming shell around x; a full-width lane needs no mask
         dist = (y != xs).sum()
-        return lambda words: np.bitwise_count((words[:, 0] & mask) ^ x_word) == dist
+        if n == lane_bits:
+            return lambda lanes: np.bitwise_count(lanes[:, 0] ^ x_lane) == dist
+        return lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane) == dist
 
-    return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1,
+    def decode(lanes):
+        return (lanes.astype(np.uint64) >> shifts & np.uint64(1)).astype(np.int64)
+
+    return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       hit, lambda words: (words >> shifts & np.uint64(1)).astype(np.int64))
+                       hit, decode)
 
 
 def _type_rank(counts: tuple) -> int:
@@ -424,7 +453,7 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
 
     prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
     return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix, (k,),
-                       2 * n, lambda priv: dmc.sample_outputs(xs, priv), hit, decode)
+                       2 * n, 64, lambda priv: dmc.sample_outputs(xs, priv), hit, decode)
 
 
 def _channel_kind(channel):
@@ -502,15 +531,13 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
             raise ValueError(
                 f"{n_sets} multisets of {size} set draws exceed the enumeration guard")
         if size not in multisets:
-            types = enumerate_types(size, n_out)
-            multisets[size] = (np.array([t.counts for t in types]),
-                               np.array([float(t.multiplicity()) for t in types]))
+            multisets[size] = type_arrays(size, n_out)
         counts, mult = multisets[size]
         member, labels = law(x)
         sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
         in_class = sig[:, None] == np.arange(sig.max() + 1)
         weight = mult * np.prod(member ** counts, axis=1)
-        k = (counts @ in_class)[:, sig]  # members in each output's class
+        k = counts @ in_class[:, sig]  # members in each output's class
         with np.errstate(divide="ignore", invalid="ignore"):
             share = np.where(k > 0, (true @ in_class)[sig] * counts / k, true)
         worst = max(worst, float(np.max(np.abs(weight @ share - true))))

@@ -139,8 +139,8 @@ def test_bsc_simulate_frozen_transcript():
     y, tr = bsc_simulate(0.1, cfg, SharedRandomness(0), [0] * 8)
     assert not tr.fallback
     assert tr.bits_sent == 7 and tr.index_bits == 6 and tr.itc_bits == 0
-    assert tr.message == "0000110"
-    assert tr.output == (0, 1, 1, 0, 0, 0, 0, 0)
+    assert tr.message == "0010001"
+    assert tr.output == (1, 0, 0, 0, 1, 0, 0, 0)
     assert tuple(int(v) for v in y) == tr.output
 
 
@@ -151,8 +151,8 @@ def test_bsc_simulate_receiver_decode():
     y, tr = bsc_simulate(0.1, cfg, sh, [0] * 8)
     assert tr.message[0] == "0"
     idx = int(tr.message[1:], 2)
-    word = int(_member_words(sh.bitgen("Z"), idx, 1)[0]) & 0xFF
-    decoded = tuple((word >> (7 - j)) & 1 for j in range(8))
+    lane = int(_member_words(sh.bitgen("Z"), idx, 1, 8)[0])  # 8-bit lanes at n=8
+    decoded = tuple((lane >> (7 - j)) & 1 for j in range(8))
     assert decoded == tr.output
 
 
@@ -307,8 +307,10 @@ def test_first_match_sends_no_later_member():
         if tr.fallback:
             continue
         chosen = int(tr.message[1:], 2)
-        words = sh.bitgen("Z").random_raw(chosen + 1) & 0x3F  # 6-bit members
-        shells = [bin(int(w) ^ 0b011001).count("1") for w in words]  # distance to x
+        # 6-bit members in the low bits of 8-bit little-endian lanes
+        lanes = np.frombuffer(sh.bitgen("Z").random_raw(chosen // 8 + 1).astype("<u8")
+                              .tobytes(), dtype=np.uint8)[:chosen + 1] & 0x3F
+        shells = [bin(int(v) ^ 0b011001).count("1") for v in lanes]  # distance to x
         assert shells.index(int(priv.sum())) == chosen
         sent_late += chosen > 0
     d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
@@ -345,10 +347,65 @@ def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
     assert all(any(not tr.fallback for tr in kind) for kind in whole)
     assert any(int(tr.message[tr.itc_bits + 1:], 2) >= 7
                for kind in whole for tr in kind if not tr.fallback)
-    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7 * 32)  # 7 DMC members, 224 BSC ones
+    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7 * 32)  # 7 DMC members, 896 BSC ones
     assert runs() == whole
-    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7)  # 1 DMC member, 7 BSC ones
+    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7)  # 1 DMC member, 28 BSC ones
     assert runs() == whole
+
+
+def test_bsc_packed_batches_match_lone_regeneration(monkeypatch):
+    # BSC members are the narrowest 8/16/32/64-bit little-endian lanes that
+    # hold n bits; every lane a scan batch hands over is the receiver's lone
+    # regeneration of that member, across chunk edges and partial last words
+    monkeypatch.setattr(rs, "_SCAN_CHUNK", 5)
+    shared = SharedRandomness(9)
+    for n in (1, 7, 8, 9, 16, 17, 31, 32, 33, 64):
+        lane_bits = next(b for b in (8, 16, 32, 64) if b >= n)
+        per_word = 64 // lane_bits
+        for size in (1, 3, 61, 203):
+            assert per_word == 1 or size % per_word
+            batches = []
+
+            def record(lanes):
+                batches.append(lanes[:, 0].copy())
+                return np.zeros(len(lanes), dtype=bool)
+
+            assert _first_match(shared.bitgen("Z"), size, 1, record, lane_bits) is None
+            batch = np.concatenate(batches)
+            raw = shared.bitgen("Z").random_raw(-(-size // per_word)).astype("<u8")
+            assert np.array_equal(batch, np.frombuffer(
+                raw.tobytes(), dtype=f"<u{lane_bits // 8}")[:size]), (n, size)
+            for i in range(size):
+                alone = _member_words(shared.bitgen("Z"), i, 1, lane_bits)
+                assert alone.shape == (1,) and alone[0] == batch[i], (n, size, i)
+
+            seen = [0]
+
+            def past_end(lanes):
+                # flags only places at or past size: lanes a scan must drop
+                idx = seen[0] + np.arange(len(lanes))
+                seen[0] += len(lanes)
+                return idx >= size
+
+            assert _first_match(shared.bitgen("Z"), size, 1, past_end, lane_bits) is None
+            assert seen[0] == size
+
+
+def test_bsc_fallback_rate_matches_exact_law():
+    # P(fallback) = sum_d Binom(n, p)(d) * (1 - C(n, d) / 2^n)^M for the
+    # fixed input 0^n; an index-path block costs 1 + ceil(log2 M) bits
+    p, trials = 0.1, 4000
+    for n in (16, 24):
+        cfg = ProtocolConfig(n=n, eps=0.25, variant="bsc")
+        size = _set_size(bsc_capacity(p), n, cfg.eps)
+        law = sum(math.comb(n, d) * p ** d * (1 - p) ** (n - d)
+                  * (1 - math.comb(n, d) / 2 ** n) ** size for d in range(n + 1))
+        cs = cost_statistics(p, cfg, trials, ("fixed", [0] * n), seed=11)
+        se = math.sqrt(law * (1 - law) / trials)
+        assert abs(cs["fallback_rate"] - law) <= 3 * se, (n, cs["fallback_rate"], law)
+        fallbacks = round(cs["fallback_rate"] * trials)
+        bits = fallbacks * (1 + n) + (trials - fallbacks) * (1 + _index_width(size))
+        assert cs["mean_bits_per_symbol"] == pytest.approx(bits / trials / n, rel=1e-12)
 
 
 def test_dmc_simulate_fallback_raw_width():

@@ -13,6 +13,7 @@ from qcap.typeclasses import (
     enumerate_types,
     joint_type,
     sample_from_type,
+    type_arrays,
     type_of,
     typical_subspace_report,
 )
@@ -172,6 +173,23 @@ def test_report_validation():
         TypicalEigenstateSet([0.9, 0.3], 10, 0.1)
 
 
+def test_type_arrays_match_enumeration():
+    # the recursive enumeration is the reference: same rows, same order, and
+    # multiplicities equal to the exact integers rounded once; d^n past 2^63
+    # takes the Python-integer chain
+    for n, d in ((0, 1), (0, 3), (5, 1), (1, 4), (2, 2), (6, 4), (16, 3), (70, 2),
+                 (40, 3), (9, 9)):
+        types = enumerate_types(n, d)
+        counts, mult = type_arrays(n, d)
+        assert counts.dtype == np.int64 and mult.dtype == np.float64
+        assert counts.tolist() == [list(t.counts) for t in types], (n, d)
+        assert mult.tolist() == [float(t.multiplicity()) for t in types], (n, d)
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_types(10**6, 6)
+    with pytest.raises(ValueError):
+        type_arrays(10**6, 6)
+    with pytest.raises(ValueError):
+        type_arrays(-1, 2)
