@@ -367,7 +367,7 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     lane_bits = next(b for b in (8, 16, 32, 64) if b >= n)
     lane = np.dtype(f"u{lane_bits // 8}").type
     x_lane, mask = lane(_bits_to_int(xs)), lane((1 << n) - 1)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    shifts = np.arange(n - 1, -1, -1, dtype=lane)
 
     def hit(y):
         # members on y's Hamming shell around x; a full-width lane needs no mask
@@ -376,12 +376,9 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
             return lambda lanes: np.bitwise_count(lanes[:, 0] ^ x_lane) == dist
         return lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane) == dist
 
-    def decode(lanes):
-        return (lanes.astype(np.uint64) >> shifts & np.uint64(1)).astype(np.int64)
-
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       hit, decode)
+                       hit, lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
 
 
 def _type_rank(counts: tuple) -> int:
