@@ -267,7 +267,7 @@ def _lanes(words: np.ndarray, lane_bits: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view(f"<u{lane_bits // 8}")
 
 
-def _first_match(bg, size: int, width: int, hit, lane_bits: int = 64):
+def _first_match(bg, size: int, width: int, hit, lane_bits: int):
     """Index of the first of size set members that hit flags, or None.
 
     Member i is lanes [i * width, (i + 1) * width) of bg's stream, its
@@ -289,7 +289,7 @@ def _first_match(bg, size: int, width: int, hit, lane_bits: int = 64):
     return None
 
 
-def _member_words(bg, i: int, width: int, lane_bits: int = 64) -> np.ndarray:
+def _member_words(bg, i: int, width: int, lane_bits: int) -> np.ndarray:
     """The lanes of member i alone, in O(1).
 
     Advances bg to the word holding lane i * width (4 words per Philox
@@ -370,10 +370,8 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     shifts = np.arange(n - 1, -1, -1, dtype=lane)
 
     def hit(y):
-        # members on y's Hamming shell around x; a full-width lane needs no mask
+        # members on y's Hamming shell around x
         dist = (y != xs).sum()
-        if n == lane_bits:
-            return lambda lanes: np.bitwise_count(lanes[:, 0] ^ x_lane) == dist
         return lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane) == dist
 
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,

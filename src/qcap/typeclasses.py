@@ -151,10 +151,9 @@ def type_arrays(n: int, d: int) -> tuple:
     rounded once to float64, so it equals float(TypeClass.multiplicity()).
     """
     _check_type_grid(n, d)
-    # a multinomial is at most d^n: int64 holds the chain below 2^63
-    exact = np.int64 if d ** n < 2 ** 63 else object
-    # tails[r]: the (counts, multiplicities) of r letters over the last s letters
-    tails = {r: (np.array([[r]]), np.ones(1, dtype=exact)) for r in range(n + 1)}
+    # tails[r]: the (counts, multiplicities) of r letters over the last s letters;
+    # multiplicities stay Python ints until the one rounding
+    tails = {r: (np.array([[r]]), np.ones(1, dtype=object)) for r in range(n + 1)}
     for s in range(2, d + 1):
         tails = {r: _prepend_count(tails, r) for r in ((n,) if s == d else range(n + 1))}
     counts, mult = tails[n]

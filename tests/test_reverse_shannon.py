@@ -273,11 +273,11 @@ def test_dmc_batch_members_match_reference():
                 batches.append(_class_members(d, tc, words))
                 return np.zeros(len(words), dtype=bool)
 
-            assert _first_match(shared.bitgen("Z", k), size, width, record) is None
+            assert _first_match(shared.bitgen("Z", k), size, width, record, 64) is None
             batch = np.concatenate(batches)
             assert batch.shape == (size, tc.n)
             for i in range(size):
-                alone = _member_words(shared.bitgen("Z", k), i, width)
+                alone = _member_words(shared.bitgen("Z", k), i, width, 64)
                 assert np.array_equal(batch[i], _class_members(d, tc, alone[None])[0]), (
                     matrix, counts, i)
 

@@ -175,8 +175,8 @@ def test_report_validation():
 
 def test_type_arrays_match_enumeration():
     # the recursive enumeration is the reference: same rows, same order, and
-    # multiplicities equal to the exact integers rounded once; d^n past 2^63
-    # takes the Python-integer chain
+    # multiplicities equal to the exact integers rounded once, also where
+    # they pass 2^53 and 2^63
     for n, d in ((0, 1), (0, 3), (5, 1), (1, 4), (2, 2), (6, 4), (16, 3), (70, 2),
                  (40, 3), (9, 9)):
         types = enumerate_types(n, d)
