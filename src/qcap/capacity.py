@@ -13,6 +13,7 @@ over every state with tr(A rho) <= b (mu = 0 without a constraint).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ from .qmath import (
 
 MAX_ITERS = 100_000
 FEASIBILITY_SLACK = 1e-12
+_MU_RTOL = 1e-12
+_LN2 = float(np.log(2.0))
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -113,42 +116,75 @@ def _entropy_psd(mat: np.ndarray) -> float:
 
 
 def _gibbs(y: np.ndarray, obs, mu: float):
-    """rho proportional to exp2(y - mu obs) as (log2 spectrum, eigenvectors, load)."""
+    """rho proportional to exp2(y - mu obs): (log2 spectrum, eigenvectors, load, slope).
+
+    The slope d load / d mu is exact, from the same eigendecomposition:
+    with p the spectrum, h its log2 and B = V^dag obs V, it is
+    -ln2 sum_ij |B_ij - load delta_ij|^2 K_ij, a sum of nonnegative terms,
+    where K_ij = (p_i - p_j) / ((h_i - h_j) ln2) is the divided difference
+    of the weights (p_i when h_i = h_j). K is taken from the larger weight
+    of each pair through expm1, so close levels keep their accuracy and
+    negligible weights never overflow.
+    """
     shifted = y if mu == 0.0 else y - mu * obs
     w, vecs = np.linalg.eigh(shifted)
     w = w - w[-1]
     w -= np.log2(np.sum(np.exp2(w)))
     if obs is None:
-        return w, vecs, 0.0
-    load = float(np.exp2(w) @ np.real(np.sum(vecs.conj() * (obs @ vecs), axis=0)))
-    return w, vecs, load
+        return w, vecs, 0.0, 0.0
+    p = np.exp2(w)
+    b = vecs.conj().T @ obs @ vecs
+    load = float(p @ np.real(np.diagonal(b)))
+    x = np.abs(w[:, None] - w) * _LN2
+    k = np.maximum.outer(p, p) * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+    b[np.diag_indices_from(b)] -= load
+    slope = -_LN2 * float(np.sum((b.real ** 2 + b.imag ** 2) * k))
+    return w, vecs, load, slope
 
 
-def _project(y: np.ndarray, obs, bound: float):
-    """KL projection of exp2(y) onto tr(obs rho) <= bound.
+def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
+    """KL projection of exp2(y) onto tr(obs rho) <= bound, starting from `mu`.
 
     The projection is exp2(y - mu obs) normalized, with the least mu >= 0
-    that meets the bound. Doubling brackets mu against the bound plus the
-    feasibility slack (reachable, as bound >= lambda_min(obs)); bisection
-    then tightens it against the bound itself. Returns (mu, log2 spectrum,
-    eigenvectors).
+    (to 1e-12 relative) whose load meets the bound. `obs` must have least
+    eigenvalue 0, so the load falls to 0 as mu grows. A load within the
+    feasibility slack of the bound is accepted at mu = 0, and at any mu when
+    the bound itself is within the slack of 0: no finite mu meets such a
+    bound, and the search then aims six orders under the slack. The search
+    is Newton on ln(load / bound), which is close to linear in mu on the
+    Gibbs tail, with the exact slope from `_gibbs`: one eigensolve per step,
+    and about three in all from the previous step's mu. Each Newton root is
+    overshot by a quarter of the tolerance, so the iterates end on the
+    feasible side. The load falls monotonically in mu, so a bracket
+    [lo, hi] is kept: an iterate outside it, or a step longer than half the
+    one two steps back, becomes a doubling step (while no point is
+    feasible) or a bisection step. Returns (mu, log2 spectrum, eigenvectors).
     """
-    w, vecs, load = _gibbs(y, obs, 0.0)
-    if load <= bound + FEASIBILITY_SLACK:
+    if obs is None:
+        w, vecs, _, _ = _gibbs(y, None, 0.0)
         return 0.0, w, vecs
-    lo, hi = 0.0, 1.0
-    w, vecs, load = _gibbs(y, obs, hi)
-    while load > bound + FEASIBILITY_SLACK:
-        lo, hi = hi, 2.0 * hi
-        w, vecs, load = _gibbs(y, obs, hi)
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        trial = _gibbs(y, obs, mid)
-        if trial[2] <= bound:
-            hi, (w, vecs, load) = mid, trial
+    pinned = bound <= FEASIBILITY_SLACK
+    target = 1e-6 * FEASIBILITY_SLACK if pinned else bound
+    lo, hi, best = -math.inf, math.inf, None
+    steps = (math.inf, math.inf)
+    while True:
+        w, vecs, load, slope = _gibbs(y, obs, mu)
+        if (mu == 0.0 or pinned) and load <= bound + FEASIBILITY_SLACK:
+            return mu, w, vecs
+        root = mu + math.log(load / target) * load / -slope if load > 0.0 > slope else math.nan
+        if load <= target:
+            hi, best = mu, (w, vecs)
+            if mu - root <= _MU_RTOL * mu:
+                return mu, w, vecs
         else:
-            lo = mid
-    return hi, w, vecs
+            lo = mu
+        if hi - lo <= _MU_RTOL * hi < math.inf:
+            return hi, *best
+        nxt = root * (1.0 + 0.25 * _MU_RTOL)
+        if not lo < nxt < hi or abs(nxt - mu) > 0.5 * steps[0]:
+            nxt = max(2.0 * lo, 1.0) if hi == math.inf else 0.5 * (lo + hi)
+        steps = (steps[1], abs(nxt - mu))
+        mu = max(nxt, 0.0)
 
 
 def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
@@ -158,7 +194,8 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
     Carries rho by its eigen-decomposition, so log2 rho is exact and never
     the log of a clamped spectrum. Each step is the unit step
     rho <- exp2(log2 rho + G) / tr, projected onto the constraint; data
-    processing makes it an ascent step (arXiv:1905.01286).
+    processing makes it an ascent step (arXiv:1905.01286). Each projection
+    starts its Newton search from the previous step's multiplier mu.
     """
     if not tol >= 0.0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative gap, got {tol}")
@@ -184,7 +221,7 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
                 f"no convergence to gap {tol} within {max_iters} iterations", result)
         if callback is not None and callback(it, value, result.gap_bound):
             raise OptimizationCancelled("cancelled by callback", result)
-        mu, w, vecs = _project(y, obs, bound)
+        mu, w, vecs = _project(y, obs, bound, mu)
 
 
 def ce_maximize(channel: QuantumChannel, tol: float = 1e-7,
@@ -208,8 +245,8 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
 
     The same mirror ascent as `ce_maximize`, with every step (and the
     maximally mixed start, which becomes a Gibbs state) projected onto the
-    constraint in relative entropy: rho proportional to exp2(Y - mu A), mu
-    bisected. The gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the
+    constraint in relative entropy: rho proportional to exp2(Y - mu A), with
+    mu found by safeguarded Newton steps from the previous step's mu. The gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the
     value over the whole feasible set. A bound below the observable's least
     eigenvalue by more than 1e-12 raises ValueError.
     """
@@ -220,7 +257,10 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
     bound = float(constraint.bound)
     if bound < lam_min - FEASIBILITY_SLACK:
         raise ValueError(f"infeasible constraint: bound {bound} < min eigenvalue {lam_min}")
-    return _mirror_ascent(channel, obs, max(bound, lam_min), tol, max_iters, callback)
+    # moving the observable's least eigenvalue to 0 moves neither the Gibbs
+    # states nor the gap, and lets the load fall to 0 as mu grows
+    shifted = obs - lam_min * np.eye(channel.d_in)
+    return _mirror_ascent(channel, shifted, max(bound - lam_min, 0.0), tol, max_iters, callback)
 
 
 def _golden_max(fun, lo, hi, xtol):

@@ -2,14 +2,20 @@
 
 The channel attenuates or amplifies the field amplitude by k and adds
 thermal noise N; inputs are constrained to mean photon number S. All
-returned capacities are in bits. Everything here is scalar arithmetic,
-no Fock-space truncation is involved.
+returned capacities are in bits. The closed forms are scalar arithmetic.
+`fock_loss_channel` is the one Fock-space object: the pure-loss channel on
+the first D photon-number states, an independent numerical check of the
+closed form through the constrained solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .qmath import QuantumChannel
 
 _LN2 = math.log(2.0)
 G_ARG_TOL = 1e-12
@@ -210,6 +216,28 @@ def ch_conjectured(params: GaussianParams) -> float:
     """
     s_out = output_energy(params)
     return _g_diff(s_out, params.k * params.k * params.S)
+
+
+def fock_loss_channel(eta: float, dim: int) -> QuantumChannel:
+    """Pure-loss channel of transmissivity eta (k^2 = eta, N = 0) on dim Fock states.
+
+    Kraus operators A_l|n> = sqrt(C(n,l) eta^(n-l) (1-eta)^l) |n-l>, one per
+    number l of lost photons. Loss never raises the photon number, so the
+    first dim states map into themselves and the truncated channel is exact
+    there. Capped at mean photon number S by the observable diag(0..dim-1),
+    its capacity is a lower bound on g(S) + g(eta S) - g((1-eta) S) that
+    closes as dim grows.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    kraus = np.zeros((dim, dim, dim))
+    for n in range(dim):
+        for lost in range(n + 1):
+            kraus[lost, n - lost, n] = math.sqrt(
+                math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost)
+    return QuantumChannel(kraus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qcap.capacity import (
+    FEASIBILITY_SLACK,
     ConvergenceError,
     EnergyConstraint,
     OptimizationCancelled,
@@ -15,6 +17,7 @@ from qcap.capacity import (
     concavity_slack,
     holevo_chi,
     pgm_error,
+    _project,
 )
 from qcap.channels import (
     amplitude_damping,
@@ -26,8 +29,8 @@ from qcap.channels import (
     superdense_ensemble,
     switched_3to2,
 )
-from qcap.qmath import DensityOperator, quantum_mutual_information
-from qcap.rand import generator, random_channel, random_density
+from qcap.qmath import DensityOperator, QuantumChannel, quantum_mutual_information
+from qcap.rand import generator, random_channel, random_density, random_unitary
 from qcap.reverse_shannon import DMC, ba_capacity
 
 
@@ -250,6 +253,148 @@ def test_constrained_infeasible_raises():
     ch = amplitude_damping(0.3)
     with pytest.raises(ValueError):
         ce_maximize_constrained(ch, EnergyConstraint(np.eye(2), 0.5))
+
+
+def _gibbs_load(y, obs, mu):
+    """tr(obs rho) for rho = exp2(y - mu obs) / tr."""
+    evals, vecs = np.linalg.eigh(y - mu * obs)
+    weights = np.exp2(evals - evals[-1])
+    return float(np.real(np.einsum("i,ji,jk,ki->", weights, vecs.conj(), obs, vecs))
+                 / weights.sum())
+
+
+def _brentq_mu(y, obs, bound):
+    top = 1.0
+    while _gibbs_load(y, obs, top) > bound:
+        top *= 2.0
+    return scipy.optimize.brentq(lambda mu: _gibbs_load(y, obs, mu) - bound, 0.0, top,
+                                 xtol=1e-300, rtol=1e-15)
+
+
+def _hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2.0
+
+
+def _psd_floor_zero(rng, d):
+    # the solver hands _project observables shifted to least eigenvalue 0
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    obs = g @ g.conj().T
+    return obs - np.linalg.eigvalsh(obs)[0] * np.eye(d)
+
+
+def test_project_matches_independent_root_finder():
+    rng = generator(2024)
+    for d in range(2, 9):
+        for _ in range(3):
+            y, obs = _hermitian(rng, d), _psd_floor_zero(rng, d)
+            for frac in (0.1, 0.5, 0.9):
+                bound = frac * _gibbs_load(y, obs, 0.0)
+                ref = _brentq_mu(y, obs, bound)
+                for start in (0.0, 0.9 * ref, 1.1 * ref):
+                    mu, _, _ = _project(y, obs, bound, start)
+                    assert mu == pytest.approx(ref, rel=1e-12, abs=0.0)
+                    assert _gibbs_load(y, obs, mu) <= bound
+
+
+def test_project_edge_cases():
+    rng = generator(7)
+    for d in (2, 5, 8):
+        y, obs = _hermitian(rng, d), _psd_floor_zero(rng, d)
+        # inactive: the unconstrained Gibbs state already meets the bound
+        loose = 1.5 * _gibbs_load(y, obs, 0.0)
+        assert _project(y, obs, loose)[0] == 0.0
+        # every state meets a bound at the top of the spectrum
+        assert _project(y, obs, float(np.linalg.eigvalsh(obs)[-1]), 3.0)[0] == 0.0
+        # a bound within 1e-13 of the least eigenvalue has no finite root; the
+        # projection then meets it within the feasibility slack
+        for start in (0.0, 50.0):
+            mu, _, _ = _project(y, obs, 1e-13, start)
+            assert 0.0 < mu < np.inf
+            assert _gibbs_load(y, obs, mu) <= 1e-13 + FEASIBILITY_SLACK
+
+
+def _count_eigensolves(monkeypatch):
+    calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_constrained_eigensolve_budget(monkeypatch):
+    # a step is one gradient: iterations + 1 of them, the last one unprojected
+    ch = random_channel(4, 4, 2, generator(3))
+    cons = EnergyConstraint(np.diag(np.arange(4.0)), 0.3)
+    calls = _count_eigensolves(monkeypatch)
+    res = ce_maximize_constrained(ch, cons)
+    assert res.iterations >= 20
+    assert calls[0] <= 7 * (res.iterations + 1)
+    calls[0] = 0
+    res = ce_maximize(ch)
+    assert calls[0] == 4 * (res.iterations + 1)
+
+
+def _rotate(channel, rng, rotate_input):
+    """The same channel in other bases, drawn as perfbench's solve workload does."""
+    ks = np.einsum("kj,jab->kab", random_unitary(len(channel.kraus), rng), channel.kraus)
+    v = random_unitary(channel.d_out, rng)
+    u = random_unitary(channel.d_in, rng) if rotate_input else np.eye(channel.d_in)
+    return QuantumChannel([v @ k @ u.conj().T for k in ks])
+
+
+def _from_upper(diag, upper):
+    d = len(diag)
+    rho = np.diag(np.asarray(diag, dtype=complex))
+    rho[np.triu_indices(d, 1)] = upper
+    return rho + np.triu(rho, 1).conj().T
+
+
+# The two constrained channels of perfbench's solve workload, solved before
+# the Newton projection replaced bisection. Rotating the outputs leaves the
+# optimal input state the same for every seed.
+_FROZEN_CONSTRAINED = {
+    (3, 3): (0.9627318322833884, 8, _from_upper(
+        [0.7535390475689783, 0.19292190486235256, 0.05353904756866994],
+        [-0.0031362145754783083 + 0.0016664814078400996j,
+         0.005832650046674069 - 0.012196296949815154j,
+         -0.011703375407129193 + 0.032993162611807125j])),
+    (4, 2): (1.4523449899004963, 65, _from_upper(
+        [0.7718616483430426, 0.16420435207713163, 0.056006350816987856,
+         0.007927648762837565],
+        [-0.009197148077078785 - 0.001653388795163357j,
+         -0.013117745261655564 - 0.019399335209024152j,
+         -0.0014912334721292543 - 0.0017647580033033135j,
+         -0.005341364228265031 - 0.006736929994754665j,
+         -0.010876426683059858 + 0.019612073974474155j,
+         0.0022092035712579245 - 0.0047404391304303965j])),
+}
+
+
+def test_constrained_benchmark_cases_unchanged():
+    # the workload draws 14 unconstrained channels, then the two constrained
+    # ones; pass 0 of seed s rotates the 14 first (inputs too), then the two
+    rng = generator(0)
+    free = [random_channel(d, d, env, rng)
+            for d, env in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 5)]
+            for _ in range(2)]
+    capped = {key: random_channel(key[0], key[0], key[1], rng) for key in _FROZEN_CONSTRAINED}
+    for seed in (1, 7, 11):
+        rng = generator([seed, 0])
+        for ch in free:
+            _rotate(ch, rng, True)
+        for key, (value, iterations, rho) in _FROZEN_CONSTRAINED.items():
+            ch = _rotate(capped[key], rng, False)
+            cons = EnergyConstraint(np.diag(np.arange(key[0], dtype=float)), 0.3)
+            res = ce_maximize_constrained(ch, cons)
+            assert res.value == pytest.approx(value, abs=1e-11)
+            assert np.max(np.abs(res.rho - rho)) <= 1e-11
+            assert res.iterations == iterations
 
 
 def test_concavity_of_objective():

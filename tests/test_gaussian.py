@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+
+from qcap.capacity import EnergyConstraint, ce_maximize_constrained
 
 from qcap.gaussian import (
     GaussianParams,
@@ -8,6 +11,7 @@ from qcap.gaussian import (
     ce_over_cshan_limit,
     ch_conjectured,
     coherent_bounds,
+    fock_loss_channel,
     g_entropy,
     gaussian_ce,
     output_energy,
@@ -193,3 +197,31 @@ def test_sweep_csv_renders_every_cell():
     assert "nan" in lines[2]  # squeezed columns away from k=1
     for line in lines[1:]:
         assert len(line.split(",")) == 11
+
+
+def test_fock_loss_channel_kraus_and_validation():
+    ch = fock_loss_channel(0.3, 4)
+    assert ch.kraus.shape == (4, 4, 4)
+    # |2> loses one photon with amplitude sqrt(2 eta (1 - eta))
+    assert ch.kraus[1, 1, 2] == pytest.approx(math.sqrt(2 * 0.3 * 0.7), abs=1e-15)
+    assert fock_loss_channel(1.0, 3).kraus[0] == pytest.approx(np.eye(3))
+    for eta, dim in ((-0.1, 4), (1.5, 4), (0.5, 0)):
+        with pytest.raises(ValueError):
+            fock_loss_channel(eta, dim)
+
+
+def test_truncated_pure_loss_approaches_closed_form():
+    # the truncated channel is exact on its Fock subspace, so its capped
+    # capacity is a lower bound on the bosonic one that closes as D grows
+    s, eta, tol = 2.0, 0.3, 1e-9
+    closed = g_entropy(s) + g_entropy(eta * s) - g_entropy((1 - eta) * s)
+    assert gaussian_ce(GaussianParams(s, 0.0, math.sqrt(eta))) == pytest.approx(closed,
+                                                                                abs=1e-12)
+    shortfall = {}
+    for dim in (24, 32):
+        cons = EnergyConstraint(np.diag(np.arange(dim, dtype=float)), s)
+        res = ce_maximize_constrained(fock_loss_channel(eta, dim), cons, tol=tol)
+        assert res.gap_bound <= tol
+        shortfall[dim] = closed - res.value
+        assert shortfall[dim] >= -tol
+    assert shortfall[32] < shortfall[24]
