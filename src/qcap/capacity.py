@@ -159,6 +159,8 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
     [lo, hi] is kept: an iterate outside it, or a step longer than half the
     one two steps back, becomes a doubling step (while no point is
     feasible) or a bisection step. Returns (mu, log2 spectrum, eigenvectors).
+    Raises ValueError when the doubling overflows: a bound within the slack
+    of 0 that the load's rounding error never lets it meet.
     """
     if obs is None:
         w, vecs, _, _ = _gibbs(y, None, 0.0)
@@ -185,6 +187,9 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
             nxt = max(2.0 * lo, 1.0) if hi == math.inf else 0.5 * (lo + hi)
         steps = (steps[1], abs(nxt - mu))
         mu = max(nxt, 0.0)
+        if mu == math.inf:
+            raise ValueError(f"no finite mu brings the load within {FEASIBILITY_SLACK} of "
+                             f"{bound}: the bound is below the load's rounding error")
 
 
 def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
@@ -246,9 +251,11 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
     The same mirror ascent as `ce_maximize`, with every step (and the
     maximally mixed start, which becomes a Gibbs state) projected onto the
     constraint in relative entropy: rho proportional to exp2(Y - mu A), with
-    mu found by safeguarded Newton steps from the previous step's mu. The gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the
-    value over the whole feasible set. A bound below the observable's least
-    eigenvalue by more than 1e-12 raises ValueError.
+    mu found by safeguarded Newton steps from the previous step's mu. The
+    gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the value over the
+    whole feasible set. A bound below the observable's least eigenvalue by
+    more than 1e-12 raises ValueError; a bound within 1e-12 of it is met to
+    within 1e-12.
     """
     obs = constraint.observable
     if obs.shape[0] != channel.d_in:

@@ -298,7 +298,7 @@ def test_project_matches_independent_root_finder():
 
 
 def test_project_edge_cases():
-    rng = generator(7)
+    rng = generator(2)
     for d in (2, 5, 8):
         y, obs = _hermitian(rng, d), _psd_floor_zero(rng, d)
         # inactive: the unconstrained Gibbs state already meets the bound
@@ -307,11 +307,22 @@ def test_project_edge_cases():
         # every state meets a bound at the top of the spectrum
         assert _project(y, obs, float(np.linalg.eigvalsh(obs)[-1]), 3.0)[0] == 0.0
         # a bound within 1e-13 of the least eigenvalue has no finite root; the
-        # projection then meets it within the feasibility slack
-        for start in (0.0, 50.0):
-            mu, _, _ = _project(y, obs, 1e-13, start)
+        # projection then meets it within the feasibility slack, also where
+        # a larger observable leaves rounding noise far above 1e-18
+        for scale, start in ((1.0, 0.0), (1.0, 50.0), (100.0, 0.0)):
+            mu, _, _ = _project(y, scale * obs, 1e-13, start)
             assert 0.0 < mu < np.inf
-            assert _gibbs_load(y, obs, mu) <= 1e-13 + FEASIBILITY_SLACK
+            assert _gibbs_load(y, scale * obs, mu) <= 1e-13 + FEASIBILITY_SLACK
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_project_raises_where_rounding_hides_a_pinned_bound():
+    # rounding in the load of this large non-commuting observable exceeds
+    # the slack, so no mu meets the bound: the doubling overflows and raises
+    rng = generator(2)
+    y, obs = _hermitian(rng, 2), _psd_floor_zero(rng, 2)
+    with pytest.raises(ValueError):
+        _project(y, 1e4 * obs, 0.0)
 
 
 def _count_eigensolves(monkeypatch):
