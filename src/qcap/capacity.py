@@ -111,10 +111,6 @@ def _entropy_and_log2(mat: np.ndarray):
     return entropy_of_spectrum(evals), (vecs * log2) @ vecs.conj().T
 
 
-def _entropy_psd(mat: np.ndarray) -> float:
-    return entropy_of_spectrum(np.linalg.eigvalsh(mat))
-
-
 def _gibbs(y: np.ndarray, obs, mu: float):
     """rho proportional to exp2(y - mu obs): (log2 spectrum, eigenvectors, load, slope).
 
@@ -323,9 +319,9 @@ def ad_ch(p: float):
         minus = np.array([[1.0 - x, -s], [-s, x]], dtype=np.complex128)
         out_p = _apply_raw(ch, plus)
         out_m = _apply_raw(ch, minus)
-        avg = 0.5 * (out_p + out_m)
-        return (_entropy_psd(avg)
-                - 0.5 * _entropy_psd(out_p) - 0.5 * _entropy_psd(out_m))
+        outs = np.stack([0.5 * (out_p + out_m), out_p, out_m])
+        h = entropy_of_spectrum(np.linalg.eigvalsh(outs))
+        return float(h[0] - 0.5 * h[1] - 0.5 * h[2])
 
     # coarse scan then golden refinement; chi need not be concave in x
     grid = np.linspace(0.0, 1.0, 201)
@@ -447,8 +443,9 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
             continue
         ry = ry_g[mask]
         rz = rz_g[mask]
-        rnorm = np.sqrt(rx * rx + ry**2 + rz**2)
-        h_in = _h2_vec(0.5 * (1.0 + rnorm))
+        # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
+        rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
+        h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
         h_out = _family_entropy(out0, outp, rx, ry, rz)
         h_env = _family_entropy(env0, envp, rx, ry, rz)
         vals = h_in + h_out - h_env
@@ -457,17 +454,6 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
             best_val = float(vals[i])
             best_r = (float(rx), float(ry[i]), float(rz[i]))
     return best_val, best_r
-
-
-def _h2_vec(p):
-    p = np.clip(p, 0.0, 1.0)
-    q = 1.0 - p
-    out = np.zeros_like(p)
-    m = p > EIG_ZERO_TOL
-    out[m] -= p[m] * np.log2(p[m])
-    m = q > EIG_ZERO_TOL
-    out[m] -= q[m] * np.log2(q[m])
-    return out
 
 
 def _family_entropy(base, parts, rx, ry, rz):
@@ -485,15 +471,10 @@ def _family_entropy(base, parts, rx, ry, rz):
         disc = np.sqrt(np.clip(m * m - det, 0.0, None))
         lam1 = np.clip(m + disc, 0.0, None)
         lam2 = np.clip(m - disc, 0.0, None)
-        return _spec_entropy_cols(np.stack([lam1, lam2], axis=1))
+        return entropy_of_spectrum(np.stack([lam1, lam2], axis=1))
     out = np.empty(n)
     step = 131072
     for lo in range(0, n, step):
         evals = np.linalg.eigvalsh(mats[lo:lo + step])
-        out[lo:lo + step] = _spec_entropy_cols(np.clip(evals, 0.0, None))
+        out[lo:lo + step] = entropy_of_spectrum(np.clip(evals, 0.0, None))
     return out
-
-
-def _spec_entropy_cols(lams):
-    safe = np.where(lams >= EIG_ZERO_TOL, lams, 1.0)
-    return -np.sum(lams * np.log2(safe), axis=1)

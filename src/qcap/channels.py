@@ -14,7 +14,6 @@ from .qmath import (
     _apply_raw,
     extend_channel,
     matrix_from_json,
-    matrix_to_json,
 )
 
 
@@ -244,8 +243,3 @@ class ChannelSpec:
             raise ValueError("channel spec JSON must be an object with a 'kind'")
         return cls(kind=data["kind"], params=dict(data.get("params", {})),
                    kraus=data.get("kraus"))
-
-    @classmethod
-    def explicit(cls, channel: QuantumChannel) -> "ChannelSpec":
-        return cls(kind="explicit_kraus", params={},
-                   kraus=[matrix_to_json(k) for k in channel.kraus])

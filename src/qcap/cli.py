@@ -99,7 +99,6 @@ def _constraint(spec):
 
 
 def cmd_table1(args) -> int:
-    _echo_config(args)
     cases = [
         ("noiseless qubit", channels.noiseless(2), 2.0),
         ("50% erasure", channels.erasure(2, 0.5), 1.0),
@@ -124,7 +123,6 @@ def cmd_table1(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    _echo_config(args)
     channel = _load_channel(args)
     if args.constraint:
         cons = _load_json(args.constraint, "constraint", _constraint)
@@ -136,7 +134,6 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _echo_config(args)
     if not (0.0 <= args.pmin <= args.pmax < 1.0) or args.count < 2:
         raise UsageError("need 0 <= pmin <= pmax < 1 and count >= 2")
     print("p,ce,ch,ratio")
@@ -153,7 +150,6 @@ def _floats(text):
 
 
 def cmd_gaussian(args) -> int:
-    _echo_config(args)
     # every row before any output, so a bad value prints nothing
     s_vals = _floats(args.photons)
     if args.limit:
@@ -189,7 +185,6 @@ def _rst_channel(args):
 
 
 def cmd_rst_simulate(args) -> int:
-    _echo_config(args)
     channel = _rst_channel(args)
     variant = "bsc" if args.bsc is not None else "general"
     cfg = reverse_shannon.ProtocolConfig(n=args.n, eps=args.eps, variant=variant)
@@ -200,7 +195,6 @@ def cmd_rst_simulate(args) -> int:
 
 
 def cmd_rst_verify(args) -> int:
-    _echo_config(args)
     channel = _rst_channel(args)
     dev = reverse_shannon.exact_faithfulness_oracle(channel, args.n, eps=args.eps,
                                                     zsize=args.zsize)
@@ -210,7 +204,6 @@ def cmd_rst_verify(args) -> int:
 
 
 def cmd_typical(args) -> int:
-    _echo_config(args)
     probs = _floats(args.probs)
     if abs(sum(probs) - 1.0) > 1e-9:
         raise UsageError("--probs must sum to 1")
@@ -298,6 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _echo_config(args)
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

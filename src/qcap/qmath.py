@@ -9,8 +9,6 @@ equals the entropy exchange of the channel on rho.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 HERM_TOL = 1e-10
@@ -18,8 +16,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 KRAUS_TOL = 1e-9
 EIG_ZERO_TOL = 1e-12
-
-_LOG2E = float(np.log2(np.e))
 
 
 class InvalidStateError(ValueError):
@@ -81,17 +77,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def from_diag(cls, probs) -> "DensityOperator":
-        return cls(np.diag(np.asarray(probs, dtype=np.complex128)))
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityOperator":
-        return cls(np.eye(d, dtype=np.complex128) / d)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
 
@@ -119,9 +104,6 @@ class PureState:
         arr.flags.writeable = False
         self.vec = arr
         self.dims = dims
-
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.vec, self.vec.conj()))
 
     def __repr__(self) -> str:
         return f"PureState(dims={self.dims})"
@@ -191,9 +173,17 @@ def von_neumann_entropy(rho) -> float:
     return entropy_of_spectrum(evals)
 
 
-def entropy_of_spectrum(evals) -> float:
-    """Shannon entropy in bits of a nonnegative spectrum, clamping tiny values."""
+def entropy_of_spectrum(evals):
+    """Shannon entropy -sum lam log2 lam in bits of a nonnegative spectrum.
+
+    Eigenvalues below 1e-12 contribute zero. A 1-D spectrum gives a float
+    (0.0 when no eigenvalue reaches 1e-12); a 2-D stack of spectra, one
+    per row, gives an array with the entropy of each row.
+    """
     lam = np.asarray(evals, dtype=np.float64)
+    if lam.ndim > 1:
+        safe = np.where(lam >= EIG_ZERO_TOL, lam, 1.0)
+        return -np.sum(lam * np.log2(safe), axis=-1)
     lam = lam[lam >= EIG_ZERO_TOL]
     if lam.size == 0:
         return 0.0
@@ -263,50 +253,16 @@ def entropy_exchange_via_purification(channel: QuantumChannel, rho) -> float:
 
 
 def purify(rho: DensityOperator) -> PureState:
-    """Canonical purification sum_i sqrt(lambda_i) |v_i> x |i>.
+    """A purification sum_i sqrt(lambda_i) |v_i> x |i> of rho.
 
-    Eigenvalues are sorted descending; ties are broken by lexicographic
-    comparison of eigenvector entries and each eigenvector's phase is fixed
-    so its first nonvanishing component is real positive. Tracing out the
-    second (reference) factor returns rho.
+    lambda_i, v_i are the eigenpairs in the order and with the phases the
+    eigensolver returns them; eigenvalues below 1e-12 are dropped and the
+    vector renormalized. Every purification gives the same entropies.
+    Tracing out the second (reference) factor returns rho.
     """
     evals, vecs = np.linalg.eigh(rho.mat)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    vecs = vecs[:, order]
-    d = rho.dim
-    cols = []
-    for i in range(d):
-        v = vecs[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if nz.size:
-            v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-        cols.append(v)
-    # stable lexicographic tie-break inside near-degenerate groups
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and abs(evals[j] - evals[i]) <= 1e-12:
-            j += 1
-        if j - i > 1:
-            keys = sorted(range(i, j),
-                          key=lambda m: tuple((c.real, c.imag) for c in cols[m]))
-            cols[i:j] = [cols[m] for m in keys]
-        i = j
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        lam = evals[i]
-        if lam < EIG_ZERO_TOL:
-            continue
-        vec += np.sqrt(lam) * np.kron(cols[i], _basis_vec(d, i))
-    vec /= np.linalg.norm(vec)
-    return PureState(vec, dims=(d, d))
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v
+    vec = (vecs * np.sqrt(np.where(evals >= EIG_ZERO_TOL, evals, 0.0))).reshape(-1)
+    return PureState(vec / np.linalg.norm(vec), dims=(rho.dim, rho.dim))
 
 
 def partial_trace(state, dims, keep) -> np.ndarray:
@@ -314,8 +270,8 @@ def partial_trace(state, dims, keep) -> np.ndarray:
 
     Parameters
     ----------
-    state : DensityOperator, PureState, or matrix
-        Operator (or vector) on the tensor product described by `dims`.
+    state : DensityOperator or matrix
+        Operator on the tensor product described by `dims`.
     dims : sequence of int
         Dimensions of the tensor factors, row-major order.
     keep : int or sequence of int
@@ -334,16 +290,6 @@ def partial_trace(state, dims, keep) -> np.ndarray:
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatchError(f"keep={keep} out of range for {n} factors")
     traced = [i for i in range(n) if i not in keep]
-    if isinstance(state, PureState) or (
-            isinstance(state, np.ndarray) and state.ndim == 1):
-        vec = state.vec if isinstance(state, PureState) else np.asarray(
-            state, dtype=np.complex128)
-        if vec.size != int(np.prod(dims)):
-            raise DimensionMismatchError("vector length does not match dims")
-        t = vec.reshape(dims)
-        out = np.tensordot(t, t.conj(), axes=(traced, traced))
-        keep_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-        return out.reshape(keep_dim, keep_dim)
     mat = _state_matrix(state)
     if mat.shape[0] != int(np.prod(dims)):
         raise DimensionMismatchError("matrix size does not match dims")
@@ -426,10 +372,3 @@ def matrix_from_json(data) -> np.ndarray:
         raise ValueError("malformed complex-matrix JSON: not a 2-D array")
     return arr
 
-
-def dump_matrix(mat) -> str:
-    return json.dumps(matrix_to_json(mat))
-
-
-def load_matrix(text: str) -> np.ndarray:
-    return matrix_from_json(json.loads(text))

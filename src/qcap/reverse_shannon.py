@@ -155,7 +155,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"block length must be >= 1, got {self.n}")
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:  # NaN fails this too
             raise ValueError(f"slack must be > 0, got {self.eps}")
         if self.variant not in ("bsc", "general"):
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -508,12 +508,14 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     members, ends on member y' of s with odds c_y' / K_s: the law of any
     exchangeable pick among the matches. With K_s = 0 it falls back to
     itself. channel is a flip probability (bit protocol) or a DMC
-    (general protocol). The set size comes from zsize, or from eps via
-    the protocol's own sizing rule. Refuses sums beyond
+    (general protocol). The set size comes from zsize (at least 1), or
+    from eps via the protocol's own sizing rule. Refuses sums beyond
     ORACLE_MAX_COMBOS weight terms.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
+    if zsize is not None and zsize < 1:
+        raise ValueError(f"set size zsize must be >= 1, got {zsize}")
     dmc, _, rate, _, law = _channel_kind(channel)
     block = _block_law(dmc, n)
     n_out = block.shape[1]
@@ -584,8 +586,11 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     source is ("fixed", block), ("iid", letter distribution) or
     ("itc-uniform", letter counts). Reports mean bits per symbol, the
     rate of blocks costing more than n(C+eps), and the fallback rate,
-    each with a standard error.
+    each with a standard error; the mean's standard error is None for a
+    single trial. Raises ValueError for fewer than one trial.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     dmc, capacity, _, simulate, _ = _channel_kind(channel)
     n = cfg.n
     cap = capacity()
@@ -625,7 +630,7 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
         itc_bits = tr.itc_bits
 
     mean_bits = float(bits.mean()) / n
-    sem_bits = float(bits.std(ddof=1)) / n / math.sqrt(trials)
+    sem_bits = float(bits.std(ddof=1)) / n / math.sqrt(trials) if trials > 1 else None
     p_exc = float(exceed.mean())
     p_fb = float(fell.mean())
     return {

@@ -219,6 +219,18 @@ def test_rst_simulate_reports_cost(capsys):
     assert res["units"] == "bits"
 
 
+def test_rst_simulate_single_trial_is_strict_json(capsys):
+    # one trial has no standard error of the mean: null, never NaN
+    code, out, _ = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "4",
+                       "--eps", "0.5", "--trials", "1")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    res = json.loads(out, parse_constant=reject)
+    assert res["trials"] == 1 and res["mean_bits_se"] is None
+
+
 def test_rst_simulate_source_parsing(capsys):
     code, out, _ = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "6",
                        "--eps", "0.3", "--trials", "1000", "--source", "iid:0.5,0.5")
@@ -306,6 +318,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("rst", "simulate", "--dmc", bad_row, "--n", "4", "--eps", "0.3",
          "--trials", "10"),
         ("rst", "verify-exact", "--dmc", bad_row, "--n", "2", "--zsize", "4"),
+        ("rst", "simulate", "--bsc", "0.1", "--n", "4", "--eps", "0.3", "--trials", "0"),
+        ("rst", "simulate", "--bsc", "0.1", "--n", "4", "--eps", "nan", "--trials", "10"),
+        ("rst", "verify-exact", "--bsc", "0.3", "--n", "2", "--zsize", "0"),
+        ("rst", "verify-exact", "--bsc", "0.3", "--n", "2", "--zsize", "-1"),
         ("capacity", "ce", "--spec", str(tmp_path / "missing.json")),
         ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "1/0"),
         ("table1", "--tol", "-1"),                      # rejected before any step

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,10 @@ from qcap.qmath import (
     complementary_apply,
     entropy_exchange,
     entropy_exchange_via_purification,
+    entropy_of_spectrum,
     fidelity,
-    load_matrix,
-    dump_matrix,
+    matrix_from_json,
+    matrix_to_json,
     partial_trace,
     purify,
     quantum_mutual_information,
@@ -23,7 +27,7 @@ from qcap.qmath import (
     von_neumann_entropy,
 )
 from qcap.channels import amplitude_damping, depolarizing, noiseless
-from qcap.rand import generator, random_channel, random_density, random_pure
+from qcap.rand import generator, random_channel, random_density, random_pure, random_unitary
 
 
 def test_density_operator_validation():
@@ -42,11 +46,34 @@ def test_entropy_values():
     assert von_neumann_entropy(rho) == pytest.approx(1.5, abs=1e-12)
     # basis invariance
     rng = generator(3)
-    from qcap.rand import random_unitary
-
     u = random_unitary(3, rng)
     rot = DensityOperator(u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T)
     assert von_neumann_entropy(rot) == pytest.approx(1.5, abs=1e-10)
+
+
+def test_entropy_of_spectrum_stack_matches_rows():
+    # a stack gives each row's 1-D entropy: to the bit where every term
+    # lam log2 lam is exact, and otherwise to rounding, since np.dot may
+    # fuse each multiply-add that the row sum rounds twice
+    dyadic = np.array([[0.5, 0.25, 0.125, 0.125], [1.0, 0.0, 0.0, 0.0],
+                       [0.25, 0.25, 0.5, 0.0], [0.5, 0.5, 1e-13, 0.0]])
+    assert (list(entropy_of_spectrum(dyadic)) == [entropy_of_spectrum(r) for r in dyadic]
+            == [1.75, 0.0, 1.5, 1.0])
+    rng = generator(21)
+    for d in range(1, 6):
+        lams = rng.dirichlet(np.ones(d), size=40)
+        lams[::4, 0] = 0.0  # exact zeros and values below the 1e-12 cut
+        lams[1::4, -1] = 1e-13
+        stacked = entropy_of_spectrum(lams)
+        assert stacked.shape == (40,)
+        rows = [entropy_of_spectrum(row) for row in lams]
+        assert np.allclose(stacked, rows, rtol=1e-15, atol=0.0)
+
+
+def test_entropy_of_spectrum_empty_is_positive_zero():
+    for spec in ([], [1e-13, 0.0], [5e-13, -1e-14]):
+        h = entropy_of_spectrum(spec)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0, spec
 
 
 def test_channel_validation():
@@ -99,10 +126,16 @@ def test_partial_trace_of_product():
 
 def test_purification_round_trip():
     rng = generator(15)
-    rho = random_density(3, rng)
-    psi = purify(rho)
-    back = partial_trace(np.outer(psi.vec, psi.vec.conj()), psi.dims, keep=0)
-    assert np.allclose(back, rho.mat, atol=1e-10)
+    u = random_unitary(3, rng)
+    # a generic state and a degenerate rank-deficient one
+    for rho in (random_density(3, rng),
+                DensityOperator(u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T)):
+        psi = purify(rho)
+        back = partial_trace(np.outer(psi.vec, psi.vec.conj()), psi.dims, keep=0)
+        assert np.allclose(back, rho.mat, atol=1e-10)
+        ch = random_channel(3, 3, 2, rng)
+        assert entropy_exchange_via_purification(ch, rho) == pytest.approx(
+            entropy_exchange(ch, rho), abs=1e-10)
 
 
 def test_qmi_additivity_on_products():
@@ -144,7 +177,7 @@ def test_fidelity():
 def test_matrix_serialization_round_trip():
     rng = generator(19)
     m = random_density(3, rng).mat
-    again = load_matrix(dump_matrix(m))
+    again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert np.allclose(m, again, atol=0)
 
 

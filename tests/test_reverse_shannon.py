@@ -111,6 +111,8 @@ def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(n=4, eps=0.0, variant="bsc")
     with pytest.raises(ValueError):
+        ProtocolConfig(n=4, eps=float("nan"), variant="bsc")
+    with pytest.raises(ValueError):
         ProtocolConfig(n=4, eps=0.1, variant="qubit")
 
 
@@ -474,6 +476,9 @@ def test_exact_oracle_guards():
         exact_faithfulness_oracle(0.3, 2)  # neither eps nor zsize
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 4, zsize=10**6)  # enumeration blowup
+    for zsize in (0, -1):
+        with pytest.raises(ValueError, match="set size"):
+            exact_faithfulness_oracle(0.3, 2, zsize=zsize)
 
 
 def test_empirical_faithfulness_matches_channel():
@@ -521,6 +526,10 @@ def test_cost_statistics_sources_and_determinism():
     assert itc["itc_bits"] == _index_width(math.comb(9, 1)) == 4
     with pytest.raises(ValueError):
         cost_statistics(0.1, cfg, 100, ("bad-kind", None), seed=1)
+    with pytest.raises(ValueError):
+        cost_statistics(0.1, cfg, 0, ("fixed", [0] * 8), seed=1)
+    one = cost_statistics(0.1, cfg, 1, ("fixed", [0] * 8), seed=2)
+    assert one["trials"] == 1 and one["mean_bits_se"] is None
 
 
 def test_cost_statistics_dmc_iid_frozen():
