@@ -126,10 +126,10 @@ def test_partial_trace_of_product():
 
 def test_purification_round_trip():
     rng = generator(15)
+    generic = random_density(3, rng)
     u = random_unitary(3, rng)
-    # a generic state and a degenerate rank-deficient one
-    for rho in (random_density(3, rng),
-                DensityOperator(u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T)):
+    # and a degenerate rank-deficient state
+    for rho in (generic, DensityOperator(u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T)):
         psi = purify(rho)
         back = partial_trace(np.outer(psi.vec, psi.vec.conj()), psi.dims, keep=0)
         assert np.allclose(back, rho.mat, atol=1e-10)
