@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,12 +67,7 @@ class CeResult:
     gap_bound: float
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "rho": matrix_to_json(self.rho),
-            "iterations": self.iterations,
-            "gap_bound": self.gap_bound,
-        }
+        return {**asdict(self), "rho": matrix_to_json(self.rho)}
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,8 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
 
     The projection is exp2(y - mu obs) normalized, with the least mu >= 0
     (to 1e-12 relative) whose load meets the bound. `obs` must have least
-    eigenvalue 0, so the load falls to 0 as mu grows. A load within the
+    eigenvalue 0, so the load falls to 0 as mu grows; the constrained solver
+    also divides it by its norm, so the slack is relative. A load within the
     feasibility slack of the bound is accepted at mu = 0, and at any mu when
     the bound itself is within the slack of 0: no finite mu meets such a
     bound, and the search then aims six orders under the slack. The search
@@ -249,21 +245,28 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
     constraint in relative entropy: rho proportional to exp2(Y - mu A), with
     mu found by safeguarded Newton steps from the previous step's mu. The
     gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the value over the
-    whole feasible set. A bound below the observable's least eigenvalue by
-    more than 1e-12 raises ValueError; a bound within 1e-12 of it is met to
-    within 1e-12.
+    whole feasible set. The feasibility slack is relative to the norm
+    s = max |lambda| of the observable (s = 1 when it is 0): a bound below
+    lambda_min by more than 1e-12 s raises ValueError, and a bound within
+    1e-12 s of it is met to within 1e-12 s.
     """
     obs = constraint.observable
     if obs.shape[0] != channel.d_in:
         raise DimensionMismatchError("observable dimension mismatch")
-    lam_min = float(np.linalg.eigvalsh(obs)[0])
-    bound = float(constraint.bound)
-    if bound < lam_min - FEASIBILITY_SLACK:
-        raise ValueError(f"infeasible constraint: bound {bound} < min eigenvalue {lam_min}")
-    # moving the observable's least eigenvalue to 0 moves neither the Gibbs
-    # states nor the gap, and lets the load fall to 0 as mu grows
-    shifted = obs - lam_min * np.eye(channel.d_in)
-    return _mirror_ascent(channel, shifted, max(bound - lam_min, 0.0), tol, max_iters, callback)
+    evals = np.linalg.eigvalsh(obs)
+    lam_min, norm = float(evals[0]), float(np.max(np.abs(evals)))
+    scale = norm if norm > 0.0 else 1.0
+    bound = (float(constraint.bound) - lam_min) / scale
+    if bound < -FEASIBILITY_SLACK:
+        raise ValueError(f"infeasible constraint: bound {float(constraint.bound)} "
+                         f"< min eigenvalue {lam_min}")
+    # shifting the least eigenvalue to 0 and dividing by the norm moves
+    # neither the Gibbs states nor the gap, lets the load fall to 0 as mu
+    # grows, and puts the load's rounding error (about eps s) on the scale
+    # of the slack; dividing by the spread instead would magnify it where
+    # lambda_min dwarfs the spread
+    scaled = (obs - lam_min * np.eye(channel.d_in)) / scale
+    return _mirror_ascent(channel, scaled, max(bound, 0.0), tol, max_iters, callback)
 
 
 def _golden_max(fun, lo, hi, xtol):

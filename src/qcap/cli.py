@@ -167,8 +167,7 @@ def cmd_gaussian(args) -> int:
 def _parse_source(text, n):
     kind, _, rest = text.partition(":")
     if kind == "fixed":
-        block = rest if rest else "0" * n
-        return ("fixed", [int(c) for c in block])
+        return ("fixed", rest if rest else "0" * n)
     if kind == "iid":
         return ("iid", _floats(rest))
     if kind == "itc-uniform":

@@ -15,12 +15,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .typeclasses import TypeClass, joint_type, sample_from_type, type_arrays, type_of
+from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
+                          type_arrays, type_of, type_rank)
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
@@ -178,14 +179,7 @@ class Transcript:
     message: str
 
     def to_json(self) -> dict:
-        return {
-            "bits_sent": self.bits_sent,
-            "fallback": self.fallback,
-            "itc_bits": self.itc_bits,
-            "index_bits": self.index_bits,
-            "output": list(self.output),
-            "message": self.message,
-        }
+        return {**asdict(self), "output": list(self.output)}
 
 
 @dataclass(frozen=True)
@@ -241,25 +235,6 @@ def _set_size(rate_bits: float, n: int, eps: float) -> int:
 def _index_width(size: int) -> int:
     # == ceil(log2(size)) for size >= 1, computed exactly
     return (size - 1).bit_length()
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-def _letters_array(x, d: int, n: int) -> np.ndarray:
-    if isinstance(x, str):
-        arr = np.array([int(ch) for ch in x], dtype=np.int64)
-    else:
-        arr = np.asarray(x, dtype=np.int64)
-    if arr.ndim != 1 or len(arr) != n:
-        raise ValueError(f"input block must have length {n}")
-    if arr.size and (arr.min() < 0 or arr.max() >= d):
-        raise ValueError(f"letters must lie in [0, {d})")
-    return arr
 
 
 def _lanes(words: np.ndarray, lane_bits: int) -> np.ndarray:
@@ -332,9 +307,7 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
         width, payload = _index_width(size), chosen
     else:
         y_out, direction = y, "1"
-        width, payload = _index_width(d_out ** cfg.n), 0
-        for v in y:
-            payload = payload * d_out + int(v)
+        width, payload = _index_width(d_out ** cfg.n), block_code(y, d_out)
     message = prefix + direction + (format(payload, f"0{width}b") if width else "")
     tr = Transcript(bits_sent=len(message), fallback=direction == "1",
                     itc_bits=len(prefix), index_bits=width,
@@ -363,10 +336,10 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     n = cfg.n
     if n > 64:
         raise ValueError("bit blocks above 64 are not supported")
-    xs = _letters_array(x, 2, n)
+    xs = letters(x, 2, n)
     lane_bits = next(b for b in (8, 16, 32, 64) if b >= n)
     lane = np.dtype(f"u{lane_bits // 8}").type
-    x_lane, mask = lane(_bits_to_int(xs)), lane((1 << n) - 1)
+    x_lane, mask = lane(block_code(xs, 2)), lane((1 << n) - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=lane)
 
     def hit(y):
@@ -377,19 +350,6 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
                        hit, lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
-
-
-def _type_rank(counts: tuple) -> int:
-    """Position of a letter-count vector in first-count-descending order."""
-    rank = 0
-    n = sum(counts)
-    d = len(counts)
-    for j, c in enumerate(counts[:-1]):
-        slots = d - j - 1
-        for v in range(n, c, -1):
-            rank += math.comb(n - v + slots - 1, slots - 1)
-        n -= c
-    return rank
 
 
 def _class_rate(dmc: DMC, tc: TypeClass) -> float:
@@ -406,8 +366,7 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     uniforms, the top 53 bits of its other n words.
     """
     n = tc.n
-    letters = np.repeat(np.arange(tc.d), tc.counts)
-    xp = letters[np.argsort(words[:, :n], axis=1, kind="stable")]
+    xp = tc.letters()[np.argsort(words[:, :n], axis=1, kind="stable")]
     return dmc.outputs(xp, (words[:, n:] >> 11) * 2.0 ** -53)
 
 
@@ -426,25 +385,16 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     Returns (receiver's output block, Transcript).
     """
     n = cfg.n
-    xs = _letters_array(x, dmc.d_in, n)
+    xs = letters(x, dmc.d_in, n)
     tc = type_of(xs, dmc.d_in)
-    k = _type_rank(tc.counts)
+    k = type_rank(tc.counts)
     itc_bits = _index_width(math.comb(n + dmc.d_in - 1, dmc.d_in - 1))
     decode = functools.partial(_class_members, dmc, tc)
-    # pair-count match done on flat bincounts; equals joint-type equality
-    n_pair = dmc.d_in * dmc.d_out
-    pair_base = xs * dmc.d_out
+    counts = functools.partial(pair_counts, xs, d_in=dmc.d_in, d_out=dmc.d_out)
 
     def hit(y):
-        target = np.bincount(pair_base + y, minlength=n_pair)
-
-        def flags(words):
-            # row r's pair counts sit at r * n_pair onwards
-            m = len(words)
-            codes = np.arange(m)[:, None] * n_pair + pair_base + decode(words)
-            counts = np.bincount(codes.ravel(), minlength=m * n_pair)
-            return (counts.reshape(m, n_pair) == target).all(axis=1)
-        return flags
+        target = counts(y)
+        return lambda words: (counts(decode(words)) == target).all(axis=1)
 
     prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
     return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix, (k,),
@@ -468,7 +418,7 @@ def _channel_kind(channel):
             n = len(x)
             same = (np.sort(_blocks(d_in, n), axis=1) == np.sort(x)).all(axis=1)
             return (_block_law(channel, n)[same].mean(axis=0),
-                    [joint_type(x, y, d_in, d_out).key() for y in _blocks(d_out, n)])
+                    pair_counts(x, _blocks(d_out, n), d_in, d_out))
 
         return (channel, lambda: ba_capacity(channel, 1e-10)[0],
                 lambda x: _class_rate(channel, type_of(x, d_in)),
@@ -509,11 +459,13 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     exchangeable pick among the matches. With K_s = 0 it falls back to
     itself. channel is a flip probability (bit protocol) or a DMC
     (general protocol). The set size comes from zsize (at least 1), or
-    from eps via the protocol's own sizing rule. Refuses sums beyond
+    from eps via the protocol's own sizing rule. n, and eps where given,
+    must pass ProtocolConfig's checks. Refuses sums beyond
     ORACLE_MAX_COMBOS weight terms.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
+    ProtocolConfig(n, 1.0 if eps is None else eps)
     if zsize is not None and zsize < 1:
         raise ValueError(f"set size zsize must be >= 1, got {zsize}")
     dmc, _, rate, _, law = _channel_kind(channel)
@@ -557,16 +509,14 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     n = cfg.n
     if dmc.d_out ** n > 10 ** 4:
         raise ValueError("output space too large to bin")
-    xs = (_letters_array(x, dmc.d_in, n) if x is not None
-          else np.zeros(n, dtype=np.int64))
+    xs = letters(x, dmc.d_in, n) if x is not None else np.zeros(n, dtype=np.int64)
     exact = functools.reduce(np.kron, dmc.matrix[xs])
 
     base = SharedRandomness(seed)
     hist = np.zeros(dmc.d_out ** n, dtype=np.int64)
-    radix = dmc.d_out ** np.arange(n - 1, -1, -1)
     for t in range(trials):
         y_out, _ = simulate(cfg, base.derive("trial", t), xs)
-        hist[int(np.dot(y_out, radix))] += 1
+        hist[block_code(y_out, dmc.d_out)] += 1
 
     tv = 0.5 * float(np.abs(hist / trials - exact).sum())
     expected = exact * trials
@@ -599,7 +549,7 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     base = SharedRandomness(seed)
     kind, arg = source
     if kind == "fixed":
-        fixed = _letters_array(arg, dmc.d_in, n)
+        fixed = letters(arg, dmc.d_in, n)
         inputs = lambda t: fixed
     elif kind == "iid":
         q = np.asarray(arg, dtype=np.float64)

@@ -10,7 +10,7 @@ d^n-dimensional projector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +44,10 @@ class TypeClass:
     def multiplicity(self) -> int:
         """Number of distinct strings with these counts (exact integer)."""
         return _multinomial(self.n, self.counts)
+
+    def letters(self) -> np.ndarray:
+        """The class's sorted string: each letter repeated by its count (int64)."""
+        return np.repeat(np.arange(self.d, dtype=np.int64), self.counts)
 
 
 @dataclass(frozen=True)
@@ -80,37 +84,69 @@ class JointType:
         return tuple(c for row in self.counts for c in row)
 
 
-def _letters(x) -> list:
-    if isinstance(x, str):
-        return [int(ch) for ch in x]
-    return [int(v) for v in x]
+def letters(x, d: int | None, n: int | None = None) -> np.ndarray:
+    """x as a checked int64 block over the alphabet {0, ..., d-1}.
+
+    x is a digit string or a 1-d sequence of whole numbers. A d of None
+    admits any nonnegative letter; n, if given, is the required length.
+    """
+    raw = np.asarray(list(x) if isinstance(x, str) else x)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise ValueError(f"letters must be whole numbers, got {raw}")
+    arr = raw.astype(np.int64, copy=False)  # digit characters parse here
+    if arr.ndim != 1:
+        raise ValueError(f"block must be one-dimensional, got shape {arr.shape}")
+    if n is not None and len(arr) != n:
+        raise ValueError(f"block must have length {n}, got {len(arr)}")
+    if arr.size and (arr.min() < 0 or (d is not None and arr.max() >= d)):
+        raise ValueError(f"letters must lie in [0, {d}), got {arr.min()}..{arr.max()}")
+    return arr
 
 
 def type_of(x, d: int) -> TypeClass:
     """Count letter occurrences of x over the alphabet {0, ..., d-1}."""
-    counts = [0] * d
-    for v in _letters(x):
-        if not 0 <= v < d:
-            raise ValueError(f"letter {v} outside alphabet of size {d}")
-        counts[v] += 1
-    return TypeClass(tuple(counts))
+    return TypeClass(tuple(np.bincount(letters(x, d), minlength=d)))
+
+
+def pair_counts(x: np.ndarray, ys: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Counts of aligned letter pairs (x_i, y_i) for each block y on ys's last axis.
+
+    x and each y are valid blocks of one length (see letters). Entry
+    a * d_out + b counts the pairs (a, b): a flat joint type.
+    """
+    ys = np.asarray(ys)
+    m, k = math.prod(ys.shape[:-1]), d_in * d_out
+    # block r's pair counts sit at r * k onwards
+    codes = np.arange(m).reshape(ys.shape[:-1] + (1,)) * k + x * d_out + ys
+    return np.bincount(codes.ravel(), minlength=m * k).reshape(ys.shape[:-1] + (k,))
 
 
 def joint_type(x, y, d_in: int | None = None, d_out: int | None = None) -> JointType:
-    """Count aligned letter pairs of two equal-length strings."""
-    xs, ys = _letters(x), _letters(y)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    di = d_in if d_in is not None else (max(xs) + 1 if xs else 1)
-    do = d_out if d_out is not None else (max(ys) + 1 if ys else 1)
-    counts = [[0] * do for _ in range(di)]
-    for a, b in zip(xs, ys):
-        if not 0 <= a < di:
-            raise ValueError(f"input letter {a} outside alphabet of size {di}")
-        if not 0 <= b < do:
-            raise ValueError(f"output letter {b} outside alphabet of size {do}")
-        counts[a][b] += 1
-    return JointType(tuple(tuple(row) for row in counts))
+    """Count aligned letter pairs of two equal-length strings; an alphabet
+    size left out is one more than the largest letter (1 for no letters)."""
+    xs, ys = letters(x, d_in), letters(y, d_out, len(x))
+    di = d_in if d_in is not None else int(xs.max(initial=0)) + 1
+    do = d_out if d_out is not None else int(ys.max(initial=0)) + 1
+    return JointType(pair_counts(xs, ys, di, do).reshape(di, do).tolist())
+
+
+def block_code(block, d: int) -> int:
+    """Big-endian base-d code of a block as an exact Python int: its position
+    among all blocks of its length, listed last letter fastest."""
+    code = 0
+    for v in np.asarray(block).tolist():
+        code = code * d + v
+    return code
+
+
+def type_rank(counts: tuple) -> int:
+    """Position of a letter-count vector in enumerate_types order."""
+    rank, n, d = 0, sum(counts), len(counts)
+    for j, c in enumerate(counts[:-1]):
+        # vectors sharing counts[:j] with a larger count j, by the hockey stick
+        rank += math.comb(n - c - 1 + d - j - 1, d - j - 1)
+        n -= c
+    return rank
 
 
 def enumerate_types(n: int, d: int) -> list:
@@ -169,8 +205,7 @@ def _prepend_count(tails: dict, r: int) -> tuple:
 
 def sample_from_type(tc: TypeClass, rng) -> np.ndarray:
     """One string drawn uniformly from the type class (multiset shuffle)."""
-    letters = np.repeat(np.arange(tc.d, dtype=np.int64), tc.counts)
-    return rng.permutation(letters)
+    return rng.permutation(tc.letters())
 
 
 def _multinomial(n: int, counts) -> int:
@@ -282,18 +317,7 @@ class TypicalSubspaceReport:
     bounds_ok: tuple
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "eps": self.eps,
-            "entropy": self.entropy,
-            "delta_prime": self.delta_prime,
-            "trace_mass": self.trace_mass,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "dim": self.dim,
-            "bounds_ok": list(self.bounds_ok),
-        }
+        return {**asdict(self), "bounds_ok": list(self.bounds_ok)}
 
 
 def typical_subspace_report(rho, n: int, delta: float,

@@ -351,6 +351,36 @@ def test_constrained_eigensolve_budget(monkeypatch):
     assert calls[0] == 4 * (res.iterations + 1)
 
 
+def test_feasibility_slack_is_relative_to_the_observable(monkeypatch):
+    # the load's rounding error grows with the observable's norm, and so
+    # does the slack: 1e4 A and its scaled bound give A's solution, at a
+    # pinned bound (lambda_min = 0) as well as an interior one
+    calls = _count_eigensolves(monkeypatch)
+    # a rotated 0.7 I has a spread of rounding noise, which must stay
+    # noise: the bound 0.7 holds for every state
+    for seed in range(4):
+        rng = generator(seed)
+        ch = random_channel(3, 3, 2, rng)
+        u = random_unitary(3, rng)
+        res = ce_maximize_constrained(ch, EnergyConstraint(u @ (0.7 * u.conj().T), 0.7))
+        assert res.value == pytest.approx(ce_maximize(ch).value, abs=1e-7)
+    for seed in range(3):
+        for d in (2, 5, 8):
+            rng = generator(seed)
+            ch = random_channel(d, d, 2, rng)
+            obs = _psd_floor_zero(rng, d)
+            for bound in (0.0, 0.2 * np.trace(obs).real / d):
+                runs = []
+                for scale in (1.0, 1e4):
+                    calls[0] = 0
+                    res = ce_maximize_constrained(
+                        ch, EnergyConstraint(scale * obs, scale * bound))
+                    assert calls[0] <= 7 * (res.iterations + 1), (seed, d, bound)
+                    runs.append(res)
+                assert runs[1].value == pytest.approx(runs[0].value, abs=1e-12)
+                assert np.max(np.abs(runs[1].rho - runs[0].rho)) <= 1e-10, (seed, d, bound)
+
+
 def _rotate(channel, rng, rotate_input):
     """The same channel in other bases, drawn as perfbench's solve workload does."""
     ks = np.einsum("kj,jab->kab", random_unitary(len(channel.kraus), rng), channel.kraus)

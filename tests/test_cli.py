@@ -201,8 +201,12 @@ def test_rst_verify_exact_dmc(tmp_path, capsys):
 
 
 def test_rst_verify_exact_input_errors(capsys):
-    # neither --eps nor --zsize; a set past the oracle's enumeration guard
-    for extra in (("--n", "2"), ("--n", "4", "--zsize", "1000")):
+    # neither --eps nor --zsize; a set past the oracle's enumeration guard;
+    # eps <= 0 or NaN and n < 1, which rst simulate rejects too
+    for extra in (("--n", "2"), ("--n", "4", "--zsize", "1000"),
+                  ("--n", "2", "--eps", "-1"), ("--n", "2", "--eps", "0"),
+                  ("--n", "2", "--eps", "nan"), ("--n", "0", "--eps", "1.0"),
+                  ("--n", "0", "--zsize", "4"), ("--n", "2", "--eps", "0", "--zsize", "4")):
         code, out, err = run(capsys, "rst", "verify-exact", "--bsc", "0.3", *extra)
         assert code == 2, extra
         assert out == "" and "error:" in err

@@ -28,9 +28,8 @@ from qcap.reverse_shannon import (
     _index_width,
     _member_words,
     _set_size,
-    _type_rank,
 )
-from qcap.typeclasses import TypeClass, enumerate_types, joint_type, type_of
+from qcap.typeclasses import TypeClass, enumerate_types, joint_type, type_of, type_rank
 
 
 def test_dmc_validation():
@@ -200,7 +199,7 @@ def test_bsc_simulate_guards():
 def test_type_rank_matches_enumeration_order():
     for n, d in ((5, 2), (4, 3), (3, 4)):
         for rank, tc in enumerate(enumerate_types(n, d)):
-            assert _type_rank(tc.counts) == rank
+            assert type_rank(tc.counts) == rank
 
 
 def test_dmc_simulate_announces_class_and_preserves_joint_type():
@@ -267,7 +266,7 @@ def test_dmc_batch_members_match_reference():
                    [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]]):
         d = DMC(matrix)
         for counts in classes[d.d_in]:
-            tc, k = TypeClass(counts), _type_rank(counts)
+            tc, k = TypeClass(counts), type_rank(counts)
             size, width = _set_size(_class_rate(d, tc), tc.n, 0.5), 2 * tc.n
             batches = []
 
@@ -290,7 +289,7 @@ def test_dmc_member_law_matches_oracle_law():
     d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
     x = np.array([0, 1, 1])
     tc = type_of(x, 2)
-    words = SharedRandomness(1).bitgen("Z", _type_rank(tc.counts)).random_raw(60000 * 6)
+    words = SharedRandomness(1).bitgen("Z", type_rank(tc.counts)).random_raw(60000 * 6)
     members = _class_members(d, tc, words.reshape(60000, 6))
     hist = np.bincount(members @ [9, 3, 1], minlength=27)
     law = _channel_kind(d)[4](x)[0]
@@ -318,7 +317,7 @@ def test_first_match_sends_no_later_member():
     d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
     cfg = ProtocolConfig(n=4, eps=0.8, variant="general")
     x = np.array([0, 1, 1, 0])
-    tc, k = type_of(x, 2), _type_rank((2, 2))
+    tc, k = type_of(x, 2), type_rank((2, 2))
     for seed in range(12):
         sh = SharedRandomness(seed)
         _, tr = dmc_simulate(d, cfg, sh, x)

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from qcap.rand import generator
+from qcap.reverse_shannon import _blocks
 from qcap.typeclasses import (
     JointType,
     TypeClass,
     TypicalEigenstateSet,
+    block_code,
     enumerate_types,
     joint_type,
+    letters,
+    pair_counts,
     sample_from_type,
     type_arrays,
     type_of,
@@ -55,7 +59,54 @@ def test_joint_type_counts_and_marginals():
     with pytest.raises(ValueError):
         joint_type("00", "000")
     with pytest.raises(ValueError):
+        joint_type("02", "01", 2, 2)
+    with pytest.raises(ValueError):
         JointType(((1, 2), (3,)))
+    # alphabets left out are inferred from the largest letters
+    assert joint_type("021", "110").counts == ((0, 1), (1, 0), (0, 1))
+    assert joint_type("", "").counts == ((0,),)
+
+
+def test_letters_parses_and_validates():
+    for x in ("0121", [0, 1, 2, 1], np.array([0, 1, 2, 1]), (0, 1, 2, 1)):
+        block = letters(x, 3, 4)
+        assert block.dtype == np.int64 and block.tolist() == [0, 1, 2, 1]
+    assert letters("", 2).shape == (0,)
+    assert letters([7, 0], None).tolist() == [7, 0]  # any nonnegative letter
+    assert letters([1.0, 0.0], 2).tolist() == [1, 0]
+    for x, d, n in (("012", 3, 4), ("013", 3, None), ([0, -1], 2, None),
+                    ("0x1", 2, None), (np.zeros((2, 2), dtype=int), 2, None),
+                    ([0.0, 1.5], 2, None), ([0.0, np.nan], 2, None)):
+        with pytest.raises(ValueError):
+            letters(x, d, n)
+    # a type class's own letters: its sorted string
+    assert TypeClass((2, 0, 3)).letters().tolist() == [0, 0, 2, 2, 2]
+
+
+def test_pair_counts_match_brute_force():
+    rng = generator(5)
+    for d_in, d_out in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        x = rng.integers(0, d_in, 7)
+        ys = rng.integers(0, d_out, (4, 5, 7))
+        got = pair_counts(x, ys, d_in, d_out)
+        assert got.shape == (4, 5, d_in * d_out)
+        for idx in np.ndindex(4, 5):
+            want = [0] * (d_in * d_out)
+            for a, b in zip(x.tolist(), ys[idx].tolist()):
+                want[a * d_out + b] += 1
+            assert got[idx].tolist() == want
+        assert pair_counts(x, ys[0, 0], d_in, d_out).tolist() == got[0, 0].tolist()
+        assert joint_type(x, ys[0, 0], d_in, d_out).key() == tuple(got[0, 0].tolist())
+
+
+def test_block_code_is_the_block_row():
+    for d in (2, 3):
+        for n in range(1, 6):
+            codes = [block_code(row, d) for row in _blocks(d, n)]
+            assert codes == list(range(d ** n))
+    assert block_code([], 2) == 0
+    assert block_code([1] * 64, 2) == 2 ** 64 - 1
+    assert block_code(np.full(64, 2), 3) == 3 ** 64 - 1  # past int64, exact
 
 
 def test_membership_window_is_exact():
