@@ -30,6 +30,7 @@ from .qmath import (
     _complementary_raw,
     _state_matrix,
     entropy_of_spectrum,
+    hermitian_spectra,
     matrix_to_json,
     quantum_mutual_information,
     tensor_channels,
@@ -420,21 +421,24 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     """Grid maximum of the capacity objective over the Bloch ball.
 
     Walks rho = (I + r . sigma)/2 on a cubic lattice of the given resolution
-    intersected with the unit ball, evaluating the objective with vectorized
-    closed-form 2x2 spectra (and batched eigensolves for larger environment
-    or output dimensions). Independent check of `ce_maximize`; returns
-    (max value, argmax Bloch vector).
+    intersected with the unit ball, one x-slice at a time, evaluating the
+    objective with `hermitian_spectra`: closed-form spectra for output and
+    environment dimensions up to 3, batched eigensolves above. Independent
+    check of `ce_maximize`; returns (max value, argmax Bloch vector).
+    Raises ValueError unless 0 < resolution <= 1; at a step of at most 1
+    some lattice point lies in the ball.
     """
     if channel.d_in != 2:
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution must be in (0, 1], got {resolution!r}")
     paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
               np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
               np.array([[1, 0], [0, -1]], dtype=np.complex128)]
-    half = np.eye(2, dtype=np.complex128) / 2
-    out0 = _apply_raw(channel, half)
-    outp = [_apply_raw(channel, p) / 2 for p in paulis]
-    env0 = _complementary_raw(channel, half)
-    envp = [_complementary_raw(channel, p) / 2 for p in paulis]
+    # rho = I/2 + rx X/2 + ry Y/2 + rz Z/2, and both maps are linear
+    inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
+    out_basis = np.stack([_apply_raw(channel, m) for m in inputs])
+    env_basis = np.stack([_complementary_raw(channel, m) for m in inputs])
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     best_val = -np.inf
@@ -449,9 +453,8 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
         # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
         rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
         h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
-        h_out = _family_entropy(out0, outp, rx, ry, rz)
-        h_env = _family_entropy(env0, envp, rx, ry, rz)
-        vals = h_in + h_out - h_env
+        coef = np.stack([np.ones_like(ry), np.full_like(ry, rx), ry, rz], axis=1)
+        vals = h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -459,25 +462,14 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     return best_val, best_r
 
 
-def _family_entropy(base, parts, rx, ry, rz):
-    """Entropies of base + rx parts[0] + ry parts[1] + rz parts[2], vectorized."""
-    dim = base.shape[0]
-    n = ry.shape[0]
-    mats = np.broadcast_to(base, (n, dim, dim)).copy()
-    mats += rx * parts[0]
-    mats += ry[:, None, None] * parts[1]
-    mats += rz[:, None, None] * parts[2]
-    if dim == 2:
-        m = 0.5 * (mats[:, 0, 0].real + mats[:, 1, 1].real)
-        det = (mats[:, 0, 0].real * mats[:, 1, 1].real
-               - (mats[:, 0, 1].real**2 + mats[:, 0, 1].imag**2))
-        disc = np.sqrt(np.clip(m * m - det, 0.0, None))
-        lam1 = np.clip(m + disc, 0.0, None)
-        lam2 = np.clip(m - disc, 0.0, None)
-        return entropy_of_spectrum(np.stack([lam1, lam2], axis=1))
-    out = np.empty(n)
-    step = 131072
-    for lo in range(0, n, step):
-        evals = np.linalg.eigvalsh(mats[lo:lo + step])
-        out[lo:lo + step] = entropy_of_spectrum(np.clip(evals, 0.0, None))
-    return out
+def _family_entropy(basis, coef):
+    """Entropies of the matrices coef[j] . basis, one per row of coef.
+
+    `basis` stacks four d x d matrices; the real (n, 4) coefficients act on
+    their real and imaginary parts in one product. Spectra come from
+    `hermitian_spectra`: closed forms up to 3x3, batched `eigvalsh` above.
+    """
+    dim = basis.shape[-1]
+    flat = basis.reshape(4, -1).view(np.float64)
+    mats = (coef @ flat).view(np.complex128).reshape(-1, dim, dim)
+    return entropy_of_spectrum(np.clip(hermitian_spectra(mats), 0.0, None))

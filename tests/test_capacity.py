@@ -29,7 +29,12 @@ from qcap.channels import (
     superdense_ensemble,
     switched_3to2,
 )
-from qcap.qmath import DensityOperator, QuantumChannel, quantum_mutual_information
+from qcap.qmath import (
+    DensityOperator,
+    QuantumChannel,
+    entropy_of_spectrum,
+    quantum_mutual_information,
+)
 from qcap.rand import generator, random_channel, random_density, random_unitary
 from qcap.reverse_shannon import DMC, ba_capacity
 
@@ -460,6 +465,44 @@ def test_bloch_grid_agrees_with_frank_wolfe():
         ch = random_channel(2, 2, 2, rng)
         grid, _ = bloch_grid_ce(ch, 0.01)
         assert ce_maximize(ch).value == pytest.approx(grid, abs=1e-4)
+
+
+def test_bloch_grid_rejects_bad_resolution():
+    ch = amplitude_damping(0.3)
+    for res in (0.0, -0.1, 3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="resolution"):
+            bloch_grid_ce(ch, res)
+    value, r = bloch_grid_ce(ch, 1.0)
+    assert np.isfinite(value) and r is not None
+
+
+def _eigvalsh_grid(ch, res):
+    axis = np.arange(-1.0, 1.0 + res / 2, res)
+    r = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    r = r[r[:, 0] * r[:, 0] + r[:, 1] ** 2 + r[:, 2] ** 2 <= 1.0 + 1e-12]
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rho = 0.5 * (np.eye(2) + np.einsum("ni,ijk->njk", r, paulis))
+    ks = ch.kraus
+    out = np.einsum("aij,njk,alk->nil", ks, rho, ks.conj())
+    env = np.einsum("aij,njk,bik->nab", ks, rho, ks.conj())
+
+    def h(mats):
+        return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
+
+    vals = h(rho) + h(out) - h(env)
+    i = int(np.argmax(vals))
+    return vals[i], tuple(r[i])
+
+
+def test_bloch_grid_matches_eigvalsh_reference():
+    # the 3x3 environment spectra are closed-form in the grid
+    rng = generator(61)
+    for _ in range(2):
+        ch = random_channel(2, 2, 3, rng)
+        value, r = bloch_grid_ce(ch, 0.05)
+        ref_value, ref_r = _eigvalsh_grid(ch, 0.05)
+        assert abs(value - ref_value) <= 1e-12
+        assert r == ref_r
 
 
 def test_damping_ratio_behavior():

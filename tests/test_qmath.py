@@ -17,6 +17,7 @@ from qcap.qmath import (
     entropy_exchange_via_purification,
     entropy_of_spectrum,
     fidelity,
+    hermitian_spectra,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -74,6 +75,43 @@ def test_entropy_of_spectrum_empty_is_positive_zero():
     for spec in ([], [1e-13, 0.0], [5e-13, -1e-14]):
         h = entropy_of_spectrum(spec)
         assert h == 0.0 and math.copysign(1.0, h) == 1.0, spec
+
+
+def _spectral_batches(rng, n=400):
+    def ranked(rank):
+        g = rng.standard_normal((n, 3, rank)) + 1j * rng.standard_normal((n, 3, rank))
+        m = g @ g.conj().transpose(0, 2, 1)
+        return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+    x = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    x = x + x.conj().transpose(0, 2, 1)
+    return {
+        "full": ranked(3),
+        "rank 2": ranked(2),
+        "rank 1": ranked(1),
+        "near scalar": np.eye(3) / 3 + 1e-9 * x,
+        "spread 1e-120": np.eye(3) / 3 + 1e-120 * x,
+        "scalar": np.broadcast_to(np.eye(3) / 3, (n, 3, 3)).astype(complex),
+        "rank 1 + I/2": ranked(1) + 0.5 * np.eye(3),
+        "diag(1, 0, 0)": np.broadcast_to(np.diag([1.0, 0.0, 0.0]), (n, 3, 3)).astype(complex),
+    }
+
+
+def test_hermitian_spectra_match_eigvalsh():
+    rng = generator(57)
+    for name, mats in _spectral_batches(rng).items():
+        ref = np.linalg.eigvalsh(mats)
+        got = hermitian_spectra(mats)
+        assert np.all(np.isfinite(got)), name
+        h_ref = entropy_of_spectrum(np.clip(ref, 0.0, None))
+        h_got = entropy_of_spectrum(np.clip(got, 0.0, None))
+        assert np.max(np.abs(h_got - h_ref)) <= 1e-12, name
+        if name == "full":
+            assert np.max(np.abs(np.sort(got, axis=1) - ref)) <= 1e-12
+    for d in (2, 4):
+        mats = np.stack([random_density(d, rng).mat for _ in range(50)])
+        got = np.sort(hermitian_spectra(mats), axis=1)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(mats))) <= 1e-12, d
 
 
 def test_channel_validation():
