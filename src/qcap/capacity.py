@@ -82,9 +82,9 @@ class EnergyConstraint:
         obs = np.asarray(self.observable, dtype=np.complex128)
         _check_hermitian(obs)
         evals = np.linalg.eigvalsh(obs)
-        if evals[0] < -1e-10:
+        if not evals[0] >= -1e-10:
             raise ValueError(f"observable must be PSD, min eigenvalue {evals[0]:.3e}")
-        if self.bound < 0.0:
+        if not self.bound >= 0.0:  # NaN fails this too
             raise ValueError(f"bound must be nonnegative, got {self.bound}")
         object.__setattr__(self, "observable", obs)
 
@@ -367,7 +367,7 @@ def pgm_error(codewords, projector):
         raise ValueError("no codewords")
     proj = np.asarray(projector, dtype=np.complex128)
     _check_hermitian(proj)
-    if np.max(np.abs(proj @ proj - proj)) > 1e-9:
+    if not np.max(np.abs(proj @ proj - proj)) <= 1e-9:
         raise ValueError("projector is not idempotent within tolerance")
     projected = [proj @ t for t in vecs]
     phi = np.zeros_like(proj)

@@ -42,9 +42,10 @@ def depolarizing(d: int, q: float) -> QuantumChannel:
     """Channel rho -> (1-q) rho + q I/d via mixed generalized Paulis.
 
     Kraus weights: sqrt(1 - q + q/d^2) on the identity and sqrt(q/d^2) on
-    each of the d^2 - 1 nontrivial U_{j,k}. Valid for 0 <= q <= d^2/(d^2-1).
+    each of the d^2 - 1 nontrivial U_{j,k}. Valid for q >= 0 with
+    q (d^2 - 1) <= d^2: every such q at d = 1, where the map is the identity.
     """
-    if not 0.0 <= q <= d * d / (d * d - 1.0):
+    if not (0.0 <= q and q * (d * d - 1) <= d * d):  # NaN fails this too
         raise ValueError(f"depolarizing weight {q} out of range for d={d}")
     ops = [np.sqrt(1.0 - q + q / d**2) * np.eye(d, dtype=np.complex128)]
     w = np.sqrt(q) / d
@@ -128,7 +129,7 @@ def classical_embedding(matrix) -> QuantumChannel:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("transition matrix must be 2-D")
-    if np.any(mat < -1e-15) or np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-12:
+    if not (np.all(mat >= -1e-15) and np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12):
         raise ValueError("rows must be probability distributions")
     d_in, d_out = mat.shape
     ops = []
@@ -160,7 +161,7 @@ class Ensemble:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != len(self.states) or not probs:
             raise ValueError("probs and states must be equal-length and nonempty")
-        if any(p < -1e-12 for p in probs) or abs(sum(probs) - 1.0) > 1e-10:
+        if not (all(p >= -1e-12 for p in probs) and abs(sum(probs) - 1.0) <= 1e-10):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:

@@ -204,7 +204,7 @@ def cmd_rst_verify(args) -> int:
 
 def cmd_typical(args) -> int:
     probs = _floats(args.probs)
-    if abs(sum(probs) - 1.0) > 1e-9:
+    if not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails this too
         raise UsageError("--probs must sum to 1")
     try:
         delta = Fraction(args.delta) if "/" in args.delta else float(args.delta)

@@ -41,7 +41,7 @@ class GaussianParams:
 
 def g_entropy(s: float) -> float:
     """Entropy in bits of a thermal state with mean photon number s."""
-    if s < 0.0:
+    if not s >= 0.0:  # NaN fails this too
         raise ValueError(f"mean photon number must be >= 0, got {s}")
     if s == 0.0:
         return 0.0
@@ -50,9 +50,9 @@ def g_entropy(s: float) -> float:
 
 def shannon_capacity(s: float, n: float) -> float:
     """log2(1 + s/n), the classical Gaussian-channel capacity in bits."""
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"signal must be >= 0, got {s}")
-    if n <= 0.0:
+    if not n > 0.0:
         raise ValueError(f"noise must be > 0, got {n}")
     return math.log1p(s / n) / _LN2
 
@@ -126,8 +126,8 @@ def ce_over_cshan_limit(s: float) -> float:
     (it tends to 1 as S grows and diverges as S -> 0). Independent of k
     when the Shannon reference uses the received signal strength k^2 S.
     """
-    if s <= 0.0:
-        raise ValueError(f"signal must be > 0, got {s}")
+    if not 0.0 < s < INF:
+        raise ValueError(f"signal must be finite and > 0, got {s}")
     return (s + 1.0) * math.log1p(1.0 / s)
 
 
@@ -188,9 +188,9 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     anyway, as a guard against roundoff). At r = 0 the r-dependent bounds
     reduce to coherent_bounds.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"signal must be >= 0, got {s}")
-    if n <= 0.0:
+    if not n > 0.0:
         raise ValueError(f"noise must be > 0, got {n}")
     d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
     r_upper = 0.5 * math.log((d1 + 1.0) / n)

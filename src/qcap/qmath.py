@@ -39,7 +39,7 @@ def _as_complex_matrix(mat) -> np.ndarray:
 
 def _check_hermitian(mat: np.ndarray, tol: float = HERM_TOL) -> None:
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # NaN fails this too
         raise InvalidStateError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
@@ -64,10 +64,10 @@ class DensityOperator:
         arr = _as_complex_matrix(mat)
         _check_hermitian(arr)
         tr = arr.trace().real
-        if abs(arr.trace() - 1.0) > TRACE_TOL:
+        if not abs(arr.trace() - 1.0) <= TRACE_TOL:
             raise InvalidStateError(f"trace is {tr!r}, expected 1")
         evals = np.linalg.eigvalsh(arr)
-        if evals.min() < -PSD_TOL:
+        if not evals.min() >= -PSD_TOL:
             raise InvalidStateError(f"negative eigenvalue {evals.min():.3e}")
         arr = 0.5 * (arr + arr.conj().T)
         arr.flags.writeable = False
@@ -98,7 +98,7 @@ class PureState:
         if int(np.prod(dims)) != arr.size:
             raise DimensionMismatchError(f"dims {dims} do not multiply to {arr.size}")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails this too
             raise InvalidStateError(f"norm is {norm!r}, expected 1")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -134,7 +134,7 @@ class QuantumChannel:
         stack = np.stack(ops)
         rows = stack.reshape(-1, d_in)
         dev = np.max(np.abs(rows.conj().T @ rows - np.eye(d_in)))
-        if dev > KRAUS_TOL:
+        if not dev <= KRAUS_TOL:  # NaN fails this too
             raise InvalidChannelError(f"completeness violated by {dev:.3e}")
         stack.flags.writeable = False
         self.kraus = stack

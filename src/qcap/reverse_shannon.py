@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
-                          type_arrays, type_of, type_rank)
+from .typeclasses import (TypeClass, block_code, enumerate_types, letters, pair_counts,
+                          sample_from_type, type_arrays, type_of, type_rank)
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
@@ -39,10 +39,10 @@ class DMC:
         mat = np.array(matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("transition matrix must be 2-d and nonempty")
-        if np.any(mat < -1e-12) or np.any(mat > 1.0 + 1e-12):
+        if not np.all((mat >= -1e-12) & (mat <= 1.0 + 1e-12)):  # NaN fails this too
             raise ValueError("transition probabilities must lie in [0, 1]")
         rows = mat.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
+        if not np.all(np.abs(rows - 1.0) <= 1e-12):
             raise ValueError(f"rows must sum to 1, got sums {rows}")
         mat = np.clip(mat, 0.0, 1.0)
         mat.setflags(write=False)
@@ -132,7 +132,7 @@ def constrained_mi(dmc: DMC, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size != dmc.d_in:
         raise ValueError(f"input distribution must have length {dmc.d_in}")
-    if np.any(q < -1e-12) or abs(float(q.sum()) - 1.0) > 1e-9:
+    if not (np.all(q >= -1e-12) and abs(float(q.sum()) - 1.0) <= 1e-9):
         raise ValueError("input distribution must be nonnegative and sum to 1")
     q = np.clip(q, 0.0, None)
     mat = dmc.matrix
@@ -461,7 +461,7 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     (general protocol). The set size comes from zsize (at least 1), or
     from eps via the protocol's own sizing rule. n, and eps where given,
     must pass ProtocolConfig's checks. Refuses sums beyond
-    ORACLE_MAX_COMBOS weight terms.
+    ORACLE_MAX_COMBOS weight terms before building any block law.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
@@ -469,19 +469,18 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     if zsize is not None and zsize < 1:
         raise ValueError(f"set size zsize must be >= 1, got {zsize}")
     dmc, _, rate, _, law = _channel_kind(channel)
-    block = _block_law(dmc, n)
-    n_out = block.shape[1]
-    multisets = {}
-    worst = 0.0
-    for x, true in zip(_blocks(dmc.d_in, n), block):
-        size = zsize if zsize is not None else _set_size(rate(x), n, eps)
+    n_out = dmc.d_out ** n
+    size_of = lambda x: zsize if zsize is not None else _set_size(rate(x), n, eps)
+    # x's set size depends on its type alone: guard them all before any blocks
+    for size in {size_of(tc.letters()) for tc in enumerate_types(n, dmc.d_in)}:
         n_sets = math.comb(n_out + size - 1, size)
         if n_sets * n_out > ORACLE_MAX_COMBOS:
             raise ValueError(
                 f"{n_sets} multisets of {size} set draws exceed the enumeration guard")
-        if size not in multisets:
-            multisets[size] = type_arrays(size, n_out)
-        counts, mult = multisets[size]
+    multisets = functools.cache(lambda size: type_arrays(size, n_out))
+    worst = 0.0
+    for x, true in zip(_blocks(dmc.d_in, n), _block_law(dmc, n)):
+        counts, mult = multisets(size_of(x))
         member, labels = law(x)
         sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
         in_class = sig[:, None] == np.arange(sig.max() + 1)
@@ -491,6 +490,47 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
             share = np.where(k > 0, (true @ in_class)[sig] * counts / k, true)
         worst = max(worst, float(np.max(np.abs(weight @ share - true))))
     return worst
+
+
+def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
+    """Trials 0, ..., trials - 1 of the protocol in order, trials >= 1.
+
+    kind is _channel_kind(channel) and source is as in cost_statistics.
+    Trial t runs on SharedRandomness(seed).derive("trial", t), a random
+    source drawing its input from stream("input", t), so any trial
+    reproduces alone. Returns (outputs, bits sent, fallback flags,
+    itc_bits): a row or entry per trial, and the class prefix width.
+    """
+    dmc, _, _, simulate, _ = kind
+    n = cfg.n
+    base = SharedRandomness(seed)
+    name, arg = source
+    if name == "fixed":
+        fixed = letters(arg, dmc.d_in, n)
+        inputs = lambda t: fixed
+    elif name == "iid":
+        q = np.asarray(arg, dtype=np.float64)
+        if not (q.ndim == 1 and q.size == dmc.d_in and abs(q.sum() - 1.0) <= 1e-9
+                and np.all(q >= -1e-12)):  # NaN fails this too
+            raise ValueError("iid source needs a distribution over the input alphabet")
+        qcum = np.cumsum(q)
+        qcum[-1] = 1.0  # as in DMC._cum: no uniform lands past the last letter
+        inputs = lambda t: np.searchsorted(
+            qcum, base.stream("input", t).random(n)).astype(np.int64)
+    elif name == "itc-uniform":
+        tc = TypeClass(tuple(arg))
+        if tc.n != n or tc.d != dmc.d_in:
+            raise ValueError("type counts must sum to n over the input alphabet")
+        inputs = lambda t: sample_from_type(tc, base.stream("input", t))
+    else:
+        raise ValueError(f"unknown source kind {name!r}")
+
+    outputs = np.empty((trials, n), dtype=np.int64)
+    bits, fell = np.empty(trials), np.empty(trials, dtype=bool)
+    for t in range(trials):
+        outputs[t], tr = simulate(cfg, base.derive("trial", t), inputs(t))
+        bits[t], fell[t] = tr.bits_sent, tr.fallback
+    return outputs, bits, fell, tr.itc_bits
 
 
 def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
@@ -505,18 +545,15 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
 
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable histogram")
-    dmc, _, _, simulate, _ = _channel_kind(channel)
-    n = cfg.n
+    kind = _channel_kind(channel)
+    dmc, n = kind[0], cfg.n
     if dmc.d_out ** n > 10 ** 4:
         raise ValueError("output space too large to bin")
     xs = letters(x, dmc.d_in, n) if x is not None else np.zeros(n, dtype=np.int64)
     exact = functools.reduce(np.kron, dmc.matrix[xs])
-
-    base = SharedRandomness(seed)
-    hist = np.zeros(dmc.d_out ** n, dtype=np.int64)
-    for t in range(trials):
-        y_out, _ = simulate(cfg, base.derive("trial", t), xs)
-        hist[block_code(y_out, dmc.d_out)] += 1
+    outputs = _run_trials(kind, cfg, trials, ("fixed", xs), seed)[0]
+    hist = np.bincount([block_code(y, dmc.d_out) for y in outputs],
+                       minlength=dmc.d_out ** n)
 
     tv = 0.5 * float(np.abs(hist / trials - exact).sum())
     expected = exact * trials
@@ -541,47 +578,13 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    dmc, capacity, _, simulate, _ = _channel_kind(channel)
-    n = cfg.n
-    cap = capacity()
-    threshold = n * (cap + cfg.eps)
-
-    base = SharedRandomness(seed)
-    kind, arg = source
-    if kind == "fixed":
-        fixed = letters(arg, dmc.d_in, n)
-        inputs = lambda t: fixed
-    elif kind == "iid":
-        q = np.asarray(arg, dtype=np.float64)
-        if (q.ndim != 1 or q.size != dmc.d_in or abs(q.sum() - 1.0) > 1e-9
-                or np.any(q < -1e-12)):
-            raise ValueError("iid source needs a distribution over the input alphabet")
-        qcum = np.cumsum(q)
-        qcum[-1] = 1.0  # as in DMC._cum: no uniform lands past the last letter
-        inputs = lambda t: np.searchsorted(
-            qcum, base.stream("input", t).random(n)).astype(np.int64)
-    elif kind == "itc-uniform":
-        tc = TypeClass(tuple(arg))
-        if tc.n != n or tc.d != dmc.d_in:
-            raise ValueError("type counts must sum to n over the input alphabet")
-        inputs = lambda t: sample_from_type(tc, base.stream("input", t))
-    else:
-        raise ValueError(f"unknown source kind {kind!r}")
-
-    bits = np.empty(trials)
-    exceed = np.empty(trials, dtype=bool)
-    fell = np.empty(trials, dtype=bool)
-    itc_bits = 0
-    for t in range(trials):
-        _, tr = simulate(cfg, base.derive("trial", t), inputs(t))
-        bits[t] = tr.bits_sent
-        exceed[t] = tr.bits_sent > threshold
-        fell[t] = tr.fallback
-        itc_bits = tr.itc_bits
+    kind, n = _channel_kind(channel), cfg.n
+    cap = kind[1]()
+    _, bits, fell, itc_bits = _run_trials(kind, cfg, trials, source, seed)
 
     mean_bits = float(bits.mean()) / n
     sem_bits = float(bits.std(ddof=1)) / n / math.sqrt(trials) if trials > 1 else None
-    p_exc = float(exceed.mean())
+    p_exc = float((bits > n * (cap + cfg.eps)).mean())
     p_fb = float(fell.mean())
     return {
         "n": n, "eps": cfg.eps, "capacity": cap, "trials": trials,

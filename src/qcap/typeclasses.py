@@ -69,10 +69,6 @@ class JointType:
             raise ValueError("ragged joint-count matrix")
         object.__setattr__(self, "counts", rows)
 
-    @property
-    def n(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
     def input_type(self) -> TypeClass:
         return TypeClass(tuple(sum(row) for row in self.counts))
 
@@ -153,21 +149,26 @@ def enumerate_types(n: int, d: int) -> list:
     """All letter-count vectors of length-n strings over d letters.
 
     First count descending, then recursively the same on the remainder,
-    so n=2, d=2 lists (2,0), (1,1), (0,2). The count is the stars-and-bars
-    value C(n+d-1, d-1); enumeration refuses grids past MAX_ENUMERATED_TYPES.
+    so n=2, d=2 lists (2,0), (1,1), (0,2): _count_vectors's order reversed.
+    The count is the stars-and-bars value C(n+d-1, d-1); enumeration
+    refuses grids past MAX_ENUMERATED_TYPES.
     """
     _check_type_grid(n, d)
-    out = []
+    return [TypeClass(c) for c in _count_vectors(n, [(0, n)] * d)][::-1]
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(TypeClass(prefix + (remaining,)))
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + (c,), remaining - c, slots - 1)
 
-    rec((), n, d)
-    return out
+def _count_vectors(n: int, ranges: list, prefix: tuple = ()):
+    """Yield prefix + c for every count vector c summing to n with each c_j
+    in [lo, hi] = ranges[j]: first count ascending, then recursively the
+    same on the remainder."""
+    if not ranges:
+        yield prefix  # the last count took exactly what was left
+        return
+    (lo, hi), rest = ranges[0], ranges[1:]
+    # prune by what the remaining slots can still absorb
+    tail_lo, tail_hi = sum(r[0] for r in rest), sum(r[1] for r in rest)
+    for c in range(max(lo, n - tail_hi), min(hi, n - tail_lo) + 1):
+        yield from _count_vectors(n - c, rest, prefix + (c,))
 
 
 def _check_type_grid(n: int, d: int) -> None:
@@ -235,7 +236,7 @@ class TypicalEigenstateSet:
         arr = np.asarray([float(v) for v in raw], dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("eigenvalue vector must be 1-d and nonempty")
-        if np.any(arr < -1e-12) or abs(float(arr.sum()) - 1.0) > 1e-9:
+        if not (np.all(arr >= -1e-12) and abs(float(arr.sum()) - 1.0) <= 1e-9):
             raise ValueError("eigenvalues must form a probability distribution")
         dn = Fraction(delta) * n
         if n < 1 or dn <= 0:
@@ -262,23 +263,7 @@ class TypicalEigenstateSet:
 
     def admissible_types(self):
         """Yield every letter-count vector the membership test accepts."""
-        ranges = self._ranges
-        d, n = self.d, self.n
-
-        def rec(prefix, remaining, j):
-            lo, hi = ranges[j]
-            if j == d - 1:
-                if lo <= remaining <= hi:
-                    yield prefix + (remaining,)
-                return
-            # prune by what the remaining slots can still absorb
-            tail_lo = sum(r[0] for r in ranges[j + 1:])
-            tail_hi = sum(r[1] for r in ranges[j + 1:])
-            for c in range(max(lo, remaining - tail_hi),
-                           min(hi, remaining - tail_lo) + 1):
-                yield from rec(prefix + (c,), remaining - c, j + 1)
-
-        yield from rec((), n, 0)
+        yield from _count_vectors(self.n, self._ranges)
 
     def cardinality(self) -> int:
         return sum(_multinomial(self.n, c) for c in self.admissible_types())

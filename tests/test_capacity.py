@@ -137,6 +137,10 @@ def test_energy_constraint_validation():
         EnergyConstraint(np.diag([-1.0, 1.0]), 1.0)  # not PSD
     with pytest.raises(ValueError):
         EnergyConstraint(np.diag([0.0, 1.0]), -0.5)  # negative budget
+    with pytest.raises(ValueError):
+        EnergyConstraint(np.diag([0.0, 1.0]), float("nan"))  # NaN fails the check
+    with pytest.raises(ValueError):
+        EnergyConstraint(np.diag([0.0, np.nan]), 1.0)
 
 
 def test_constrained_reduces_to_unconstrained_for_loose_budget():
@@ -542,6 +546,8 @@ def test_pgm_error_and_bound():
 def test_pgm_rejects_degenerate_projector():
     with pytest.raises(ValueError):
         pgm_error([np.array([1.0, 0.0])], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="Hermitian"):  # not a failed eigensolve
+        pgm_error([np.array([1.0, 0.0])], np.diag([1.0, np.nan]))
 
 
 def test_ce_result_json():

@@ -94,6 +94,9 @@ def test_ensemble_validation():
         Ensemble(probs=(0.5, 0.6), states=(rho, rho))
     with pytest.raises(ValueError):
         Ensemble(probs=(1.0,), states=(rho, rho))
+    for probs in ((float("nan"), 1.0), (0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            Ensemble(probs=probs, states=(rho, rho))
 
 
 def test_superdense_ensemble_structure():
@@ -140,3 +143,17 @@ def test_parameter_range_errors():
         erasure(2, 1.5)
     with pytest.raises(ValueError):
         amplitude_damping(2.0)
+    for bad in (float("nan"), 4.0 / 3.0 + 1e-9):
+        with pytest.raises(ValueError):
+            depolarizing(2, bad)
+    with pytest.raises(ValueError):
+        classical_embedding([[float("nan"), 1.0], [0.5, 0.5]])
+
+
+def test_depolarizing_at_dimension_one_is_identity():
+    # q (d^2 - 1) <= d^2 holds for every q >= 0 at d = 1: one identity Kraus
+    for q in (0.0, 0.5, 3.0):
+        ch = depolarizing(1, q)
+        assert ch.kraus.shape == (1, 1, 1)
+        assert ch.kraus[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert len(depolarizing(2, 4.0 / 3.0).kraus) == 4

@@ -42,6 +42,14 @@ def test_capacity_preset_noiseless(capsys):
     assert json.loads(out)["value"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_capacity_preset_dimension_one(capsys):
+    # every one-dimensional channel is the identity on one state: C_E = 0
+    for preset in ("depolarizing:0.5:1", "noiseless:1", "dephasing:1"):
+        code, out, _ = run(capsys, "capacity", "ce", "--preset", preset)
+        assert code == 0, preset
+        assert json.loads(out)["value"] == 0.0, preset
+
+
 def test_capacity_spec_file(tmp_path, capsys):
     spec = tmp_path / "chan.json"
     spec.write_text(json.dumps({"kind": "depolarizing", "params": {"d": 2, "q": 2 / 3}}))
@@ -310,6 +318,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
                             "bound": bound})
 
     bad_row = write("dmc.json", {"matrix": [[0.5, 0.4], [0.25, 0.75]]})
+    # NaN fails every tolerance and range check (json reads and writes NaN)
+    nan = float("nan")
+    nan_row = write("nan_dmc.json", {"matrix": [[nan, 1.0], [0.5, 0.5]]})
+    nan_kraus = write("nan_kraus.json", {
+        "kind": "explicit_kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [nan, 0]]]]})
     ad = ("capacity", "ce", "--preset", "amplitude-damping:0.3", "--constraint")
     for argv in (
         ("capacity", "ce", "--spec", write("kind.json", {"kind": "teleporter"})),
@@ -330,6 +343,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "1/0"),
         ("table1", "--tol", "-1"),                      # rejected before any step
         ("capacity", "ce", "--preset", "amplitude-damping:0.3", "--tol", "nan"),
+        ("rst", "verify-exact", "--dmc", nan_row, "--n", "2", "--zsize", "2"),
+        ("rst", "simulate", "--dmc", nan_row, "--n", "4", "--eps", "0.3", "--trials", "10"),
+        ("capacity", "ce", "--spec", nan_kraus),
+        ("typical", "check", "--probs", "nan,1", "--n", "5", "--delta", "0.1"),
+        ("rst", "simulate", "--bsc", "0.1", "--n", "8", "--eps", "0.25",
+         "--source", "iid:nan,1"),
+        ("gaussian", "--S", "nan", "--limit"),
+        ("gaussian", "--S", "inf", "--limit"),
+        ad + (cons("nan_bound.json", [[0.0, 0.0], [0.0, 1.0]], nan),),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

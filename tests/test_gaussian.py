@@ -31,6 +31,8 @@ def test_thermal_entropy_values():
     assert g_entropy(3.0) == pytest.approx(3.2451124978365313, abs=1e-12)
     with pytest.raises(ValueError):
         g_entropy(-0.1)
+    with pytest.raises(ValueError):
+        g_entropy(float("nan"))
 
 
 def test_noiseless_unit_gain_capacity_doubles_entropy():
@@ -46,6 +48,11 @@ def test_shannon_capacity():
         shannon_capacity(1.0, 0.0)
     with pytest.raises(ValueError):
         shannon_capacity(-1.0, 1.0)
+    for s, n in ((float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            shannon_capacity(s, n)
+        with pytest.raises(ValueError):
+            squeezed_bounds(s, n)
 
 
 def test_output_energy_continuous_at_unit_gain():
@@ -66,8 +73,9 @@ def test_large_noise_ratio_limit():
     # tends to 1 from above as the signal grows
     assert ce_over_cshan_limit(1e6) == pytest.approx(1.0, abs=1e-5)
     assert ce_over_cshan_limit(0.01) > ce_over_cshan_limit(0.1) > 1.0
-    with pytest.raises(ValueError):
-        ce_over_cshan_limit(0.0)
+    for s in (0.0, float("nan"), math.inf):
+        with pytest.raises(ValueError):
+            ce_over_cshan_limit(s)
 
 
 def test_ratio_converges_to_limit_and_ignores_gain():

@@ -38,6 +38,12 @@ def test_density_operator_validation():
         DensityOperator(np.diag([0.6, 0.6]))  # trace 1.2
     with pytest.raises(InvalidStateError):
         DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+    # NaN fails every tolerance check instead of slipping past it
+    for mat in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
+        with pytest.raises(InvalidStateError):
+            DensityOperator(mat)
+    with pytest.raises(InvalidStateError):
+        PureState([np.nan, 1.0])
 
 
 def test_entropy_values():
@@ -119,6 +125,8 @@ def test_channel_validation():
         QuantumChannel([np.array([[1.0, 0.0], [0.0, 0.9]])])  # not trace preserving
     with pytest.raises(InvalidChannelError):
         QuantumChannel([])
+    with pytest.raises(InvalidChannelError):
+        QuantumChannel([np.array([[1.0, 0.0], [0.0, np.nan]])])
 
 
 def test_apply_channel_preserves_state():

@@ -27,6 +27,7 @@ from qcap.reverse_shannon import (
     _first_match,
     _index_width,
     _member_words,
+    _run_trials,
     _set_size,
 )
 from qcap.typeclasses import TypeClass, enumerate_types, joint_type, type_of, type_rank
@@ -37,6 +38,10 @@ def test_dmc_validation():
         DMC([[0.5, 0.4], [0.5, 0.5]])  # row sums off
     with pytest.raises(ValueError):
         DMC([[1.5, -0.5], [0.5, 0.5]])  # entries outside [0, 1]
+    with pytest.raises(ValueError):
+        DMC([[float("nan"), 1.0], [0.5, 0.5]])  # NaN fails the range check
+    with pytest.raises(ValueError):
+        constrained_mi(DMC([[0.7, 0.3], [0.2, 0.8]]), [float("nan"), 1.0])
     d = DMC([[0.7, 0.3], [0.2, 0.8]])
     assert d.d_in == 2 and d.d_out == 2
     d.matrix[0, 0]  # readable
@@ -480,6 +485,21 @@ def test_exact_oracle_guards():
             exact_faithfulness_oracle(0.3, 2, zsize=zsize)
 
 
+def test_exact_oracle_guard_precedes_block_law():
+    # 2^12 output blocks put one draw past the guard; the refusal must come
+    # before the 2^12 x 2^12 block law is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="enumeration guard"):
+            exact_faithfulness_oracle(0.1, 12, zsize=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_empirical_faithfulness_matches_channel():
     cfg = ProtocolConfig(n=4, eps=0.5, variant="bsc")
     r = empirical_faithfulness(0.3, cfg, 4000, seed=5)
@@ -529,6 +549,35 @@ def test_cost_statistics_sources_and_determinism():
         cost_statistics(0.1, cfg, 0, ("fixed", [0] * 8), seed=1)
     one = cost_statistics(0.1, cfg, 1, ("fixed", [0] * 8), seed=2)
     assert one["trials"] == 1 and one["mean_bits_se"] is None
+
+
+def test_trial_t_reproduces_alone():
+    # row t of the trial runner is one direct protocol call on trial t's
+    # keys and input, so a split of the trials gives the same rows
+    seed, trials = 13, 12
+    base = SharedRandomness(seed)
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    x = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    general = ProtocolConfig(n=6, eps=1.2, variant="general")
+    cases = [
+        (0.1, ProtocolConfig(n=8, eps=0.25), ("fixed", x), lambda t: x),
+        (d, general, ("iid", [0.6, 0.4]),
+         lambda t: np.searchsorted([0.6, 1.0], base.stream("input", t).random(6))),
+        (d, general, ("itc-uniform", [4, 2]),
+         lambda t: base.stream("input", t).permutation([0, 0, 0, 0, 1, 1])),
+    ]
+    for channel, cfg, source, input_of in cases:
+        outputs, bits, fell, itc_bits = _run_trials(
+            _channel_kind(channel), cfg, trials, source, seed)
+        assert outputs.shape == (trials, cfg.n) and 0 < fell.sum() < trials, source
+        for t in range(trials):
+            shared = base.derive("trial", t)
+            if isinstance(channel, DMC):
+                y, tr = dmc_simulate(channel, cfg, shared, input_of(t))
+            else:
+                y, tr = bsc_simulate(channel, cfg, shared, input_of(t))
+            assert outputs[t].tolist() == list(tr.output) == y.tolist(), (source, t)
+            assert (bits[t], fell[t], itc_bits) == (tr.bits_sent, tr.fallback, tr.itc_bits)
 
 
 def test_cost_statistics_dmc_iid_frozen():

@@ -114,6 +114,8 @@ def test_membership_window_is_exact():
     # neighbours 4 and 6; the exact fraction admits only the center
     ts = TypicalEigenstateSet([0.5, 0.5], 10, 0.1)
     assert sorted(ts.admissible_types()) == [(4, 6), (5, 5), (6, 4)]
+    # listed first count ascending: the report sums its floats in this order
+    assert list(ts.admissible_types()) == [(4, 6), (5, 5), (6, 4)]
     ts = TypicalEigenstateSet([Fraction(1, 2), Fraction(1, 2)], 10, Fraction(1, 10))
     assert sorted(ts.admissible_types()) == [(5, 5)]
 
@@ -222,6 +224,8 @@ def test_report_validation():
         TypicalEigenstateSet([0.5, 0.5], 10, 0.0)
     with pytest.raises(ValueError):
         TypicalEigenstateSet([0.9, 0.3], 10, 0.1)
+    with pytest.raises(ValueError, match="probability distribution"):
+        TypicalEigenstateSet([float("nan"), 1.0], 10, 0.1)
 
 
 def test_type_arrays_match_enumeration():
