@@ -23,11 +23,9 @@ from .qmath import (
     EIG_ZERO_TOL,
     DimensionMismatchError,
     QuantumChannel,
-    _adjoint_raw,
-    _apply_raw,
     _check_hermitian,
-    _complementary_adjoint_raw,
-    _complementary_raw,
+    _outputs,
+    _pullback,
     _state_matrix,
     entropy_of_spectrum,
     hermitian_spectra,
@@ -38,6 +36,9 @@ from .qmath import (
 )
 
 MAX_ITERS = 100_000
+# iterations without a new least gap after which the solver gives up: a
+# converging solve improves its gap at nearly every iteration
+_STALL_ITERS = 1_000
 FEASIBILITY_SLACK = 1e-12
 _MU_RTOL = 1e-12
 _LN2 = float(np.log(2.0))
@@ -45,7 +46,7 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class ConvergenceError(RuntimeError):
-    """Optimizer hit the iteration cap; `.best` holds the best result so far."""
+    """Optimizer hit the iteration cap or stalled; `.best` holds the best result so far."""
 
     def __init__(self, message, best):
         super().__init__(message)
@@ -194,19 +195,23 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
     rho <- exp2(log2 rho + G) / tr, projected onto the constraint; data
     processing makes it an ascent step (arXiv:1905.01286). Each projection
     starts its Newton search from the previous step's multiplier mu.
+    Gives up, with the least-gap iterate, after `max_iters` iterations or
+    once _STALL_ITERS iterations in a row bring no smaller gap.
     """
     if not tol >= 0.0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative gap, got {tol}")
     d = channel.d_in
     mu, w, vecs = _project(np.zeros((d, d), dtype=np.complex128), obs, bound)
+    best = None
     for it in itertools.count():
         p = np.exp2(w)
         rho = (vecs * p) @ vecs.conj().T
-        h_out, log_out = _entropy_and_log2(_apply_raw(channel, rho))
-        h_env, log_env = _entropy_and_log2(_complementary_raw(channel, rho))
+        out, env = _outputs(channel, rho)
+        h_out, log_out = _entropy_and_log2(out)
+        h_env, log_env = _entropy_and_log2(env)
         value = entropy_of_spectrum(p) + h_out - h_env
         # y = log2 rho + G, with G the gradient of f at rho
-        y = _complementary_adjoint_raw(channel, log_env) - _adjoint_raw(channel, log_out)
+        y = _pullback(channel, log_out, log_env)
         grad = y - (vecs * w) @ vecs.conj().T
         top = grad if mu == 0.0 else grad - mu * obs
         gap = (float(np.linalg.eigvalsh(top)[-1]) + mu * bound
@@ -214,9 +219,15 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
         result = CeResult(value=value, rho=rho, iterations=it, gap_bound=max(gap, 0.0))
         if gap <= tol:
             return result
+        if best is None or result.gap_bound < best.gap_bound:
+            best = result
         if it >= max_iters:
             raise ConvergenceError(
-                f"no convergence to gap {tol} within {max_iters} iterations", result)
+                f"no convergence to gap {tol} within {max_iters} iterations", best)
+        if it - best.iterations >= _STALL_ITERS:
+            raise ConvergenceError(
+                f"no convergence to gap {tol}: the gap has not fallen below "
+                f"{best.gap_bound:.3e} for {_STALL_ITERS} iterations", best)
         if callback is not None and callback(it, value, result.gap_bound):
             raise OptimizationCancelled("cancelled by callback", result)
         mu, w, vecs = _project(y, obs, bound, mu)
@@ -229,9 +240,10 @@ def ce_maximize(channel: QuantumChannel, tol: float = 1e-7,
     Mirror ascent (quantum Blahut-Arimoto) from the maximally mixed state.
     Stops when the duality gap lambda_max(G) - tr(G rho) drops to `tol`
     (bits); the returned value is then within `tol` of the maximum over all
-    density operators. Raises ConvergenceError with the last iterate
-    attached if `max_iters` steps do not reach `tol`, and
-    OptimizationCancelled if `callback(iteration, value, gap)` returns true.
+    density operators. Raises ConvergenceError with the least-gap iterate
+    attached if `max_iters` steps, or 1,000 steps in a row without a
+    smaller gap, do not reach `tol`, and OptimizationCancelled if
+    `callback(iteration, value, gap)` returns true.
     """
     return _mirror_ascent(channel, None, 0.0, tol, max_iters, callback)
 
@@ -321,8 +333,8 @@ def ad_ch(p: float):
         s = np.sqrt(max(x * (1.0 - x), 0.0))
         plus = np.array([[1.0 - x, s], [s, x]], dtype=np.complex128)
         minus = np.array([[1.0 - x, -s], [-s, x]], dtype=np.complex128)
-        out_p = _apply_raw(ch, plus)
-        out_m = _apply_raw(ch, minus)
+        out_p, _ = _outputs(ch, plus)
+        out_m, _ = _outputs(ch, minus)
         outs = np.stack([0.5 * (out_p + out_m), out_p, out_m])
         h = entropy_of_spectrum(np.linalg.eigvalsh(outs))
         return float(h[0] - 0.5 * h[1] - 0.5 * h[2])
@@ -437,8 +449,7 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
               np.array([[1, 0], [0, -1]], dtype=np.complex128)]
     # rho = I/2 + rx X/2 + ry Y/2 + rz Z/2, and both maps are linear
     inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
-    out_basis = np.stack([_apply_raw(channel, m) for m in inputs])
-    env_basis = np.stack([_complementary_raw(channel, m) for m in inputs])
+    out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     best_val = -np.inf

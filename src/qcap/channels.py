@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qmath import (
-    DensityOperator,
     DimensionMismatchError,
     PureState,
     QuantumChannel,
-    _apply_raw,
+    apply_channel,
     extend_channel,
     matrix_from_json,
 )
@@ -34,8 +34,18 @@ def generalized_pauli(d: int, j: int, k: int) -> np.ndarray:
     return np.linalg.matrix_power(shift, j % d) @ mat
 
 
+def _dimension(d) -> int:
+    """d as an int: a whole number >= 1 such as 3 or 3.0, or a decimal string; not a bool."""
+    value = int(d) if isinstance(d, str) else d
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"dimension must be a whole number >= 1, got {d!r}")
+    return int(value)
+
+
 def noiseless(d: int) -> QuantumChannel:
-    return QuantumChannel([np.eye(d, dtype=np.complex128)])
+    return QuantumChannel([np.eye(_dimension(d), dtype=np.complex128)])
 
 
 def depolarizing(d: int, q: float) -> QuantumChannel:
@@ -45,6 +55,7 @@ def depolarizing(d: int, q: float) -> QuantumChannel:
     each of the d^2 - 1 nontrivial U_{j,k}. Valid for q >= 0 with
     q (d^2 - 1) <= d^2: every such q at d = 1, where the map is the identity.
     """
+    d = _dimension(d)
     if not (0.0 <= q and q * (d * d - 1) <= d * d):  # NaN fails this too
         raise ValueError(f"depolarizing weight {q} out of range for d={d}")
     ops = [np.sqrt(1.0 - q + q / d**2) * np.eye(d, dtype=np.complex128)]
@@ -62,6 +73,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
 
     Output dimension is d+1; the flag is the added basis vector |d>.
     """
+    d = _dimension(d)
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
     embed = np.zeros((d + 1, d), dtype=np.complex128)
@@ -76,6 +88,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
 
 def dephasing(d: int) -> QuantumChannel:
     """Kills all off-diagonal matrix elements in the computational basis."""
+    d = _dimension(d)
     ops = []
     for i in range(d):
         op = np.zeros((d, d), dtype=np.complex128)
@@ -194,7 +207,7 @@ def superdense_ensemble(channel: QuantumChannel) -> Ensemble:
     for j in range(d):
         for k in range(d):
             u = np.kron(generalized_pauli(d, j, k), eye)
-            states.append(DensityOperator(_apply_raw(big, u @ base @ u.conj().T)))
+            states.append(apply_channel(big, u @ base @ u.conj().T))
     return Ensemble(probs=(1.0 / d**2,) * (d * d), states=tuple(states))
 
 
@@ -212,10 +225,10 @@ class ChannelSpec:
     kraus: list | None = None
 
     _BUILDERS = {
-        "noiseless": lambda p: noiseless(int(p["d"])),
-        "depolarizing": lambda p: depolarizing(int(p["d"]), float(p["q"])),
-        "erasure": lambda p: erasure(int(p["d"]), float(p["p"])),
-        "dephasing": lambda p: dephasing(int(p["d"])),
+        "noiseless": lambda p: noiseless(p["d"]),
+        "depolarizing": lambda p: depolarizing(p["d"], float(p["q"])),
+        "erasure": lambda p: erasure(p["d"], float(p["p"])),
+        "dephasing": lambda p: dephasing(p["d"]),
         "amplitude_damping": lambda p: amplitude_damping(float(p["p"])),
         "switched_3to2": lambda p: switched_3to2(),
         "classical_embedding": lambda p: classical_embedding(p["matrix"]),

@@ -31,12 +31,13 @@ class GaussianParams:
     k: float = 1.0
 
     def __post_init__(self):
-        if not (self.S >= 0.0):
-            raise ValueError(f"S must be >= 0, got {self.S}")
-        if not (self.N >= 0.0):
-            raise ValueError(f"N must be >= 0, got {self.N}")
-        if not (self.k > 0.0):
-            raise ValueError(f"k must be > 0, got {self.k}")
+        # chained comparisons fail for NaN and for inf alike
+        if not 0.0 <= self.S < math.inf:
+            raise ValueError(f"S must be finite and >= 0, got {self.S}")
+        if not 0.0 <= self.N < math.inf:
+            raise ValueError(f"N must be finite and >= 0, got {self.N}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
 
 
 def g_entropy(s: float) -> float:

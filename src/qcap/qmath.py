@@ -1,10 +1,10 @@
 """Finite-dimensional density operators, quantum channels, and entropy primitives.
 
 All entropies are in bits (log base 2). Matrices are dense complex numpy
-arrays; a channel is one stacked (c, d_out, d_in) array of Kraus operators.
-The complementary (environment) output of a channel with Kraus operators
-{A_k} is the c x c matrix E(rho)_{kl} = tr(A_k rho A_l^dag), whose entropy
-equals the entropy exchange of the channel on rho.
+arrays; a channel is one stacked (c, d_out, d_in) array of Kraus operators,
+whose rows form its isometry V. The output N(rho) and the c x c environment
+output E(rho)_{kl} = tr(A_k rho A_l^dag), whose entropy is the channel's
+entropy exchange on rho, are the two partial traces of V rho V^dag.
 """
 
 from __future__ import annotations
@@ -266,47 +266,38 @@ def hermitian_spectra(mats) -> np.ndarray:
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityOperator:
     """Primary output sum_k A_k rho A_k^dag as a validated DensityOperator."""
-    mat = _state_matrix(rho)
-    if mat.shape[0] != channel.d_in:
-        raise DimensionMismatchError(
-            f"state dim {mat.shape[0]} != channel input dim {channel.d_in}")
-    return DensityOperator(_apply_raw(channel, mat))
-
-
-def _apply_raw(channel: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    # sum_k A_k rho A_k^dag
-    ks = channel.kraus
-    return (ks @ mat @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
-
-
-def _adjoint_raw(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
-    # sum_k A_k^dag X A_k
-    ks = channel.kraus
-    return (ks.conj().transpose(0, 2, 1) @ x @ ks).sum(axis=0)
+    return DensityOperator(_outputs(channel, _state_matrix(rho))[0])
 
 
 def complementary_apply(channel: QuantumChannel, rho) -> DensityOperator:
     """Environment output E(rho)_{kl} = tr(A_k rho A_l^dag)."""
-    mat = _state_matrix(rho)
+    return DensityOperator(_outputs(channel, _state_matrix(rho))[1])
+
+
+def _outputs(channel: QuantumChannel, mat: np.ndarray):
+    """(N(rho), E(rho)), the two partial traces of V rho V^dag.
+
+    V stacks the Kraus operators as rows, and both maps read the one
+    product V rho: N(rho) = sum_k A_k rho A_k^dag and
+    E(rho)_{kl} = tr(A_k rho A_l^dag) = sum_{ij} (A_k rho)_{ij} conj(A_l)_{ij}.
+    """
     if mat.shape[0] != channel.d_in:
         raise DimensionMismatchError(
             f"state dim {mat.shape[0]} != channel input dim {channel.d_in}")
-    return DensityOperator(_complementary_raw(channel, mat))
+    ks, conj = channel.kraus, channel.kraus.conj()
+    prods = ks.reshape(-1, channel.d_in) @ mat
+    out = (prods.reshape(ks.shape) @ conj.transpose(0, 2, 1)).sum(axis=0)
+    return out, prods.reshape(len(ks), -1) @ conj.reshape(len(ks), -1).T
 
 
-def _complementary_raw(channel: QuantumChannel, mat: np.ndarray) -> np.ndarray:
-    # E_{kl} = tr(A_k rho A_l^dag) = sum_{ij} (A_k rho)_{ij} conj(A_l)_{ij}
-    c = channel.env_dim
+def _pullback(channel: QuantumChannel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """E^dag(y) - N^dag(x) = sum_{kl} y_{kl} A_k^dag A_l - sum_k A_k^dag x A_k."""
+    # each adjoint keeps its own summation order: one fused product
+    # V^dag (y x I - I x x) V rounds differently and moves solver gaps
     ks = channel.kraus
-    prods = (ks.reshape(-1, channel.d_in) @ mat).reshape(c, -1)
-    return prods @ ks.reshape(c, -1).conj().T
-
-
-def _complementary_adjoint_raw(channel: QuantumChannel, x: np.ndarray) -> np.ndarray:
-    # sum_{kl} X_{kl} A_k^dag A_l
-    c = channel.env_dim
-    rows = channel.kraus.reshape(-1, channel.d_in)
-    return rows.conj().T @ (x @ channel.kraus.reshape(c, -1)).reshape(rows.shape)
+    rows = ks.reshape(-1, channel.d_in)
+    env = rows.conj().T @ (y @ ks.reshape(len(ks), -1)).reshape(rows.shape)
+    return env - (ks.conj().transpose(0, 2, 1) @ x @ ks).sum(axis=0)
 
 
 def entropy_exchange(channel: QuantumChannel, rho) -> float:
@@ -322,7 +313,7 @@ def entropy_exchange_via_purification(channel: QuantumChannel, rho) -> float:
     mat = _state_matrix(rho)
     psi = purify(DensityOperator(mat))
     big = extend_channel(channel, mat.shape[0])
-    joint = _apply_raw(big, np.outer(psi.vec, psi.vec.conj()))
+    joint, _ = _outputs(big, np.outer(psi.vec, psi.vec.conj()))
     return von_neumann_entropy(joint)
 
 
@@ -396,9 +387,8 @@ def quantum_mutual_information(channel: QuantumChannel, rho) -> float:
     entanglement-assisted classical capacity of the channel.
     """
     mat = _state_matrix(rho)
-    return (von_neumann_entropy(mat)
-            + von_neumann_entropy(_apply_raw(channel, mat))
-            - von_neumann_entropy(_complementary_raw(channel, mat)))
+    out, env = _outputs(channel, mat)
+    return von_neumann_entropy(mat) + von_neumann_entropy(out) - von_neumann_entropy(env)
 
 
 def fidelity(rho, sigma) -> float:

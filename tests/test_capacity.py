@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -17,6 +19,7 @@ from qcap.capacity import (
     concavity_slack,
     holevo_chi,
     pgm_error,
+    _STALL_ITERS,
     _project,
 )
 from qcap.channels import (
@@ -108,6 +111,24 @@ def test_convergence_error_carries_best_iterate():
     best = exc.value.best
     assert best.value == pytest.approx(ad_ce(0.3)[0], abs=1e-6)
     assert best.gap_bound > 1e-12
+
+
+def test_unreachable_tol_stops_at_a_stall():
+    # the least gap, 5.55e-17, comes at iteration 98 and is never beaten;
+    # without the stall stop the solver ran all 100,000 iterations (17 s)
+    ch = random_channel(2, 2, 3, generator(5))
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as exc:
+        ce_maximize(ch, tol=1e-17)
+    assert time.perf_counter() - start < 2.0
+    best = exc.value.best
+    assert 0.0 < best.gap_bound < 1e-15
+    assert best.iterations < _STALL_ITERS
+    assert best.value == pytest.approx(ce_maximize(ch).value, abs=1e-7)
+    # a cap below the stall window still ends the run at the cap
+    with pytest.raises(ConvergenceError) as exc:
+        ce_maximize(ch, tol=1e-17, max_iters=50)
+    assert exc.value.best.iterations <= 50
 
 
 def test_superdense_chi_equals_mutual_information():

@@ -150,6 +150,24 @@ def test_parameter_range_errors():
         classical_embedding([[float("nan"), 1.0], [0.5, 0.5]])
 
 
+def test_dimension_must_be_whole_and_positive():
+    # d = 0 divided by zero in depolarizing; ChannelSpec truncated 2.7 to 2
+    # and read true as 1
+    for bad in (0, -1, 2.7, True, float("nan"), float("inf")):
+        for build in (noiseless, dephasing, lambda d: erasure(d, 0.3),
+                      lambda d: depolarizing(d, 0.5)):
+            with pytest.raises(ValueError):
+                build(bad)
+        for kind, params in (("noiseless", {}), ("dephasing", {}),
+                             ("erasure", {"p": 0.3}), ("depolarizing", {"q": 0.5})):
+            with pytest.raises(ValueError):
+                ChannelSpec(kind, {"d": bad, **params}).resolve()
+    # a whole float and a decimal string still give the integer dimension
+    for d in (3, 3.0, "3", np.int64(3)):
+        assert ChannelSpec("depolarizing", {"d": d, "q": 0.5}).resolve().d_in == 3
+        assert noiseless(d).d_in == 3
+
+
 def test_depolarizing_at_dimension_one_is_identity():
     # q (d^2 - 1) <= d^2 holds for every q >= 0 at d = 1: one identity Kraus
     for q in (0.0, 0.5, 3.0):

@@ -352,6 +352,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("gaussian", "--S", "nan", "--limit"),
         ("gaussian", "--S", "inf", "--limit"),
         ad + (cons("nan_bound.json", [[0.0, 0.0], [0.0, 1.0]], nan),),
+        ("gaussian", "--S", "1", "--N", "inf", "--k", "1"),
+        ("gaussian", "--S", "1", "--N", "1", "--k", "inf"),
+        ("gaussian", "--S", "inf", "--N", "1", "--k", "1"),
+        ("capacity", "ce", "--preset", "depolarizing:0.5:0"),
+        ("capacity", "ce", "--spec", write("frac_d.json", {
+            "kind": "depolarizing", "params": {"d": 2.7, "q": 0.5}})),
+        ("capacity", "ce", "--spec", write("bool_d.json", {
+            "kind": "noiseless", "params": {"d": True}})),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

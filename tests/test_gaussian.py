@@ -181,6 +181,11 @@ def test_params_validation():
         GaussianParams(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GaussianParams(float("nan"), 0.0, 1.0)
+    # an infinite S, N or k made the sweep print NaN cells
+    inf = float("inf")
+    for args in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf)):
+        with pytest.raises(ValueError):
+            GaussianParams(*args)
 
 
 def test_sweep_grid_order_and_columns():

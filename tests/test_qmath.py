@@ -26,6 +26,8 @@ from qcap.qmath import (
     ssa_slack,
     tensor_channels,
     von_neumann_entropy,
+    _outputs,
+    _pullback,
 )
 from qcap.channels import amplitude_damping, depolarizing, noiseless
 from qcap.rand import generator, random_channel, random_density, random_pure, random_unitary
@@ -148,6 +150,28 @@ def test_complementary_dimensions_and_pure_input_entropy_match():
         h_out = von_neumann_entropy(apply_channel(ch, psi))
         h_env = von_neumann_entropy(complementary_apply(ch, psi))
         assert h_out == pytest.approx(h_env, abs=1e-9)
+
+
+def test_outputs_and_pullback_against_kraus_sums():
+    # N(rho) = sum_k A_k rho A_k^dag, E(rho)_kl = tr(A_k rho A_l^dag), and the
+    # pullback is their joint adjoint: tr(y E(rho)) - tr(x N(rho)) = tr(P rho)
+    rng = generator(21)
+    for d_in, d_out, env in [(2, 3, 4), (3, 2, 2), (4, 2, 3), (2, 2, 1)]:
+        ch = random_channel(d_in, d_out, env, rng)
+        ks = list(ch.kraus)
+        rho = random_density(d_in, rng).mat
+        out, e_out = _outputs(ch, rho)
+        assert np.allclose(out, sum(a @ rho @ a.conj().T for a in ks), atol=1e-14)
+        expect = [[np.trace(a @ rho @ b.conj().T) for b in ks] for a in ks]
+        assert np.allclose(e_out, expect, atol=1e-14)
+        x = random_density(d_out, rng).mat - 0.3 * np.eye(d_out)
+        y = random_density(env, rng).mat - 0.2 * np.eye(env)
+        pull = _pullback(ch, x, y)
+        assert np.allclose(pull, pull.conj().T, atol=1e-14)
+        lhs = np.trace(y @ e_out) - np.trace(x @ out)
+        assert np.trace(pull @ rho) == pytest.approx(lhs, abs=1e-13)
+    with pytest.raises(DimensionMismatchError):
+        _outputs(ch, np.eye(3) / 3)
 
 
 def test_entropy_exchange_routes_agree():
