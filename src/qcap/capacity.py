@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import amplitude_damping
 from .qmath import (
     EIG_ZERO_TOL,
     DimensionMismatchError,
@@ -282,71 +281,69 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
     return _mirror_ascent(channel, scaled, max(bound, 0.0), tol, max_iters, callback)
 
 
-def _golden_max(fun, lo, hi, xtol):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > xtol:
+# ---------------------------------------------------------------------------
+# Amplitude-damping one-parameter families, in closed form.
+
+def _golden_max(fun):
+    """(max, argmax) of fun over [0, 1]; fun maps an array of x to their values.
+
+    A 201-point scan brackets the best grid point by its neighbours, so fun
+    need not be concave; golden-section steps then shrink that to 1e-10.
+    """
+    grid = np.linspace(0.0, 1.0, 201)
+    i = int(np.argmax(fun(grid)))
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 200)])
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = fun(np.array([c, d]))
+    while b - a > 1e-10:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = fun(c)
+            fc = fun(np.array([c]))[0]
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+            fd = fun(np.array([d]))[0]
+    return (float(fc), float(c)) if fc >= fd else (float(fd), float(d))
 
 
-# ---------------------------------------------------------------------------
-# Amplitude-damping one-parameter families.
-
-def _ad_channel_entropies(p: float, x: float):
-    # the capacity objective on diag(1-x, x), through the Kraus maps; its
-    # output spectrum is {1-(1-p)x, (1-p)x}, its environment's {1-px, px}
-    ch = amplitude_damping(p)
-    rho = np.diag([1.0 - x, x]).astype(np.complex128)
-    return quantum_mutual_information(ch, rho)
+def _h(a):
+    # binary entropies by the spectra (1 - a, a), so entries under 1e-12 count 0
+    return entropy_of_spectrum(np.stack([1.0 - a, a], axis=-1))
 
 
 def ad_ce(p: float):
     """Maximum of the capacity objective over inputs diag(1-x, x).
 
-    Returns (value, x_star). For the damping channel the unconstrained
-    maximizer is diagonal, so this equals the full capacity.
+    There the output spectrum is {1-(1-p)x, (1-p)x} and the environment's
+    {1-px, px}, so the objective is h(x) + h((1-p)x) - h(px). Returns
+    (value, x_star); the damping channel's maximizer is diagonal, so this
+    is its capacity. Raises ValueError unless 0 <= p <= 1.
     """
-    x, val = _golden_max(lambda x: _ad_channel_entropies(p, x), 0.0, 1.0, 1e-10)
-    return val, x
+    if not 0.0 <= p <= 1.0:  # NaN fails this too
+        raise ValueError("damping probability must lie in [0, 1]")
+    return _golden_max(lambda x: _h(x) + _h((1.0 - p) * x) - _h(p * x))
 
 
 def ad_ch(p: float):
     """Unassisted one-shot Holevo maximum over the two-state family.
 
     Signal states have Bloch off-diagonals +-sqrt(x(1-x)) and are used with
-    equal probabilities; returns (value, x_star).
+    equal probabilities, so they average to diag(1-x, x). Each is pure, so
+    its output has trace 1 and determinant det = p(1-p)x^2, and chi(x) is
+    h((1-p)x) - h(det / l) with l = (1 + sqrt(1 - 4 det)) / 2 its larger
+    eigenvalue: the smaller one as det / l is free of cancellation. Returns
+    (value, x_star). Raises ValueError unless 0 <= p <= 1.
     """
-    ch = amplitude_damping(p)
+    if not 0.0 <= p <= 1.0:  # NaN fails this too
+        raise ValueError("damping probability must lie in [0, 1]")
 
     def chi(x):
-        s = np.sqrt(max(x * (1.0 - x), 0.0))
-        plus = np.array([[1.0 - x, s], [s, x]], dtype=np.complex128)
-        minus = np.array([[1.0 - x, -s], [-s, x]], dtype=np.complex128)
-        out_p, _ = _outputs(ch, plus)
-        out_m, _ = _outputs(ch, minus)
-        outs = np.stack([0.5 * (out_p + out_m), out_p, out_m])
-        h = entropy_of_spectrum(np.linalg.eigvalsh(outs))
-        return float(h[0] - 0.5 * h[1] - 0.5 * h[2])
+        det = p * (1.0 - p) * x * x
+        larger = 0.5 + 0.5 * np.sqrt(1.0 - 4.0 * det)
+        return _h((1.0 - p) * x) - _h(det / larger)
 
-    # coarse scan then golden refinement; chi need not be concave in x
-    grid = np.linspace(0.0, 1.0, 201)
-    vals = [chi(x) for x in grid]
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    x, val = _golden_max(chi, lo, hi, 1e-10)
-    return val, x
+    return _golden_max(chi)
 
 
 def ad_asymptotics(p: float, x: float):
@@ -374,36 +371,24 @@ def pgm_error(codewords, projector):
     bound_i = 2 (1 - S_ii) + sum_{j != i} |S_ij|^2 and S_ij = t_i^dag P t_j.
     Raises ValueError if every projected codeword vanishes.
     """
-    vecs = [np.asarray(t, dtype=np.complex128).reshape(-1) for t in codewords]
-    if not vecs:
+    cols = np.array([np.asarray(t, dtype=np.complex128).reshape(-1) for t in codewords]).T
+    if cols.size == 0:
         raise ValueError("no codewords")
     proj = np.asarray(projector, dtype=np.complex128)
     _check_hermitian(proj)
     if not np.max(np.abs(proj @ proj - proj)) <= 1e-9:
         raise ValueError("projector is not idempotent within tolerance")
-    projected = [proj @ t for t in vecs]
-    phi = np.zeros_like(proj)
-    for v in projected:
-        phi += np.outer(v, v.conj())
-    evals, basis = np.linalg.eigh(phi)
+    projected = proj @ cols
+    evals, basis = np.linalg.eigh(projected @ projected.conj().T)
     support = evals > EIG_ZERO_TOL
     if not np.any(support):
         raise ValueError("all projected codewords vanish; decoder undefined")
     inv_sqrt = (basis[:, support] / np.sqrt(evals[support])) @ basis[:, support].conj().T
-    m = len(vecs)
-    exact = np.empty(m)
-    for i, v in enumerate(projected):
-        amp = float(np.real(v.conj() @ inv_sqrt @ v))
-        exact[i] = 1.0 - amp * amp
-    smat = np.empty((m, m), dtype=np.complex128)
-    for i, t in enumerate(vecs):
-        for j, u in enumerate(vecs):
-            smat[i, j] = t.conj() @ proj @ u
-    bound = np.empty(m)
-    for i in range(m):
-        off = np.sum(np.abs(smat[i, :]) ** 2) - np.abs(smat[i, i]) ** 2
-        bound[i] = 2.0 * (1.0 - smat[i, i].real) + float(off)
-    return exact, bound
+    amp = np.sum(projected.conj() * (inv_sqrt @ projected), axis=0).real
+    smat = cols.conj().T @ projected
+    diag = np.diagonal(smat)
+    bound = 2.0 * (1.0 - diag.real) + np.sum(np.abs(smat) ** 2, axis=1) - np.abs(diag) ** 2
+    return 1.0 - amp * amp, bound
 
 
 # ---------------------------------------------------------------------------

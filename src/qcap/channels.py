@@ -88,13 +88,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
 
 def dephasing(d: int) -> QuantumChannel:
     """Kills all off-diagonal matrix elements in the computational basis."""
-    d = _dimension(d)
-    ops = []
-    for i in range(d):
-        op = np.zeros((d, d), dtype=np.complex128)
-        op[i, i] = 1.0
-        ops.append(op)
-    return QuantumChannel(ops)
+    return classical_embedding(np.eye(_dimension(d)))
 
 
 def amplitude_damping(p: float) -> QuantumChannel:

@@ -238,7 +238,10 @@ class TypicalEigenstateSet:
             raise ValueError("eigenvalue vector must be 1-d and nonempty")
         if not (np.all(arr >= -1e-12) and abs(float(arr.sum()) - 1.0) <= 1e-9):
             raise ValueError("eigenvalues must form a probability distribution")
-        dn = Fraction(delta) * n
+        try:
+            dn = Fraction(delta) * n
+        except (OverflowError, ValueError):  # inf, NaN or an unreadable string
+            raise ValueError(f"delta must be a finite number, got {delta!r}") from None
         if n < 1 or dn <= 0:
             raise ValueError(f"need n >= 1 and delta > 0, got n={n}, delta={delta}")
         self.eigs = tuple(float(v) for v in arr)

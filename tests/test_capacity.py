@@ -23,6 +23,7 @@ from qcap.capacity import (
     _project,
 )
 from qcap.channels import (
+    Ensemble,
     amplitude_damping,
     classical_embedding,
     depolarizing,
@@ -35,6 +36,7 @@ from qcap.channels import (
 from qcap.qmath import (
     DensityOperator,
     QuantumChannel,
+    apply_channel,
     entropy_of_spectrum,
     quantum_mutual_information,
 )
@@ -540,6 +542,39 @@ def test_damping_ratio_behavior():
     assert all(2.0 < v < 4.0 for v in vals)
 
 
+def _ad_kraus_ce(ch, x):
+    # the capacity objective on diag(1-x, x), through the Kraus maps
+    return quantum_mutual_information(ch, np.diag([1.0 - x, x]))
+
+
+def _ad_kraus_chi(ch, x):
+    # chi of the two equiprobable pure signals, through the Kraus maps
+    s = np.sqrt(x * (1.0 - x))
+    outs = tuple(apply_channel(ch, np.array([[1.0 - x, c], [c, x]])) for c in (s, -s))
+    return holevo_chi(Ensemble(probs=(0.5, 0.5), states=outs))
+
+
+def test_damping_closed_forms_match_kraus_route():
+    # the closed forms against the Kraus maps, at the returned maximizer and
+    # over a dense grid that the returned value must dominate
+    grid = np.linspace(0.0, 1.0, 1001)
+    for p in (0.0, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0):
+        channel = amplitude_damping(p)
+        ce, x_ce = ad_ce(p)
+        chi, x_chi = ad_ch(p)
+        assert _ad_kraus_ce(channel, x_ce) == pytest.approx(ce, abs=1e-12), p
+        assert _ad_kraus_chi(channel, x_chi) == pytest.approx(chi, abs=1e-12), p
+        assert max(_ad_kraus_ce(channel, x) for x in grid) <= ce + 1e-12, p
+        assert max(_ad_kraus_chi(channel, x) for x in grid) <= chi + 1e-12, p
+
+
+def test_damping_families_reject_bad_p():
+    for p in (-0.1, 1.5, float("nan")):
+        for family in (ad_ce, ad_ch):
+            with pytest.raises(ValueError, match=r"damping probability must lie in \[0, 1\]"):
+                family(p)
+
+
 def test_asymptotic_leading_ratio_is_four():
     # objective maximizer pushes x -> 1, one-shot family keeps x = 1/2
     for p in (0.99, 0.9999):
@@ -562,6 +597,31 @@ def test_pgm_error_and_bound():
     basis = [np.eye(d)[:, i] for i in range(3)]
     exact, bound = pgm_error(basis, np.eye(d))
     assert np.allclose(exact, 0.0, atol=1e-12)
+
+
+def test_pgm_matches_per_pair_reference():
+    # more codewords than the decoding subspace's rank d - 1, so the
+    # decoder errs; the reference works pair by pair with an explicit
+    # phi^{-1/2} on the support of phi
+    rng = generator(35)
+    for d, m in ((3, 4), (4, 7), (6, 9)):
+        raw = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        vecs = [t / np.linalg.norm(t) for t in raw]
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        proj = q[:, :d - 1] @ q[:, :d - 1].conj().T
+        smat = np.array([[t.conj() @ proj @ u for u in vecs] for t in vecs])
+        bound = [2.0 * (1.0 - smat[i, i].real)
+                 + sum(abs(smat[i, j]) ** 2 for j in range(m) if j != i) for i in range(m)]
+        projected = [proj @ t for t in vecs]
+        phi = sum(np.outer(v, v.conj()) for v in projected)
+        evals, basis = np.linalg.eigh(phi)
+        inv_sqrt = sum(np.outer(basis[:, k], basis[:, k].conj()) / np.sqrt(lam)
+                       for k, lam in enumerate(evals) if lam > 1e-12)
+        exact = [1.0 - (v.conj() @ inv_sqrt @ v).real ** 2 for v in projected]
+        got_exact, got_bound = pgm_error(vecs, proj)
+        np.testing.assert_allclose(got_exact, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_bound, bound, rtol=0.0, atol=1e-12)
+        assert np.all(got_exact > 1e-4) and np.all(got_exact <= got_bound + 1e-12)
 
 
 def test_pgm_rejects_degenerate_projector():

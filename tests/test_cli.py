@@ -114,6 +114,18 @@ def test_sweep_ratio_monotone(capsys):
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_sweep_stdout_frozen(capsys):
+    # frozen from the Kraus-map route that the closed forms replaced
+    code, out, _ = run(capsys, "sweep", "--count", "5")
+    assert code == 0
+    assert out == ("p,ce,ch,ratio\n"
+                   "0,2,1,2\n"
+                   "0.249975,1.41223462,0.6836888901,2.065610017\n"
+                   "0.49995,1.000079248,0.4717694269,2.119847517\n"
+                   "0.749925,0.592779394,0.2698840647,2.196422358\n"
+                   "0.9999,0.001060531338,0.0003700771947,2.86570303\n")
+
+
 def test_sweep_bad_grid_is_usage_error(capsys):
     assert run(capsys, "sweep", "--pmin", "0.5", "--pmax", "0.2")[0] == 2
     assert run(capsys, "sweep", "--count", "1")[0] == 2
@@ -341,6 +353,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("rst", "verify-exact", "--bsc", "0.3", "--n", "2", "--zsize", "-1"),
         ("capacity", "ce", "--spec", str(tmp_path / "missing.json")),
         ("typical", "check", "--probs", "0.7,0.3", "--n", "20", "--delta", "1/0"),
+        ("typical", "check", "--probs", "0.5,0.5", "--n", "10", "--delta", "inf"),
+        ("typical", "check", "--probs", "0.5,0.5", "--n", "10", "--delta", "1e400"),
         ("table1", "--tol", "-1"),                      # rejected before any step
         ("capacity", "ce", "--preset", "amplitude-damping:0.3", "--tol", "nan"),
         ("rst", "verify-exact", "--dmc", nan_row, "--n", "2", "--zsize", "2"),

@@ -518,6 +518,16 @@ def test_empirical_faithfulness_general_variant():
     assert r["chi2_pvalue"] > 1e-3
 
 
+def test_empirical_faithfulness_mixed_type_input():
+    # x = 0110 has a six-member type class, so the shuffle of the class's
+    # members varies from trial to trial, unlike at x = 0000
+    d = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    cfg = ProtocolConfig(n=4, eps=0.5, variant="general")
+    r = empirical_faithfulness(d, cfg, 4000, seed=4, x="0110")
+    assert r["tv_estimate"] < 0.06
+    assert r["chi2_pvalue"] > 1e-3
+
+
 def test_empirical_faithfulness_guards():
     cfg = ProtocolConfig(n=4, eps=0.5, variant="bsc")
     with pytest.raises(ValueError):

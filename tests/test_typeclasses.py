@@ -226,6 +226,9 @@ def test_report_validation():
         TypicalEigenstateSet([0.9, 0.3], 10, 0.1)
     with pytest.raises(ValueError, match="probability distribution"):
         TypicalEigenstateSet([float("nan"), 1.0], 10, 0.1)
+    for delta in (float("inf"), float("nan")):  # no binary rational to pin
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            TypicalEigenstateSet([0.5, 0.5], 10, delta)
 
 
 def test_type_arrays_match_enumeration():
