@@ -1,11 +1,13 @@
 """The channel-simulation protocol is exactly faithful, not just nearly.
 
-The oracle sums over multisets of shared-set draws with multinomial
-weights, over every private channel outcome and the first match, then
-compares the induced conditional distribution against the true block
-channel. The deviation is pure float roundoff regardless
-of the set size, because substituting a same-signature set member never
-changes the conditional law.
+The oracle integrates the protocol in closed form from each match
+class's mass under one set member's law: a class no member hits
+(odds (1 - mass)^set size) falls back to the private output, and
+otherwise the first matching member is distributed as that law
+restricted to the class. It compares the induced conditional
+distribution against the true block channel. The deviation is pure
+float roundoff regardless of the set size, because substituting a
+same-signature set member never changes the conditional law.
 
 A transcript walk-through follows: the receiver reconstructs the output
 from the message and the shared key alone.
@@ -19,7 +21,7 @@ from qcap import (
     exact_faithfulness_oracle,
 )
 
-print("exact enumeration, max |induced - true| over all inputs:")
+print("exact first-match law, max |induced - true| over all inputs:")
 for label, args in [
     ("bit flips p=0.3, n=1, eps=1.0", ((0.3, 1), dict(eps=1.0))),
     ("bit flips p=0.3, n=2, eps=1.0", ((0.3, 2), dict(eps=1.0))),

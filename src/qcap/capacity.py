@@ -350,9 +350,14 @@ def ad_asymptotics(p: float, x: float):
     """Leading-order terms near p = 1 at fixed x.
 
     Returns (ce_leading, ch_leading) =
-    (-x (1-p) log2(1-p), -x (1-x) (1-p) log2(1-p)).
+    (-x (1-p) log2(1-p), -x (1-x) (1-p) log2(1-p)). Raises ValueError
+    unless 0 <= p <= 1 and 0 <= x <= 1.
     """
-    if p >= 1.0:
+    if not 0.0 <= p <= 1.0:  # NaN fails this too
+        raise ValueError("damping probability must lie in [0, 1]")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("input weight x must lie in [0, 1]")
+    if p == 1.0:
         return 0.0, 0.0
     base = -(1.0 - p) * np.log2(1.0 - p)
     return x * base, x * (1.0 - x) * base

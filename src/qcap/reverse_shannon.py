@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .typeclasses import (TypeClass, block_code, enumerate_types, letters, pair_counts,
-                          sample_from_type, type_arrays, type_of, type_rank)
+from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
+                          type_of, type_rank)
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
@@ -451,17 +451,21 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
                               zsize: int | None = None) -> float:
     """Max deviation of the induced block channel from the true one.
 
-    Integrates the protocol analytically, summing over multisets of set
-    draws. A set of M iid members is summarized by its count vector c
-    over the output blocks, of weight multinomial(M; c) * prod(law^c).
-    Given c, a private output in match class s, which holds K_s > 0
-    members, ends on member y' of s with odds c_y' / K_s: the law of any
-    exchangeable pick among the matches. With K_s = 0 it falls back to
-    itself. channel is a flip probability (bit protocol) or a DMC
-    (general protocol). The set size comes from zsize (at least 1), or
-    from eps via the protocol's own sizing rule. n, and eps where given,
-    must pass ProtocolConfig's checks. Refuses sums beyond
-    ORACLE_MAX_COMBOS weight terms before building any block law.
+    Integrates the protocol in closed form. For input block x, law(x)
+    gives m, one set member's law over the output blocks, and each
+    block's match class; m(s) and t(s) are the member and true masses of
+    class s. No member of M lands in s with odds miss(s) = (1 - m(s))^M,
+    and a private output in s then falls back to itself. Given K_s > 0,
+    the first member in s is distributed as m restricted to s, as members
+    are iid. So the induced law on y' in class s is
+
+        (1 - miss(s)) t(s) m(y') / m(s) + miss(s) true(y'),
+
+    with m(y') / m(s) read as 0 where m(s) = 0. channel is a flip
+    probability (bit protocol) or a DMC (general protocol). M comes from
+    zsize (at least 1), or from eps via the protocol's own sizing rule.
+    n, and eps where given, must pass ProtocolConfig's checks. Refuses
+    block laws beyond ORACLE_MAX_COMBOS entries before building any.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
@@ -469,26 +473,19 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     if zsize is not None and zsize < 1:
         raise ValueError(f"set size zsize must be >= 1, got {zsize}")
     dmc, _, rate, _, law = _channel_kind(channel)
-    n_out = dmc.d_out ** n
-    size_of = lambda x: zsize if zsize is not None else _set_size(rate(x), n, eps)
-    # x's set size depends on its type alone: guard them all before any blocks
-    for size in {size_of(tc.letters()) for tc in enumerate_types(n, dmc.d_in)}:
-        n_sets = math.comb(n_out + size - 1, size)
-        if n_sets * n_out > ORACLE_MAX_COMBOS:
-            raise ValueError(
-                f"{n_sets} multisets of {size} set draws exceed the enumeration guard")
-    multisets = functools.cache(lambda size: type_arrays(size, n_out))
+    entries = dmc.d_in ** n * dmc.d_out ** n
+    if entries > ORACLE_MAX_COMBOS:
+        raise ValueError(f"a block law of {entries} entries exceeds the enumeration guard")
     worst = 0.0
     for x, true in zip(_blocks(dmc.d_in, n), _block_law(dmc, n)):
-        counts, mult = multisets(size_of(x))
+        size = zsize if zsize is not None else _set_size(rate(x), n, eps)
         member, labels = law(x)
         sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
-        in_class = sig[:, None] == np.arange(sig.max() + 1)
-        weight = mult * np.prod(member ** counts, axis=1)
-        k = counts @ in_class[:, sig]  # members in each output's class
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = np.where(k > 0, (true @ in_class)[sig] * counts / k, true)
-        worst = max(worst, float(np.max(np.abs(weight @ share - true))))
+        m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
+        miss = (1.0 - m_s) ** size
+        share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)
+        induced = (1.0 - miss) * t_s * share + miss * true
+        worst = max(worst, float(np.max(np.abs(induced - true))))
     return worst
 
 

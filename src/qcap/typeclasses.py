@@ -153,7 +153,11 @@ def enumerate_types(n: int, d: int) -> list:
     The count is the stars-and-bars value C(n+d-1, d-1); enumeration
     refuses grids past MAX_ENUMERATED_TYPES.
     """
-    _check_type_grid(n, d)
+    if n < 0 or d < 1:
+        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
+    total = math.comb(n + d - 1, d - 1)
+    if total > MAX_ENUMERATED_TYPES:
+        raise ValueError(f"{total} types exceed the enumeration cap")
     return [TypeClass(c) for c in _count_vectors(n, [(0, n)] * d)][::-1]
 
 
@@ -171,41 +175,8 @@ def _count_vectors(n: int, ranges: list, prefix: tuple = ()):
         yield from _count_vectors(n - c, rest, prefix + (c,))
 
 
-def _check_type_grid(n: int, d: int) -> None:
-    if n < 0 or d < 1:
-        raise ValueError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    total = math.comb(n + d - 1, d - 1)
-    if total > MAX_ENUMERATED_TYPES:
-        raise ValueError(f"{total} types exceed the enumeration cap")
-
-
-def type_arrays(n: int, d: int) -> tuple:
-    """enumerate_types(n, d) as arrays: (counts, multiplicities).
-
-    counts holds one count vector per row, in enumerate_types order
-    (int64). Each multiplicity is the exact integer chain
-    C(n, c_0) * C(n - c_0, c_1) * ..., built up with the rows and
-    rounded once to float64, so it equals float(TypeClass.multiplicity()).
-    """
-    _check_type_grid(n, d)
-    # tails[r]: the (counts, multiplicities) of r letters over the last s letters;
-    # multiplicities stay Python ints until the one rounding
-    tails = {r: (np.array([[r]]), np.ones(1, dtype=object)) for r in range(n + 1)}
-    for s in range(2, d + 1):
-        tails = {r: _prepend_count(tails, r) for r in ((n,) if s == d else range(n + 1))}
-    counts, mult = tails[n]
-    return counts, mult.astype(np.float64)
-
-
-def _prepend_count(tails: dict, r: int) -> tuple:
-    # first count descending, each followed by every tail of the remainder
-    parts = [(c,) + tails[r - c] for c in range(r, -1, -1)]
-    counts = np.concatenate([np.column_stack((np.full(len(t), c), t)) for c, t, _ in parts])
-    return counts, np.concatenate([math.comb(r, c) * m for c, _, m in parts])
-
-
 def sample_from_type(tc: TypeClass, rng) -> np.ndarray:
-    """One string drawn uniformly from the type class (multiset shuffle)."""
+    """One string drawn uniformly from the type class (a shuffle of its sorted string)."""
     return rng.permutation(tc.letters())
 
 

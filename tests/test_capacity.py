@@ -573,6 +573,12 @@ def test_damping_families_reject_bad_p():
         for family in (ad_ce, ad_ch):
             with pytest.raises(ValueError, match=r"damping probability must lie in \[0, 1\]"):
                 family(p)
+        with pytest.raises(ValueError, match=r"damping probability must lie in \[0, 1\]"):
+            ad_asymptotics(p, 0.5)
+    for x in (-0.1, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"input weight x must lie in \[0, 1\]"):
+            ad_asymptotics(0.5, x)
+    assert ad_asymptotics(1.0, 0.5) == (0.0, 0.0)
 
 
 def test_asymptotic_leading_ratio_is_four():

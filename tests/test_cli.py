@@ -221,9 +221,9 @@ def test_rst_verify_exact_dmc(tmp_path, capsys):
 
 
 def test_rst_verify_exact_input_errors(capsys):
-    # neither --eps nor --zsize; a set past the oracle's enumeration guard;
+    # neither --eps nor --zsize; a block law past the oracle's enumeration guard;
     # eps <= 0 or NaN and n < 1, which rst simulate rejects too
-    for extra in (("--n", "2"), ("--n", "4", "--zsize", "1000"),
+    for extra in (("--n", "2"), ("--n", "12", "--zsize", "1"),
                   ("--n", "2", "--eps", "-1"), ("--n", "2", "--eps", "0"),
                   ("--n", "2", "--eps", "nan"), ("--n", "0", "--eps", "1.0"),
                   ("--n", "0", "--zsize", "4"), ("--n", "2", "--eps", "0", "--zsize", "4")):
@@ -387,14 +387,34 @@ def test_zero_tol_is_allowed(capsys):
     assert json.loads(out)["gap_bound"] == 0.0
 
 
+def _child_env(**extra):
+    """This environment with extra set and the repository's src first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy serves only empirical_faithfulness's p-value; the package and
     # the CLI start without it
     code = ("import sys, qcap, qcap.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+# protocol_cost.py is left out: its Monte Carlo takes about 16 s, and
+# criterion 10 runs the same protocol at scale
+@pytest.mark.parametrize("demo", sorted(
+    name for name in os.listdir(DEMO_DIR)
+    if name.endswith(".py") and name != "protocol_cost.py"))
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, os.path.join(DEMO_DIR, demo)],
+                          env=_child_env(QCAP_THREADS="1"), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -459,10 +460,70 @@ def test_exact_oracle_general():
 
 
 def test_exact_oracle_past_ordered_draw_guard():
-    # a 9-member set over 8 outputs was 8^10 ordered draws; 11,440 multisets now
     assert exact_faithfulness_oracle(0.1, 3, eps=1.0) <= 1e-12
     assert exact_faithfulness_oracle(DMC([[0.75, 0.25], [0.25, 0.75]]), 3,
                                      zsize=6) <= 1e-12
+    assert exact_faithfulness_oracle(0.1, 10, eps=0.5) <= 1e-12
+    assert exact_faithfulness_oracle(DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]), 5,
+                                     eps=1.0) <= 1e-12
+
+
+def _first_match_reference(matrix, n, size, member, label):
+    """Max over inputs x of |induced - true|, by a plain loop over every ordered
+    tuple of size set members.
+
+    member(x, y) is one member's odds of being block y. The private output y
+    ends on the first member z with label(x, z) == label(x, y), or on itself
+    when there is none.
+    """
+    prob = lambda x, y: math.prod(matrix[a][b] for a, b in zip(x, y))
+    ys = list(itertools.product(range(len(matrix[0])), repeat=n))
+    worst = 0.0
+    for x in itertools.product(range(len(matrix)), repeat=n):
+        odds = {y: member(x, y) for y in ys}
+        lab = {y: label(x, y) for y in ys}
+        induced = dict.fromkeys(ys, 0.0)
+        for zs in itertools.product(ys, repeat=size):
+            weight = math.prod(odds[z] for z in zs)
+            for y in ys:
+                out = next((z for z in zs if lab[z] == lab[y]), y)
+                induced[out] += weight * prob(x, y)
+        worst = max(worst, max(abs(induced[y] - prob(x, y)) for y in ys))
+    return worst
+
+
+def test_exact_oracle_matches_literal_first_match(monkeypatch):
+    p, tall = 0.2, [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]
+
+    def from_x_type(x, y):
+        # a general-protocol member: the channel on a uniform rearrangement of x
+        perms = set(itertools.permutations(x))
+        return sum(math.prod(tall[a][b] for a, b in zip(xp, y)) for xp in perms) / len(perms)
+
+    cases = [
+        (p, [[1 - p, p], [p, 1 - p]], lambda x, y: 0.25,
+         lambda x, y: sum(a != b for a, b in zip(x, y))),  # Hamming shell around x
+        (DMC(tall), tall, from_x_type,
+         lambda x, y: tuple(sorted(zip(x, y)))),  # joint type of (x, y)
+    ]
+    for channel, matrix, member, label in cases:
+        assert _first_match_reference(matrix, 2, 3, member, label) <= 1e-14
+        assert exact_faithfulness_oracle(channel, 2, zsize=3) <= 1e-14
+
+    # labels coarsened to the output weight break faithfulness; both must
+    # still agree on how far
+    kind = rs._channel_kind
+
+    def coarse(channel):
+        dmc, cap, rate, simulate, law = kind(channel)
+        return (dmc, cap, rate, simulate,
+                lambda x: (law(x)[0], rs._blocks(dmc.d_out, len(x)).sum(axis=1)))
+
+    monkeypatch.setattr(rs, "_channel_kind", coarse)
+    for (channel, matrix, member, _), value in zip(cases, (0.2625, 0.15838875)):
+        ref = _first_match_reference(matrix, 2, 3, member, lambda x, y: sum(y))
+        assert ref == pytest.approx(value, abs=1e-12)
+        assert abs(exact_faithfulness_oracle(channel, 2, zsize=3) - ref) <= 1e-13
 
 
 def test_kronecker_block_law_matches_block_probability():
@@ -479,15 +540,17 @@ def test_exact_oracle_guards():
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 2)  # neither eps nor zsize
     with pytest.raises(ValueError):
-        exact_faithfulness_oracle(0.3, 4, zsize=10**6)  # enumeration blowup
+        exact_faithfulness_oracle(0.3, 12, zsize=1)  # block law past the guard
+    # a million-member set is fine: the guard bounds the block law, not the set
+    assert exact_faithfulness_oracle(0.3, 4, zsize=10**6) <= 1e-12
     for zsize in (0, -1):
         with pytest.raises(ValueError, match="set size"):
             exact_faithfulness_oracle(0.3, 2, zsize=zsize)
 
 
 def test_exact_oracle_guard_precedes_block_law():
-    # 2^12 output blocks put one draw past the guard; the refusal must come
-    # before the 2^12 x 2^12 block law is built
+    # the 2^12 x 2^12 block law is past the guard; the refusal must come
+    # before it is built
     import tracemalloc
 
     tracemalloc.start()

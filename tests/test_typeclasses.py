@@ -17,7 +17,6 @@ from qcap.typeclasses import (
     letters,
     pair_counts,
     sample_from_type,
-    type_arrays,
     type_of,
     typical_subspace_report,
 )
@@ -231,23 +230,8 @@ def test_report_validation():
             TypicalEigenstateSet([0.5, 0.5], 10, delta)
 
 
-def test_type_arrays_match_enumeration():
-    # the recursive enumeration is the reference: same rows, same order, and
-    # multiplicities equal to the exact integers rounded once, also where
-    # they pass 2^53 and 2^63
-    for n, d in ((0, 1), (0, 3), (5, 1), (1, 4), (2, 2), (6, 4), (16, 3), (70, 2),
-                 (40, 3), (9, 9)):
-        types = enumerate_types(n, d)
-        counts, mult = type_arrays(n, d)
-        assert counts.dtype == np.int64 and mult.dtype == np.float64
-        assert counts.tolist() == [list(t.counts) for t in types], (n, d)
-        assert mult.tolist() == [float(t.multiplicity()) for t in types], (n, d)
-
-
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_types(10**6, 6)
     with pytest.raises(ValueError):
-        type_arrays(10**6, 6)
-    with pytest.raises(ValueError):
-        type_arrays(-1, 2)
+        enumerate_types(-1, 2)
