@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
                           type_of, type_rank)
@@ -186,13 +186,15 @@ class Transcript:
 class SharedRandomness:
     """Seed both parties hold; all randomness is derived, never stored.
 
-    Streams are keyed by hashing (seed, tag, indices) into a counter-based
-    generator, so the receiver can regenerate any single set element in
-    O(1) without replaying the sender's scan. Each shared set is one
-    stream, bitgen("Z", *set index), whose words are cut into
-    little-endian lanes (8 to 64 bits; several BSC members share a word),
-    its members consecutive runs of lanes: the sender scans them in
-    chunks, and the receiver advances straight to the word holding the
+    Streams are keyed: the first 16 bytes of sha256("seed|tag|indices"),
+    read as a little-endian 128-bit integer, seed a PCG64DXSM generator
+    through SeedSequence. PCG64DXSM advances exactly by any number of
+    words (a 128-bit LCG jump, O(log i)), so the receiver can regenerate
+    any single set element without replaying the sender's scan. Each
+    shared set is one stream, bitgen("Z", *set index), whose words are
+    cut into little-endian lanes (8 to 64 bits; several BSC members share
+    a word), its members consecutive runs of lanes: the sender scans them
+    in chunks, and the receiver advances straight to the word holding the
     one it was sent.
     """
 
@@ -201,27 +203,22 @@ class SharedRandomness:
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed) & (2 ** 64 - 1))
 
-    def _key(self, tag: str, *idx) -> np.ndarray:
+    def _key(self, tag: str, *idx) -> int:
         label = f"{self.seed}|{tag}|" + ",".join(str(int(i)) for i in idx)
-        h = hashlib.sha256(label.encode("ascii")).digest()
-        return np.frombuffer(h[:16], dtype=np.uint64).copy()
+        return int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:16], "little")
 
-    def bitgen(self, tag: str, *idx) -> Philox:
-        return Philox(key=self._key(tag, *idx))
+    def bitgen(self, tag: str, *idx) -> PCG64DXSM:
+        return PCG64DXSM(SeedSequence(self._key(tag, *idx)))
 
     def stream(self, tag: str, *idx) -> Generator:
         return Generator(self.bitgen(tag, *idx))
 
     def element_stream(self, tag: str, k: int, i: int) -> Generator:
-        # key word 0 names the set, word 1 is the element index: any
-        # element is reachable without generating its predecessors
-        key = self._key(tag, k)
-        key[1] = np.uint64(i)
-        return Generator(Philox(key=key))
+        """The stream of element i of set k: stream(tag, k, i)."""
+        return self.stream(tag, k, i)
 
     def derive(self, tag: str, *idx) -> "SharedRandomness":
-        key = self._key(tag, *idx)
-        return SharedRandomness(int(key[0]))
+        return SharedRandomness(self._key(tag, *idx))
 
 
 def _set_size(rate_bits: float, n: int, eps: float) -> int:
@@ -265,18 +262,15 @@ def _first_match(bg, size: int, width: int, hit, lane_bits: int):
 
 
 def _member_words(bg, i: int, width: int, lane_bits: int) -> np.ndarray:
-    """The lanes of member i alone, in O(1).
+    """The lanes of member i alone, without drawing its predecessors.
 
-    Advances bg to the word holding lane i * width (4 words per Philox
-    counter block), draws the words that hold the member's width lanes,
-    and cuts them as _first_match does.
+    Advances bg to the word holding lane i * width, draws the words that
+    hold the member's width lanes, and cuts them as _first_match does.
     """
     per_word = 64 // lane_bits
     first, off = divmod(i * width, per_word)  # word holding lane i * width
-    skip = first % 4
-    bg.advance(first // 4)
-    words = bg.random_raw(skip + -(-(off + width) // per_word))[skip:]
-    return _lanes(words, lane_bits)[off:off + width]
+    bg.advance(first)
+    return _lanes(bg.random_raw(-(-(off + width) // per_word)), lane_bits)[off:off + width]
 
 
 def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
@@ -361,12 +355,16 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     """Members of class tc's shared set from their 2n words, one row each.
 
     A member is tc's letters ordered by its first n words, a uniform
-    shuffle (the argsort is stable, and ties have odds below
-    C(n, 2) * 2^-64), then the channel on those letters driven by n
-    uniforms, the top 53 bits of its other n words.
+    shuffle: each word's low ceil(log2 n) bits are replaced by the
+    letter's position, so the keys are unique and the order is by the
+    top 64 - ceil(log2 n) bits, ties broken by position (odds below
+    C(n, 2) * 2^(ceil(log2 n) - 64)). Then the channel on those letters
+    is driven by n uniforms, the top 53 bits of its other n words.
     """
     n = tc.n
-    xp = tc.letters()[np.argsort(words[:, :n], axis=1, kind="stable")]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = words[:, :n] & ~low | np.arange(n, dtype=np.uint64)
+    xp = tc.letters()[np.argsort(keys, axis=1)]
     return dmc.outputs(xp, (words[:, n:] >> 11) * 2.0 ** -53)
 
 

@@ -146,8 +146,8 @@ def test_bsc_simulate_frozen_transcript():
     y, tr = bsc_simulate(0.1, cfg, SharedRandomness(0), [0] * 8)
     assert not tr.fallback
     assert tr.bits_sent == 7 and tr.index_bits == 6 and tr.itc_bits == 0
-    assert tr.message == "0010001"
-    assert tr.output == (1, 0, 0, 0, 1, 0, 0, 0)
+    assert tr.message == "0011001"
+    assert tr.output == (0, 1, 0, 0, 0, 0, 0, 0)
     assert tuple(int(v) for v in y) == tr.output
 
 
@@ -238,32 +238,31 @@ def test_dmc_simulate_frozen_transcript():
     y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=0.8, variant="general"),
                          SharedRandomness(1), x)
     assert tr.fallback
-    assert tr.message == "011101000100"
+    assert tr.message == "011101000111"
     assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (12, 3, 8)
-    assert tr.output == (0, 2, 1, 1, 2)
+    assert tr.output == (0, 2, 1, 2, 2)
     assert tuple(int(v) for v in y) == tr.output
 
     y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=0.8, variant="general"),
                          SharedRandomness(13), x)
     assert not tr.fallback
-    assert tr.message == "01100101"
+    assert tr.message == "01100010"
     assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (8, 3, 4)
-    assert tr.output == (2, 2, 1, 1, 2)
+    assert tr.output == (0, 1, 0, 2, 1)
     assert tuple(int(v) for v in y) == tr.output
 
     y, tr = dmc_simulate(d, ProtocolConfig(n=5, eps=1e-9, variant="general"),
                          SharedRandomness(0), x)
-    assert tr.fallback
-    assert tr.message == "011110001101"
-    assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (12, 3, 8)
-    assert tr.output == (1, 2, 0, 2, 0)
+    assert not tr.fallback
+    assert tr.message == "011000"
+    assert (tr.bits_sent, tr.itc_bits, tr.index_bits) == (6, 3, 2)
+    assert tr.output == (0, 2, 0, 2, 2)
     assert tuple(int(v) for v in y) == tr.output
 
 
 def test_dmc_batch_members_match_reference():
     # every member decoded from the scan's batches is the receiver's lone
-    # regeneration of it, for member widths 2n that are and are not
-    # multiples of the 4-word Philox block
+    # regeneration of it, for member widths 2n from 2 to 32 words
     shared = SharedRandomness(11)
     classes = {2: [(1, 0), (0, 1), (5, 0), (2, 3), (0, 16), (9, 7)],
                3: [(0, 1, 0), (2, 0, 3), (16, 0, 0), (7, 0, 9), (5, 5, 6)]}
@@ -347,8 +346,8 @@ def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
     x_b = [0, 1, 1] * 5 + [1]
 
     def runs():
-        return ([dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(6)],
-                [bsc_simulate(0.1, cfg_b, SharedRandomness(s), x_b)[1] for s in range(6)])
+        return ([dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(12)],
+                [bsc_simulate(0.1, cfg_b, SharedRandomness(s), x_b)[1] for s in range(12)])
 
     whole = runs()
     assert all(any(not tr.fallback for tr in kind) for kind in whole)
@@ -398,6 +397,24 @@ def test_bsc_packed_batches_match_lone_regeneration(monkeypatch):
             assert seen[0] == size
 
 
+def test_member_words_far_jump_matches_contiguous_stream():
+    # the receiver's jump to a far member lands on the same lanes as one
+    # contiguous draw of the set's stream from its start
+    shared = SharedRandomness(21)
+    size = _set_size(bsc_capacity(0.1), 32, 0.25)
+    assert size == 2_085_759
+    words = shared.bitgen("Z").random_raw(-(-size // 2))  # two 32-bit lanes a word
+    lanes = np.frombuffer(words.astype("<u8").tobytes(), dtype="<u4")
+    for i in (0, 1, 1_000_001, size - 1):
+        assert np.array_equal(_member_words(shared.bitgen("Z"), i, 1, 32), lanes[i:i + 1]), i
+    # a DMC member at n = 16: 32 words of 64-bit lanes
+    i, width, k = 123_457, 32, 5
+    stream = shared.bitgen("Z", k)
+    stream.random_raw(i * width)
+    assert np.array_equal(_member_words(shared.bitgen("Z", k), i, width, 64),
+                          stream.random_raw(width))
+
+
 def test_bsc_fallback_rate_matches_exact_law():
     # P(fallback) = sum_d Binom(n, p)(d) * (1 - C(n, d) / 2^n)^M for the
     # fixed input 0^n; an index-path block costs 1 + ceil(log2 M) bits
@@ -413,6 +430,21 @@ def test_bsc_fallback_rate_matches_exact_law():
         fallbacks = round(cs["fallback_rate"] * trials)
         bits = fallbacks * (1 + n) + (trials - fallbacks) * (1 + _index_width(size))
         assert cs["mean_bits_per_symbol"] == pytest.approx(bits / trials / n, rel=1e-12)
+
+
+# perfbench/laws.py: dmc_fallback_given_type([[.8, .15, .05], [.1, .2, .7]], 10, 16, 0.5)
+DMC_FALLBACK_10_6 = 0.7319276289963357
+
+
+def test_dmc_fallback_rate_matches_exact_law():
+    # the member law (keyed stream, shuffle, channel draw) shows no bias in
+    # the fallback rate against its exact law for x of type (10, 6)
+    d = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
+    trials = 1000
+    cs = cost_statistics(d, ProtocolConfig(n=16, eps=0.5, variant="general"), trials,
+                         ("itc-uniform", (10, 6)), seed=19)
+    se = math.sqrt(DMC_FALLBACK_10_6 * (1 - DMC_FALLBACK_10_6) / trials)
+    assert abs(cs["fallback_rate"] - DMC_FALLBACK_10_6) <= 3 * se, cs["fallback_rate"]
 
 
 def test_dmc_simulate_fallback_raw_width():
@@ -660,10 +692,10 @@ def test_cost_statistics_dmc_iid_frozen():
     assert cs["capacity"] == pytest.approx(0.33288667259985943, abs=1e-15)
     assert (cs["n"], cs["trials"], cs["itc_bits"]) == (6, 200, 3)
     # bit counts, exceedances and fallbacks are integers: exact ratios
-    assert cs["mean_bits_per_symbol"] == 2403 / 200 / 6
-    assert cs["p_exceed"] == 172 / 200
-    assert cs["fallback_rate"] == 109 / 200
-    assert cs["mean_bits_se"] == pytest.approx(0.026085520027572345, rel=1e-12)
+    assert cs["mean_bits_per_symbol"] == 2412 / 200 / 6
+    assert cs["p_exceed"] == 164 / 200
+    assert cs["fallback_rate"] == 115 / 200
+    assert cs["mean_bits_se"] == pytest.approx(0.02724150116674884, rel=1e-12)
 
 
 def test_cost_stays_below_capacity_plus_eps_margin():
