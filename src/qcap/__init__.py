@@ -72,7 +72,6 @@ from .gaussian import (
     squeezed_bounds,
 )
 from .typeclasses import (
-    JointType,
     TypeClass,
     TypicalEigenstateSet,
     TypicalSubspaceReport,

@@ -146,7 +146,10 @@ def cmd_sweep(args) -> int:
 
 
 def _floats(text):
-    return [float(s) for s in text.split(",") if s]
+    vals = [float(s) for s in text.split(",") if s]
+    if not vals:
+        raise UsageError(f"need a comma list of numbers, got {text!r}")
+    return vals
 
 
 def cmd_gaussian(args) -> int:

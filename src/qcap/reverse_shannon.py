@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
+from .qmath import entropy_of_spectrum
 from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
                           type_of, type_rank)
 
@@ -90,14 +91,19 @@ def bsc(p: float) -> DMC:
     return DMC([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def _h2(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def bsc_capacity(p: float) -> float:
-    return 1.0 - _h2(p)
+    return 1.0 - entropy_of_spectrum([p, 1.0 - p])
+
+
+def _divergences(dmc: DMC, q: np.ndarray) -> np.ndarray:
+    """D(N(.|x) || qN) in bits for every input letter x: row x's N log2(N / qN)
+    summed over its entries with N > 0 and qN > 0 (a letter q never uses
+    may reach an output qN misses; that entry is left out)."""
+    mat = dmc.matrix
+    out = q @ mat
+    live = (mat > 0.0) & (out > 0.0)
+    ratio = np.where(live, mat, 1.0) / np.where(live, out, 1.0)
+    return (mat * np.log2(ratio)).sum(axis=1)
 
 
 def ba_capacity(dmc: DMC, tol: float = 1e-10):
@@ -107,22 +113,15 @@ def ba_capacity(dmc: DMC, tol: float = 1e-10):
     [I(q), max_x D(row_x || q N)] pins the capacity, and iteration stops
     when it is narrower than tol.
     """
-    mat = dmc.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nlogn = np.where(mat > 0.0, mat * np.log2(np.where(mat > 0.0, mat, 1.0)), 0.0)
-    row_neg_ent = nlogn.sum(axis=1)
+    if not tol >= 0.0:  # NaN fails this too
+        raise ValueError(f"tol must be a nonnegative gap, got {tol}")
     q = np.full(dmc.d_in, 1.0 / dmc.d_in)
     for _ in range(BA_MAX_ITERS):
-        out = q @ mat
-        with np.errstate(divide="ignore"):
-            log_out = np.where(out > 0.0, np.log2(np.where(out > 0.0, out, 1.0)), 0.0)
-        # D(row_x || qN) in bits; rows put no mass on zero-probability outputs
-        div = row_neg_ent - mat @ log_out
-        lower = float(q @ div)
-        upper = float(div.max())
+        div = _divergences(dmc, q)
+        lower, upper = float(q @ div), div.max()
         if upper - lower <= tol:
             return lower, q
-        q = q * np.exp2(div - div.max())
+        q = q * np.exp2(div - upper)
         q /= q.sum()
     raise RuntimeError(f"no convergence within {BA_MAX_ITERS} iterations")
 
@@ -135,16 +134,7 @@ def constrained_mi(dmc: DMC, q) -> float:
     if not (np.all(q >= -1e-12) and abs(float(q.sum()) - 1.0) <= 1e-9):
         raise ValueError("input distribution must be nonnegative and sum to 1")
     q = np.clip(q, 0.0, None)
-    mat = dmc.matrix
-    out = q @ mat
-    total = 0.0
-    for x in range(dmc.d_in):
-        if q[x] <= 0.0:
-            continue
-        row = mat[x]
-        mask = row > 0.0
-        total += q[x] * float(np.sum(row[mask] * np.log2(row[mask] / out[mask])))
-    return max(total, 0.0)
+    return max(float((q * _divergences(dmc, q)).sum()), 0.0)
 
 
 @dataclass(frozen=True)
@@ -403,26 +393,26 @@ def _channel_kind(channel):
     """The one dispatch on the channel kind.
 
     A flip probability (bit protocol) or a DMC (general protocol) maps to
-    (DMC, capacity(), rate(x), simulate(cfg, shared, x), law(x)), where
-    rate(x) sizes the shared set for input block x and law(x) gives the
-    exact oracle the law of one set member over the output blocks (as
-    ordered by _blocks) and the match label of each output block.
+    (DMC, capacity(), rate(x), simulate(cfg, shared, x), law(x, rows)),
+    where rate(x) sizes the shared set for input block x and, given the
+    block law rows = _block_law(DMC, len(x)), law gives the exact oracle
+    the law of one set member over the output blocks (as ordered by
+    _blocks) and the match label of each output block.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
 
-        def law(x):
+        def law(x, rows):
             # members: channel outputs of a uniform input of x's type class
             n = len(x)
             same = (np.sort(_blocks(d_in, n), axis=1) == np.sort(x)).all(axis=1)
-            return (_block_law(channel, n)[same].mean(axis=0),
-                    pair_counts(x, _blocks(d_out, n), d_in, d_out))
+            return rows[same].mean(axis=0), pair_counts(x, _blocks(d_out, n), d_in, d_out)
 
         return (channel, lambda: ba_capacity(channel, 1e-10)[0],
                 lambda x: _class_rate(channel, type_of(x, d_in)),
                 lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), law)
 
-    def law(x):
+    def law(x, rows):
         # members: uniform words; a match lies on y's Hamming shell around x
         ys = _blocks(2, len(x))
         return np.full(len(ys), 1.0 / len(ys)), (ys != x).sum(axis=1)
@@ -449,13 +439,14 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
                               zsize: int | None = None) -> float:
     """Max deviation of the induced block channel from the true one.
 
-    Integrates the protocol in closed form. For input block x, law(x)
-    gives m, one set member's law over the output blocks, and each
-    block's match class; m(s) and t(s) are the member and true masses of
-    class s. No member of M lands in s with odds miss(s) = (1 - m(s))^M,
-    and a private output in s then falls back to itself. Given K_s > 0,
-    the first member in s is distributed as m restricted to s, as members
-    are iid. So the induced law on y' in class s is
+    Integrates the protocol in closed form, building the block law once.
+    For input block x, law(x, block law) gives m, one set member's law
+    over the output blocks, and each block's match class; m(s) and t(s)
+    are the member and true masses of class s. No member of M lands in s
+    with odds miss(s) = (1 - m(s))^M, and a private output in s then
+    falls back to itself. Given K_s > 0, the first member in s is
+    distributed as m restricted to s, as members are iid. So the induced
+    law on y' in class s is
 
         (1 - miss(s)) t(s) m(y') / m(s) + miss(s) true(y'),
 
@@ -474,10 +465,10 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     entries = dmc.d_in ** n * dmc.d_out ** n
     if entries > ORACLE_MAX_COMBOS:
         raise ValueError(f"a block law of {entries} entries exceeds the enumeration guard")
-    worst = 0.0
-    for x, true in zip(_blocks(dmc.d_in, n), _block_law(dmc, n)):
+    worst, rows = 0.0, _block_law(dmc, n)
+    for x, true in zip(_blocks(dmc.d_in, n), rows):
         size = zsize if zsize is not None else _set_size(rate(x), n, eps)
-        member, labels = law(x)
+        member, labels = law(x, rows)
         sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
         miss = (1.0 - m_s) ** size

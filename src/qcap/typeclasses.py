@@ -50,36 +50,6 @@ class TypeClass:
         return np.repeat(np.arange(self.d, dtype=np.int64), self.counts)
 
 
-@dataclass(frozen=True)
-class JointType:
-    """Pairwise letter-count matrix of two aligned strings.
-
-    Two (input, output) pairs share a joint type iff one common position
-    permutation maps one pair onto the other.
-    """
-
-    counts: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in row) for row in self.counts)
-        if any(c < 0 for row in rows for c in row):
-            raise ValueError("negative pair count")
-        widths = {len(row) for row in rows}
-        if len(widths) > 1:
-            raise ValueError("ragged joint-count matrix")
-        object.__setattr__(self, "counts", rows)
-
-    def input_type(self) -> TypeClass:
-        return TypeClass(tuple(sum(row) for row in self.counts))
-
-    def output_type(self) -> TypeClass:
-        return TypeClass(tuple(sum(col) for col in zip(*self.counts)))
-
-    def key(self) -> tuple:
-        # row-major flattening; hashable protocol dictionary key
-        return tuple(c for row in self.counts for c in row)
-
-
 def letters(x, d: int | None, n: int | None = None) -> np.ndarray:
     """x as a checked int64 block over the alphabet {0, ..., d-1}.
 
@@ -117,13 +87,15 @@ def pair_counts(x: np.ndarray, ys: np.ndarray, d_in: int, d_out: int) -> np.ndar
     return np.bincount(codes.ravel(), minlength=m * k).reshape(ys.shape[:-1] + (k,))
 
 
-def joint_type(x, y, d_in: int | None = None, d_out: int | None = None) -> JointType:
-    """Count aligned letter pairs of two equal-length strings; an alphabet
-    size left out is one more than the largest letter (1 for no letters)."""
+def joint_type(x, y, d_in: int | None = None, d_out: int | None = None) -> np.ndarray:
+    """pair_counts of two equal-length strings as a (d_in, d_out) array: their
+    joint type, shared by two pairs iff one position permutation maps one
+    onto the other. An alphabet size left out is one more than the
+    largest letter (1 for no letters)."""
     xs, ys = letters(x, d_in), letters(y, d_out, len(x))
     di = d_in if d_in is not None else int(xs.max(initial=0)) + 1
     do = d_out if d_out is not None else int(ys.max(initial=0)) + 1
-    return JointType(pair_counts(xs, ys, di, do).reshape(di, do).tolist())
+    return pair_counts(xs, ys, di, do).reshape(di, do)
 
 
 def block_code(block, d: int) -> int:

@@ -369,6 +369,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("gaussian", "--S", "1", "--N", "inf", "--k", "1"),
         ("gaussian", "--S", "1", "--N", "1", "--k", "inf"),
         ("gaussian", "--S", "inf", "--N", "1", "--k", "1"),
+        ("gaussian", "--S", ",", "--N", "1", "--k", "1"),  # empty value lists
+        ("gaussian", "--S", "1", "--N", ",", "--k", "1"),
+        ("gaussian", "--S", "1", "--N", "1", "--k", ","),
+        ("gaussian", "--S", ",", "--limit"),
         ("capacity", "ce", "--preset", "depolarizing:0.5:0"),
         ("capacity", "ce", "--spec", write("frac_d.json", {
             "kind": "depolarizing", "params": {"d": 2.7, "q": 0.5}})),

@@ -70,7 +70,10 @@ def test_bsc_matrix():
     d = bsc(0.3)
     assert np.allclose(d.matrix, [[0.7, 0.3], [0.3, 0.7]], atol=0)
     assert bsc_capacity(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert bsc_capacity(0.0) == 1.0
+    assert bsc_capacity(0.0) == 1.0 and bsc_capacity(1.0) == 1.0
+    for p in (0.05, 0.1, 0.3, 0.5, 0.9):
+        h2 = -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+        assert abs(bsc_capacity(p) - (1.0 - h2)) <= 1e-15, p
 
 
 def test_block_probability_factorizes():
@@ -108,6 +111,47 @@ def test_constrained_mi_at_optimum_equals_capacity():
         constrained_mi(d, [0.7, 0.7])
     with pytest.raises(ValueError):
         constrained_mi(d, [1.2, -0.2])
+
+
+def _per_letter_mi(dmc, q):
+    # the per-letter reference: a row's terms over its entries with N > 0
+    q = np.asarray(q, dtype=np.float64)
+    out, total = q @ dmc.matrix, 0.0
+    for x in range(dmc.d_in):
+        if q[x] <= 0.0:
+            continue
+        row = dmc.matrix[x]
+        mask = row > 0.0
+        total += q[x] * float(np.sum(row[mask] * np.log2(row[mask] / out[mask])))
+    return max(total, 0.0)
+
+
+def test_constrained_mi_matches_per_letter_reference():
+    sim = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
+    for tc in enumerate_types(16, 2):
+        q = np.asarray(tc.counts, dtype=np.float64) / 16
+        assert constrained_mi(sim, q) == _per_letter_mi(sim, q), tc.counts
+    eye, third = DMC(np.eye(3)), np.array([4, 4, 4], dtype=np.float64) / 12
+    assert constrained_mi(eye, third) == _per_letter_mi(eye, third)
+    # letter 1 alone reaches output 2, and q never uses it
+    lone = DMC([[0.7, 0.3, 0.0], [0.2, 0.3, 0.5], [0.4, 0.6, 0.0]])
+    for q in ([0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.25, 0.0, 0.75]):
+        assert constrained_mi(lone, q) == _per_letter_mi(lone, q), q
+    # set sizes at the rounding boundary: a differently grouped divergence
+    # gives 17 and 4,251,529 here
+    assert _set_size(constrained_mi(sim, [1.0, 0.0]), 16, 0.5) == 16
+    assert _set_size(constrained_mi(eye, third), 12, 0.5) == 4_251_528
+
+
+def test_ba_capacity_rejects_bad_tol_at_once():
+    import time
+
+    d = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
+    for tol in (float("nan"), -1e-10):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="tol"):
+            ba_capacity(d, tol)
+        assert time.perf_counter() - start < 1.0, tol
 
 
 def test_protocol_config_validation():
@@ -219,8 +263,8 @@ def test_dmc_simulate_announces_class_and_preserves_joint_type():
         # replaying the private channel shows the swap kept the pair counts
         priv = SharedRandomness(3).stream("private")
         y_priv = d.sample_outputs(np.asarray(x), priv)
-        assert joint_type(x, list(y_priv), 2, 2).key() == joint_type(
-            x, list(int(v) for v in y), 2, 2).key()
+        assert np.array_equal(joint_type(x, list(y_priv), 2, 2),
+                              joint_type(x, list(int(v) for v in y), 2, 2))
 
 
 def test_dmc_simulate_deterministic():
@@ -297,7 +341,7 @@ def test_dmc_member_law_matches_oracle_law():
     words = SharedRandomness(1).bitgen("Z", type_rank(tc.counts)).random_raw(60000 * 6)
     members = _class_members(d, tc, words.reshape(60000, 6))
     hist = np.bincount(members @ [9, 3, 1], minlength=27)
-    law = _channel_kind(d)[4](x)[0]
+    law = _channel_kind(d)[4](x, rs._block_law(d, 3))[0]
     assert chisquare(hist, law * 60000).pvalue > 1e-3
 
 
@@ -332,8 +376,8 @@ def test_first_match_sends_no_later_member():
         chosen = int(tr.message[tr.itc_bits + 1:], 2)
         members = _class_members(d, tc, sh.bitgen("Z", k).random_raw(
             (chosen + 1) * 8).reshape(chosen + 1, 8))
-        keys = [joint_type(x, m, 2, 3).key() for m in members]
-        assert keys.index(joint_type(x, y, 2, 3).key()) == chosen
+        keys = [joint_type(x, m, 2, 3).tolist() for m in members]
+        assert keys.index(joint_type(x, y, 2, 3).tolist()) == chosen
         sent_late += chosen > 0
     assert sent_late >= 4
 
@@ -549,7 +593,7 @@ def test_exact_oracle_matches_literal_first_match(monkeypatch):
     def coarse(channel):
         dmc, cap, rate, simulate, law = kind(channel)
         return (dmc, cap, rate, simulate,
-                lambda x: (law(x)[0], rs._blocks(dmc.d_out, len(x)).sum(axis=1)))
+                lambda x, rows: (law(x, rows)[0], rs._blocks(dmc.d_out, len(x)).sum(axis=1)))
 
     monkeypatch.setattr(rs, "_channel_kind", coarse)
     for (channel, matrix, member, _), value in zip(cases, (0.2625, 0.15838875)):

@@ -8,7 +8,6 @@ import pytest
 from qcap.rand import generator
 from qcap.reverse_shannon import _blocks
 from qcap.typeclasses import (
-    JointType,
     TypeClass,
     TypicalEigenstateSet,
     block_code,
@@ -51,19 +50,24 @@ def test_type_of_accepts_strings_and_ints():
 
 def test_joint_type_counts_and_marginals():
     jt = joint_type("0011", "0101", 2, 2)
-    assert jt.counts == ((1, 1), (1, 1))
-    assert jt.input_type().counts == (2, 2)
-    assert jt.output_type().counts == (2, 2)
-    assert jt.key() == (1, 1, 1, 1)
+    assert jt.tolist() == [[1, 1], [1, 1]]
+    # the marginals are the input and output types
+    assert tuple(jt.sum(axis=1)) == type_of("0011", 2).counts == (2, 2)
+    assert tuple(jt.sum(axis=0)) == type_of("0101", 2).counts == (2, 2)
+    assert jt.ravel().tolist() == pair_counts(letters("0011", 2), letters("0101", 2),
+                                              2, 2).tolist() == [1, 1, 1, 1]
+    x, y = "01201", "20110"
+    jt = joint_type(x, y, 3, 3)
+    assert jt.shape == (3, 3) and jt.sum() == 5
+    assert tuple(jt.sum(axis=1)) == type_of(x, 3).counts
+    assert tuple(jt.sum(axis=0)) == type_of(y, 3).counts
     with pytest.raises(ValueError):
         joint_type("00", "000")
     with pytest.raises(ValueError):
         joint_type("02", "01", 2, 2)
-    with pytest.raises(ValueError):
-        JointType(((1, 2), (3,)))
     # alphabets left out are inferred from the largest letters
-    assert joint_type("021", "110").counts == ((0, 1), (1, 0), (0, 1))
-    assert joint_type("", "").counts == ((0,),)
+    assert joint_type("021", "110").tolist() == [[0, 1], [1, 0], [0, 1]]
+    assert joint_type("", "").tolist() == [[0]]
 
 
 def test_letters_parses_and_validates():
@@ -95,7 +99,8 @@ def test_pair_counts_match_brute_force():
                 want[a * d_out + b] += 1
             assert got[idx].tolist() == want
         assert pair_counts(x, ys[0, 0], d_in, d_out).tolist() == got[0, 0].tolist()
-        assert joint_type(x, ys[0, 0], d_in, d_out).key() == tuple(got[0, 0].tolist())
+        assert np.array_equal(joint_type(x, ys[0, 0], d_in, d_out),
+                              got[0, 0].reshape(d_in, d_out))
 
 
 def test_block_code_is_the_block_row():
