@@ -419,6 +419,11 @@ def concavity_slack(channel: QuantumChannel, rho0, rho1, p0: float) -> float:
 # ---------------------------------------------------------------------------
 # Independent brute-force oracle for qubit-input channels.
 
+_BOX = 8               # lattice points per side of a pruning box
+_BOX_RADIUS = 0.98     # box centres are pulled in to this radius
+_FLOOR_MARGIN = 1e-9   # covers rounding between the floor and the scan
+
+
 def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     """Grid maximum of the capacity objective over the Bloch ball.
 
@@ -426,7 +431,19 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     intersected with the unit ball, one x-slice at a time, evaluating the
     objective with `hermitian_spectra`: closed-form spectra for output and
     environment dimensions up to 3, batched eigensolves above. Independent
-    check of `ce_maximize`; returns (max value, argmax Bloch vector).
+    check of `ce_maximize`; returns (max value, argmax Bloch vector), the
+    first lattice point in scan order to reach the maximum.
+
+    The scan skips lattice boxes that cannot hold the maximum. f is concave
+    on the ball, so the tangent plane at a box's centre c bounds it there:
+    max_box f <= f(c) + sum_k |df/dr_k(c)| max_box |r_k - c_k|. A box is
+    skipped when this bound is below the best value at the boxes' middle
+    lattice points, less 1e-9 of rounding margin. It is never skipped when
+    an output or environment eigenvalue at c is below `EIG_ZERO_TOL`, where
+    the gradient is unreliable, or when its bound is not finite. Points
+    that are scanned get the same floats as in a scan of the whole lattice,
+    so the value and the argmax are too; a flat objective, or one singular
+    everywhere, skips nothing and costs a full scan.
     Raises ValueError unless 0 < resolution <= 1; at a step of at most 1
     some lattice point lies in the ball.
     """
@@ -442,25 +459,100 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
+    size = len(axis)
+    keep = _surviving_boxes(out_basis, env_basis, axis)
+    ry_g, rz_g = np.meshgrid(axis, axis, indexing="ij")
+    ry_sq, rz_sq = ry_g**2, rz_g**2
     best_val = -np.inf
     best_r = None
-    for rx in axis:
-        ry_g, rz_g = np.meshgrid(axis, axis, indexing="ij")
-        mask = rx * rx + ry_g**2 + rz_g**2 <= 1.0 + 1e-12
-        if not mask.any():
+    for ix, rx in enumerate(axis):
+        ball = rx * rx + ry_sq + rz_sq <= 1.0 + 1e-12
+        boxes = keep[ix // _BOX].repeat(_BOX, axis=0).repeat(_BOX, axis=1)
+        mask = ball & boxes[:size, :size]
+        count = np.count_nonzero(mask)
+        if count == 0:
             continue
+        if count == 1:
+            # numpy multiplies a one-row batch as a matrix-vector product,
+            # which rounds differently from the whole slice's matrix product
+            mask = ball
         ry = ry_g[mask]
         rz = rz_g[mask]
-        # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
-        rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
-        h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
-        coef = np.stack([np.ones_like(ry), np.full_like(ry, rx), ry, rz], axis=1)
-        vals = h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
+        vals = _grid_values(out_basis, env_basis, rx, ry, rz)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_r = (float(rx), float(ry[i]), float(rz[i]))
     return best_val, best_r
+
+
+def _grid_values(out_basis, env_basis, rx, ry, rz):
+    """The objective at the Bloch vectors (rx, ry, rz), rx broadcast to ry."""
+    # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
+    rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
+    h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
+    coef = np.stack([np.ones_like(ry), np.broadcast_to(rx, ry.shape), ry, rz], axis=1)
+    return h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
+
+
+def _surviving_boxes(out_basis, env_basis, axis):
+    """Which _BOX-point boxes of the lattice may hold the grid maximum.
+
+    Returns a bool array indexed by box (x, y, z); boxes that miss the ball
+    read False. The tangent-plane bound at each box centre c, pulled in to
+    radius _BOX_RADIUS so the input entropy's gradient is finite, is
+    f(c) + sum_k |g_k| reach_k, where reach_k is the box's farthest lattice
+    coordinate from c_k. Each entropy gradient comes from the basis the
+    objective is affine in: every basis[k + 1] is traceless, so
+    dH(M)/dr_k = -tr(log2 M . basis[k + 1]).
+    """
+    size = len(axis)
+    first = np.arange(0, size, _BOX)
+    last = np.minimum(first + _BOX - 1, size - 1)
+    nb = len(first)
+    # per box (x, y, z), one row each: its least, greatest and middle lattice point
+    lo3, hi3, mid3 = (np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
+                      for v in (axis[first], axis[last], axis[(first + last) // 2]))
+    meets = np.sum(np.clip(0.0, lo3, hi3) ** 2, axis=1) <= 1.0 + 1e-12
+    lo3, hi3 = lo3[meets], hi3[meets]
+    centre = 0.5 * (lo3 + hi3)
+    norm = np.linalg.norm(centre, axis=1)
+    centre *= (_BOX_RADIUS / np.maximum(norm, _BOX_RADIUS))[:, None]
+    rn = np.minimum(norm, _BOX_RADIUS)
+    h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rn, 1.0 - rn], axis=1))
+    # dh_in/dr = -(1/2) log2((1 + |r|)/(1 - |r|)) r/|r|, which is 0 at r = 0
+    slope = np.divide(np.log2((1.0 + rn) / (1.0 - rn)), 2.0 * rn,
+                      out=np.zeros_like(rn), where=rn > 0.0)
+    coef = np.concatenate([np.ones((len(rn), 1)), centre], axis=1)
+    h_out, g_out, low_out = _entropy_gradient(out_basis, coef)
+    h_env, g_env, low_env = _entropy_gradient(env_basis, coef)
+    grad = g_out - g_env - slope[:, None] * centre
+    reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = h_in + h_out - h_env + np.sum(np.abs(grad) * reach, axis=1)
+
+    # the floor: the objective at each box's middle lattice point in the ball
+    mx, my, mz = mid3.T
+    inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
+    floor = -np.inf
+    if inside.any():
+        vals = _grid_values(out_basis, env_basis, mx[inside], my[inside], mz[inside])
+        floor = float(np.max(vals)) - _FLOOR_MARGIN
+    unsafe = (np.minimum(low_out, low_env) < EIG_ZERO_TOL) | ~np.isfinite(bound)
+    keep = np.zeros(nb**3, dtype=bool)
+    keep[meets] = unsafe | (bound >= floor)
+    return keep.reshape(nb, nb, nb)
+
+
+def _entropy_gradient(basis, coef):
+    """Entropy, its gradient in coef[:, 1:] and least eigenvalue of each coef . basis."""
+    dim = basis.shape[-1]
+    evals, vecs = np.linalg.eigh((coef @ basis.reshape(4, -1)).reshape(-1, dim, dim))
+    log2 = np.log2(np.clip(evals, EIG_ZERO_TOL, None))
+    logm = (vecs * log2[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    # tr(L B) = sum_il L_il B_li, one product against the transposed basis
+    grad = -(logm.reshape(len(coef), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
+    return entropy_of_spectrum(np.clip(evals, 0.0, None)), grad, evals[:, 0]
 
 
 def _family_entropy(basis, coef):

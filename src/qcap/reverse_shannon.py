@@ -72,6 +72,11 @@ class DMC:
         """One channel use per letter of x, consuming len(x) uniforms."""
         return self.outputs(x, rng.random(len(x)))
 
+    @functools.cached_property
+    def _capacity(self) -> float:
+        # computed once: the transition table is read-only
+        return ba_capacity(self, 1e-10)[0]
+
     def block_probability(self, x, y) -> float:
         """Probability of output block y given input block x."""
         return float(np.prod(self.matrix[np.asarray(x), np.asarray(y)]))
@@ -397,18 +402,22 @@ def _channel_kind(channel):
     where rate(x) sizes the shared set for input block x and, given the
     block law rows = _block_law(DMC, len(x)), law gives the exact oracle
     the law of one set member over the output blocks (as ordered by
-    _blocks) and the match label of each output block.
+    _blocks) and an integer match label for each output block.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
 
         def law(x, rows):
-            # members: channel outputs of a uniform input of x's type class
+            # members: channel outputs of a uniform input of x's type class;
+            # a match shares y's joint type with x, which the sorted pair
+            # letters a * d_out + b fix: their block code, below the
+            # (d_in d_out)^n that the oracle's guard bounds, labels it
             n = len(x)
             same = (np.sort(_blocks(d_in, n), axis=1) == np.sort(x)).all(axis=1)
-            return rows[same].mean(axis=0), pair_counts(x, _blocks(d_out, n), d_in, d_out)
+            pairs = np.sort(x * d_out + _blocks(d_out, n), axis=1)
+            return rows[same].mean(axis=0), pairs @ (d_in * d_out) ** np.arange(n)
 
-        return (channel, lambda: ba_capacity(channel, 1e-10)[0],
+        return (channel, lambda: channel._capacity,
                 lambda x: _class_rate(channel, type_of(x, d_in)),
                 lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), law)
 
@@ -469,7 +478,7 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     for x, true in zip(_blocks(dmc.d_in, n), rows):
         size = zsize if zsize is not None else _set_size(rate(x), n, eps)
         member, labels = law(x, rows)
-        sig = np.unique(np.asarray(labels), axis=0, return_inverse=True)[1].ravel()
+        sig = np.unique(labels, return_inverse=True)[1]
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
         miss = (1.0 - m_s) ** size
         share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)

@@ -20,6 +20,7 @@ from qcap.capacity import (
     holevo_chi,
     pgm_error,
     _STALL_ITERS,
+    _family_entropy,
     _project,
 )
 from qcap.channels import (
@@ -36,6 +37,7 @@ from qcap.channels import (
 from qcap.qmath import (
     DensityOperator,
     QuantumChannel,
+    _outputs,
     apply_channel,
     entropy_of_spectrum,
     quantum_mutual_information,
@@ -530,6 +532,57 @@ def test_bloch_grid_matches_eigvalsh_reference():
         ref_value, ref_r = _eigvalsh_grid(ch, 0.05)
         assert abs(value - ref_value) <= 1e-12
         assert r == ref_r
+
+
+def _full_lattice_grid(channel, resolution):
+    # the unpruned scan: every lattice point in the ball, one x-slice at a
+    # time, with the objective's arithmetic as bloch_grid_ce does it
+    paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
+              np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+              np.array([[1, 0], [0, -1]], dtype=np.complex128)]
+    inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
+    out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
+    axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
+    best_val, best_r = -np.inf, None
+    for rx in axis:
+        ry_g, rz_g = np.meshgrid(axis, axis, indexing="ij")
+        mask = rx * rx + ry_g**2 + rz_g**2 <= 1.0 + 1e-12
+        if not mask.any():
+            continue
+        ry, rz = ry_g[mask], rz_g[mask]
+        rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
+        h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
+        coef = np.stack([np.ones_like(ry), np.full_like(ry, rx), ry, rz], axis=1)
+        vals = h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_r = float(vals[i]), (float(rx), float(ry[i]), float(rz[i]))
+    return best_val, best_r
+
+
+def _replacement_channel(sigma):
+    # rho -> tr(rho) sigma, with Kraus operators sqrt(lam_i) |v_i><j|
+    lam, vecs = np.linalg.eigh(sigma)
+    return QuantumChannel([np.sqrt(lam[i]) * np.outer(vecs[:, i], np.eye(2)[j])
+                           for i in range(2) for j in range(2)])
+
+
+def test_bloch_grid_pruning_keeps_value_and_argmax():
+    rng = generator(62)
+    chans = [random_channel(2, 2, 2 + i % 3, rng) for i in range(33)]
+    chans += [noiseless(2), depolarizing(2, 1.0), amplitude_damping(1.0),
+              amplitude_damping(0.5),
+              _replacement_channel(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))]
+    # axes of 41, 30, 8 and 3 points: partial boxes at the edge, one box
+    for res in (0.05, 0.07, 0.3, 1.0):
+        for ch in chans:
+            assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
+    # at 0.05 the best box's middle point nearly always shares a box with
+    # the maximum, so a bound with a tenth of the gradient passes there; on
+    # the 101-point axis it misses the maximum on five of these eight
+    for i in range(8):
+        ch = random_channel(2, 2, 2 + i % 2, rng)
+        assert bloch_grid_ce(ch, 0.02) == _full_lattice_grid(ch, 0.02)
 
 
 def test_damping_ratio_behavior():

@@ -700,6 +700,46 @@ def test_cost_statistics_sources_and_determinism():
     assert one["trials"] == 1 and one["mean_bits_se"] is None
 
 
+def test_cost_statistics_computes_dmc_capacity_once(monkeypatch):
+    calls = []
+
+    def counted(dmc, tol=1e-10):
+        calls.append(tol)
+        return ba_capacity(dmc, tol)
+
+    monkeypatch.setattr(rs, "ba_capacity", counted)
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    cfg = ProtocolConfig(n=6, eps=1.2, variant="general")
+    runs = [cost_statistics(d, cfg, 20, ("iid", [0.6, 0.4]), seed=4) for _ in range(3)]
+    assert calls == [1e-10]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0]["capacity"] == ba_capacity(d, 1e-10)[0]
+
+
+def test_oracle_labels_group_by_joint_type():
+    # the integer labels split the output blocks exactly as the pair-count
+    # rows do, so the oracle's class sums are unchanged
+    d = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    law = _channel_kind(d)[4]
+    for n in (3, 4):
+        rows, ys = rs._block_law(d, n), rs._blocks(d.d_out, n)
+        worst = 0.0
+        for x, true in zip(rs._blocks(d.d_in, n), rows):
+            member, labels = law(x, rows)
+            sig = np.unique(labels, return_inverse=True)[1]
+            ref = np.unique(rs.pair_counts(x, ys, d.d_in, d.d_out), axis=0,
+                            return_inverse=True)[1].ravel()
+            # the same partition: each class of one is one class of the other
+            pairs = np.unique(np.stack([sig, ref]), axis=1).shape[1]
+            assert pairs == len(np.unique(sig)) == len(np.unique(ref))
+            m_s, t_s = np.bincount(ref, member)[ref], np.bincount(ref, true)[ref]
+            miss = (1.0 - m_s) ** 4
+            share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)
+            worst = max(worst, float(np.max(np.abs((1.0 - miss) * t_s * share
+                                                   + miss * true - true))))
+        assert exact_faithfulness_oracle(d, n, zsize=4) == worst
+
+
 def test_trial_t_reproduces_alone():
     # row t of the trial runner is one direct protocol call on trial t's
     # keys and input, so a split of the trials gives the same rows
