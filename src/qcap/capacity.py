@@ -528,8 +528,7 @@ def _surviving_boxes(out_basis, env_basis, axis):
     h_env, g_env, low_env = _entropy_gradient(env_basis, coef)
     grad = g_out - g_env - slope[:, None] * centre
     reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
-    with np.errstate(invalid="ignore", over="ignore"):
-        bound = h_in + h_out - h_env + np.sum(np.abs(grad) * reach, axis=1)
+    bound = h_in + h_out - h_env + np.sum(np.abs(grad) * reach, axis=1)
 
     # the floor: the objective at each box's middle lattice point in the ball
     mx, my, mz = mid3.T
