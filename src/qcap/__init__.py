@@ -24,11 +24,8 @@ from .qmath import (
     complementary_apply,
     entropy_exchange,
     entropy_exchange_via_purification,
-    fidelity,
-    partial_trace,
     purify,
     quantum_mutual_information,
-    ssa_slack,
     tensor_channels,
     von_neumann_entropy,
 )

@@ -99,12 +99,13 @@ def holevo_chi(ensemble) -> float:
     return chi
 
 
-def _entropy_and_log2(mat: np.ndarray):
+def _eig_log2(mats: np.ndarray):
+    """(spectrum, log2 matrix) of a Hermitian matrix or of each in a stack."""
     # an output may be singular: eigenvalues below the zero tolerance are
     # clamped before the log
-    evals, vecs = np.linalg.eigh(mat)
+    evals, vecs = np.linalg.eigh(mats)
     log2 = np.log2(np.clip(evals, EIG_ZERO_TOL, None))
-    return entropy_of_spectrum(evals), (vecs * log2) @ vecs.conj().T
+    return evals, (vecs * log2[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _gibbs(y: np.ndarray, obs, mu: float):
@@ -206,9 +207,10 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
         p = np.exp2(w)
         rho = (vecs * p) @ vecs.conj().T
         out, env = _outputs(channel, rho)
-        h_out, log_out = _entropy_and_log2(out)
-        h_env, log_env = _entropy_and_log2(env)
-        value = entropy_of_spectrum(p) + h_out - h_env
+        spec_out, log_out = _eig_log2(out)
+        spec_env, log_env = _eig_log2(env)
+        value = (entropy_of_spectrum(p) + entropy_of_spectrum(spec_out)
+                 - entropy_of_spectrum(spec_env))
         # y = log2 rho + G, with G the gradient of f at rho
         y = _pullback(channel, log_out, log_env)
         grad = y - (vecs * w) @ vecs.conj().T
@@ -546,9 +548,7 @@ def _surviving_boxes(out_basis, env_basis, axis):
 def _entropy_gradient(basis, coef):
     """Entropy, its gradient in coef[:, 1:] and least eigenvalue of each coef . basis."""
     dim = basis.shape[-1]
-    evals, vecs = np.linalg.eigh((coef @ basis.reshape(4, -1)).reshape(-1, dim, dim))
-    log2 = np.log2(np.clip(evals, EIG_ZERO_TOL, None))
-    logm = (vecs * log2[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    evals, logm = _eig_log2((coef @ basis.reshape(4, -1)).reshape(-1, dim, dim))
     # tr(L B) = sum_il L_il B_li, one product against the transposed basis
     grad = -(logm.reshape(len(coef), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
     return entropy_of_spectrum(np.clip(evals, 0.0, None)), grad, evals[:, 0]

@@ -38,6 +38,10 @@ class GaussianParams:
             raise ValueError(f"N must be finite and >= 0, got {self.N}")
         if not 0.0 < self.k < math.inf:
             raise ValueError(f"k must be finite and > 0, got {self.k}")
+        # past 1e150 the squares (S + S' + 1)^2, 4 k^2 S (S+1) and 4NS overflow
+        t = self.S + output_energy(self) + 1.0
+        if not t <= 1e150:
+            raise ValueError(f"S + S' + 1 = {t:.3g} exceeds 1e150 (S' is the output energy)")
 
 
 def g_entropy(s: float) -> float:

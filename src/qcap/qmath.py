@@ -330,45 +330,6 @@ def purify(rho: DensityOperator) -> PureState:
     return PureState(vec / np.linalg.norm(vec), dims=(rho.dim, rho.dim))
 
 
-def partial_trace(state, dims, keep) -> np.ndarray:
-    """Partial trace over the factors not listed in `keep`.
-
-    Parameters
-    ----------
-    state : DensityOperator or matrix
-        Operator on the tensor product described by `dims`.
-    dims : sequence of int
-        Dimensions of the tensor factors, row-major order.
-    keep : int or sequence of int
-        Indices of factors to retain, in their original order.
-
-    Returns
-    -------
-    numpy.ndarray
-        Matrix on the kept factors.
-    """
-    dims = [int(d) for d in dims]
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(int(k) for k in keep)
-    n = len(dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionMismatchError(f"keep={keep} out of range for {n} factors")
-    traced = [i for i in range(n) if i not in keep]
-    mat = _state_matrix(state)
-    if mat.shape[0] != int(np.prod(dims)):
-        raise DimensionMismatchError("matrix size does not match dims")
-    t = mat.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) for i in range(n)]
-    for ax in traced:
-        col[ax] = row[ax]
-    sub_out = "".join([row[k] for k in keep] + [col[k] for k in keep])
-    out = np.einsum("".join(row + col) + "->" + sub_out, t)
-    keep_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return out.reshape(keep_dim, keep_dim)
-
-
 def extend_channel(channel: QuantumChannel, ref_dim: int) -> QuantumChannel:
     """Channel acting as N on the first factor and identity on a reference."""
     eye = np.eye(ref_dim, dtype=np.complex128)
@@ -389,33 +350,6 @@ def quantum_mutual_information(channel: QuantumChannel, rho) -> float:
     mat = _state_matrix(rho)
     out, env = _outputs(channel, mat)
     return von_neumann_entropy(mat) + von_neumann_entropy(out) - von_neumann_entropy(env)
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    a = _state_matrix(rho)
-    b = _state_matrix(sigma)
-    if a.shape != b.shape:
-        raise DimensionMismatchError("fidelity operands must share a dimension")
-    evals, vecs = np.linalg.eigh(a)
-    evals = np.clip(evals, 0.0, None)
-    sqrt_a = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    inner = np.linalg.eigvalsh(sqrt_a @ b @ sqrt_a)
-    inner = np.clip(inner, 0.0, None)
-    return float(np.sum(np.sqrt(inner)) ** 2)
-
-
-def ssa_slack(rho_abc, dims) -> float:
-    """Strong-subadditivity slack H(AB) + H(AC) - H(ABC) - H(A), >= 0."""
-    dims = [int(d) for d in dims]
-    if len(dims) != 3:
-        raise DimensionMismatchError("ssa_slack expects three factors")
-    mat = _state_matrix(rho_abc)
-    h_abc = von_neumann_entropy(mat)
-    h_ab = entropy_of_spectrum(np.linalg.eigvalsh(partial_trace(mat, dims, [0, 1])))
-    h_ac = entropy_of_spectrum(np.linalg.eigvalsh(partial_trace(mat, dims, [0, 2])))
-    h_a = entropy_of_spectrum(np.linalg.eigvalsh(partial_trace(mat, dims, [0])))
-    return h_ab + h_ac - h_abc - h_a
 
 
 # ---------------------------------------------------------------------------

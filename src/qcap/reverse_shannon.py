@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,10 +77,6 @@ class DMC:
     def _capacity(self) -> float:
         # computed once: the transition table is read-only
         return ba_capacity(self, 1e-10)[0]
-
-    def block_probability(self, x, y) -> float:
-        """Probability of output block y given input block x."""
-        return float(np.prod(self.matrix[np.asarray(x), np.asarray(y)]))
 
     def to_json(self) -> dict:
         return {"matrix": [[float(v) for v in row] for row in self.matrix]}
@@ -149,8 +146,9 @@ class ProtocolConfig:
     variant: str = "bsc"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"block length must be >= 1, got {self.n}")
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or self.n < 1):
+            raise ValueError(f"block length must be a whole number >= 1, got {self.n!r}")
         if not self.eps > 0.0:  # NaN fails this too
             raise ValueError(f"slack must be > 0, got {self.eps}")
         if self.variant not in ("bsc", "general"):
@@ -209,7 +207,8 @@ class SharedRandomness:
         return Generator(self.bitgen(tag, *idx))
 
     def element_stream(self, tag: str, k: int, i: int) -> Generator:
-        """The stream of element i of set k: stream(tag, k, i)."""
+        """The stream of element i of set k: stream(tag, k, i). The protocol
+        never calls it; it stays because perfbench/ wraps it by name."""
         return self.stream(tag, k, i)
 
     def derive(self, tag: str, *idx) -> "SharedRandomness":

@@ -168,8 +168,8 @@ class TypicalEigenstateSet:
     every letter count stays strictly within delta*n of lambda_j * n.
     Comparisons are exact: floats enter as binary rationals, so there is
     no boundary flakiness at |count - lambda n| == delta n. Cardinality
-    and iteration work type class by type class; nothing of size d^n is
-    ever materialized.
+    works type class by type class; nothing of size d^n is ever
+    materialized.
     """
 
     def __init__(self, eigs, n: int, delta):
@@ -213,23 +213,6 @@ class TypicalEigenstateSet:
 
     def cardinality(self) -> int:
         return sum(_multinomial(self.n, c) for c in self.admissible_types())
-
-    def __iter__(self):
-        for counts in self.admissible_types():
-            yield from _arrangements(list(counts))
-
-
-def _arrangements(counts):
-    """All distinct sequences with the given letter counts, lexicographic."""
-    if not any(counts):
-        yield ()
-        return
-    for j, c in enumerate(counts):
-        if c:
-            counts[j] -= 1
-            for rest in _arrangements(counts):
-                yield (j,) + rest
-            counts[j] += 1
 
 
 @dataclass

@@ -24,7 +24,6 @@ from qcap.capacity import (
 )
 from qcap.channels import (
     Ensemble,
-    amplitude_damping,
     dephasing,
     depolarizing,
     erasure,

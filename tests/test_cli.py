@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -196,6 +195,8 @@ def test_typical_and_gaussian_input_errors(capsys):
         ("gaussian", "--S", "-1", "--N", "1", "--k", "1"),
         ("gaussian", "--S", "1", "--N", "1,x", "--k", "1"),
         ("gaussian", "--S", "0", "--limit"),
+        ("gaussian", "--S", "1", "--N", "1e200", "--k", "1"),
+        ("gaussian", "--S", "1", "--N", "1", "--k", "1e200"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -186,6 +186,11 @@ def test_params_validation():
     for args in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf)):
         with pytest.raises(ValueError):
             GaussianParams(*args)
+    # S + S' + 1 past 1e150 overflowed (S + S' + 1)^2 or made C_E NaN
+    for args in ((1.0, 1e200, 1.0), (1.0, 1.0, 1e200), (1e200, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            GaussianParams(*args)
+    assert math.isfinite(gaussian_ce(GaussianParams(1e149, 1e149, 1.0)))
 
 
 def test_sweep_grid_order_and_columns():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import qcap.reverse_shannon as rs
-from qcap.rand import generator
 from qcap.reverse_shannon import (
     DMC,
     ProtocolConfig,
@@ -74,12 +73,6 @@ def test_bsc_matrix():
     for p in (0.05, 0.1, 0.3, 0.5, 0.9):
         h2 = -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
         assert abs(bsc_capacity(p) - (1.0 - h2)) <= 1e-15, p
-
-
-def test_block_probability_factorizes():
-    d = DMC([[0.7, 0.3], [0.2, 0.8]])
-    assert d.block_probability([0, 1, 0], [1, 1, 0]) == pytest.approx(
-        0.3 * 0.8 * 0.7, abs=1e-15)
 
 
 def test_blahut_arimoto_closed_forms():
@@ -163,6 +156,11 @@ def test_protocol_config_validation():
         ProtocolConfig(n=4, eps=float("nan"), variant="bsc")
     with pytest.raises(ValueError):
         ProtocolConfig(n=4, eps=0.1, variant="qubit")
+    # a fractional or boolean block length used to fail deep in the protocol
+    for n in (2.5, True):
+        with pytest.raises(ValueError):
+            ProtocolConfig(n, 1.0)
+    assert ProtocolConfig(np.int64(4), 1.0).n == 4
 
 
 def test_set_sizing_and_budget_guard():
@@ -609,7 +607,7 @@ def test_kronecker_block_law_matches_block_probability():
     assert law.shape == (len(xs), len(ys)) == (8, 27)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            assert law[i, j] == d.block_probability(x, y)
+            assert law[i, j] == np.prod(d.matrix[x, y])
 
 
 def test_exact_oracle_guards():
