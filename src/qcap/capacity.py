@@ -421,7 +421,7 @@ def concavity_slack(channel: QuantumChannel, rho0, rho1, p0: float) -> float:
 # ---------------------------------------------------------------------------
 # Independent brute-force oracle for qubit-input channels.
 
-_BOX = 8               # lattice points per side of a pruning box
+_BOXES = (16, 8, 4, 2)  # lattice points per side of a pruning box, coarse to fine
 _BOX_RADIUS = 0.98     # box centres are pulled in to this radius
 _FLOOR_MARGIN = 1e-9   # covers rounding between the floor and the scan
 
@@ -438,14 +438,21 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
 
     The scan skips lattice boxes that cannot hold the maximum. f is concave
     on the ball, so the tangent plane at a box's centre c bounds it there:
-    max_box f <= f(c) + sum_k |df/dr_k(c)| max_box |r_k - c_k|. A box is
-    skipped when this bound is below the best value at the boxes' middle
-    lattice points, less 1e-9 of rounding margin. It is never skipped when
-    an output or environment eigenvalue at c is below `EIG_ZERO_TOL`, where
-    the gradient is unreliable, or when its bound is not finite. Points
-    that are scanned get the same floats as in a scan of the whole lattice,
-    so the value and the argmax are too; a flat objective, or one singular
-    everywhere, skips nothing and costs a full scan.
+    max_box f <= f(c) + sum_k |df/dr_k(c)| max_box |r_k - c_k|. Boxes are
+    bounded coarse to fine, with sides of 16, 8, 4 and 2 lattice points:
+    each level bounds only the halves, along every axis, of the boxes that
+    survived the level above, and raises a floor, the best value at the
+    bounded boxes' middle lattice points less 1e-9 of rounding margin. A box
+    survives when its bound reaches the floor. Two rules stop the refinement
+    where it cannot pay. A box whose centre has an output or environment
+    eigenvalue below `EIG_ZERO_TOL`, where the gradient is unreliable, or
+    whose bound is not finite, is never pruned or refined: it is scanned
+    whole. A level that prunes nothing ends the refinement, and its
+    survivors are scanned whole. So a flat objective, or one singular
+    everywhere, bounds one level of 16-point boxes and then scans the whole
+    lattice. The scan skips x-slices that hold no surviving box before it
+    builds their ball mask. Points that are scanned get the same floats as
+    in a scan of the whole lattice, so the value and the argmax are too.
     Raises ValueError unless 0 < resolution <= 1; at a step of at most 1
     some lattice point lies in the ball.
     """
@@ -462,15 +469,18 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     size = len(axis)
-    keep = _surviving_boxes(out_basis, env_basis, axis)
+    side = _BOXES[-1]
+    keep, _ = _surviving_boxes(out_basis, env_basis, axis)
     ry_g, rz_g = np.meshgrid(axis, axis, indexing="ij")
     ry_sq, rz_sq = ry_g**2, rz_g**2
     best_val = -np.inf
     best_r = None
     for ix, rx in enumerate(axis):
+        boxes = keep[ix // side]
+        if not boxes.any():
+            continue
         ball = rx * rx + ry_sq + rz_sq <= 1.0 + 1e-12
-        boxes = keep[ix // _BOX].repeat(_BOX, axis=0).repeat(_BOX, axis=1)
-        mask = ball & boxes[:size, :size]
+        mask = ball & boxes.repeat(side, axis=0).repeat(side, axis=1)[:size, :size]
         count = np.count_nonzero(mask)
         if count == 0:
             continue
@@ -498,25 +508,70 @@ def _grid_values(out_basis, env_basis, rx, ry, rz):
 
 
 def _surviving_boxes(out_basis, env_basis, axis):
-    """Which _BOX-point boxes of the lattice may hold the grid maximum.
+    """Which boxes of _BOXES[-1] points per side may hold the grid maximum.
 
-    Returns a bool array indexed by box (x, y, z); boxes that miss the ball
-    read False. The tangent-plane bound at each box centre c, pulled in to
-    radius _BOX_RADIUS so the input entropy's gradient is finite, is
-    f(c) + sum_k |g_k| reach_k, where reach_k is the box's farthest lattice
-    coordinate from c_k. Each entropy gradient comes from the basis the
-    objective is affine in: every basis[k + 1] is traceless, so
-    dH(M)/dr_k = -tr(log2 M . basis[k + 1]).
+    Bounds boxes level by level over the sides in _BOXES, coarse to fine.
+    The first level bounds every box that meets the ball, each later one
+    the boxes that split the safe survivors of the level above. Every level
+    raises the floor with the objective at its boxes' middle lattice points
+    in the ball, then keeps the unsafe boxes and those whose bound reaches
+    the floor. Unsafe survivors are kept whole and the others are split,
+    unless this is the last level or it pruned nothing: then every
+    survivor is kept whole and the refinement ends. Returns (keep, sides):
+    keep is a bool array indexed by finest box (x, y, z), sides the box
+    sides of the levels bounded.
     """
     size = len(axis)
-    first = np.arange(0, size, _BOX)
-    last = np.minimum(first + _BOX - 1, size - 1)
-    nb = len(first)
-    # per box (x, y, z), one row each: its least, greatest and middle lattice point
-    lo3, hi3, mid3 = (np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
-                      for v in (axis[first], axis[last], axis[(first + last) // 2]))
-    meets = np.sum(np.clip(0.0, lo3, hi3) ** 2, axis=1) <= 1.0 + 1e-12
-    lo3, hi3 = lo3[meets], hi3[meets]
+    fine = _BOXES[-1]
+    keep = np.zeros((-(-size // fine),) * 3, dtype=bool)
+    floor = -np.inf
+    sides = []
+    box = np.zeros((1, 3), dtype=np.int64)  # one root box holds the lattice
+    for side in _BOXES:
+        first = np.arange(0, size, side)
+        last = np.minimum(first + side - 1, size - 1)
+        nb = len(first)
+        # the (x, y, z) indices of the boxes to bound: the parts of the boxes
+        # split at the level above, at the first level those of the root
+        part = sides[-1] // side if sides else nb
+        box = (box[:, None, :] * part + np.indices((part,) * 3).reshape(3, -1).T).reshape(-1, 3)
+        box = box[np.all(box < nb, axis=1)]
+        # per box, one row each: its least, greatest and middle lattice point
+        lo3, hi3, mid3 = (v[box] for v in (axis[first], axis[last], axis[(first + last) // 2]))
+        meets = np.sum(np.clip(0.0, lo3, hi3) ** 2, axis=1) <= 1.0 + 1e-12
+        box, lo3, hi3, mid3 = box[meets], lo3[meets], hi3[meets], mid3[meets]
+        sides.append(side)
+        # the floor: the objective at each box's middle lattice point in the ball
+        mx, my, mz = mid3.T
+        inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
+        if inside.any():
+            vals = _grid_values(out_basis, env_basis, mx[inside], my[inside], mz[inside])
+            floor = max(floor, float(np.max(vals)) - _FLOOR_MARGIN)
+        bound, unsafe = _box_bounds(out_basis, env_basis, lo3, hi3)
+        kept = unsafe | (bound >= floor)
+        final = kept.all() or side == fine
+        split = np.zeros_like(kept) if final else kept & ~unsafe
+        part = side // fine
+        for x, y, z in box[kept & ~split] * part:
+            keep[x:x + part, y:y + part, z:z + part] = True
+        if not split.any():
+            break
+        box = box[split]
+    return keep, tuple(sides)
+
+
+def _box_bounds(out_basis, env_basis, lo3, hi3):
+    """Tangent-plane bound on the objective over each box, and whether it is unsafe.
+
+    The boxes' least and greatest lattice points are the rows of lo3 and
+    hi3. The bound at each box centre c, pulled in to radius _BOX_RADIUS so
+    the input entropy's gradient is finite, is f(c) + sum_k |g_k| reach_k,
+    where reach_k is the box's farthest lattice coordinate from c_k. Each
+    entropy gradient comes from the basis the objective is affine in: every
+    basis[k + 1] is traceless, so dH(M)/dr_k = -tr(log2 M . basis[k + 1]).
+    A box is unsafe when an eigenvalue at c is below EIG_ZERO_TOL or its
+    bound is not finite.
+    """
     centre = 0.5 * (lo3 + hi3)
     norm = np.linalg.norm(centre, axis=1)
     centre *= (_BOX_RADIUS / np.maximum(norm, _BOX_RADIUS))[:, None]
@@ -531,18 +586,7 @@ def _surviving_boxes(out_basis, env_basis, axis):
     grad = g_out - g_env - slope[:, None] * centre
     reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
     bound = h_in + h_out - h_env + np.sum(np.abs(grad) * reach, axis=1)
-
-    # the floor: the objective at each box's middle lattice point in the ball
-    mx, my, mz = mid3.T
-    inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
-    floor = -np.inf
-    if inside.any():
-        vals = _grid_values(out_basis, env_basis, mx[inside], my[inside], mz[inside])
-        floor = float(np.max(vals)) - _FLOOR_MARGIN
-    unsafe = (np.minimum(low_out, low_env) < EIG_ZERO_TOL) | ~np.isfinite(bound)
-    keep = np.zeros(nb**3, dtype=bool)
-    keep[meets] = unsafe | (bound >= floor)
-    return keep.reshape(nb, nb, nb)
+    return bound, (np.minimum(low_out, low_env) < EIG_ZERO_TOL) | ~np.isfinite(bound)
 
 
 def _entropy_gradient(basis, coef):

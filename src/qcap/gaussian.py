@@ -99,9 +99,12 @@ def _g_diff(a: float, u: float) -> float:
         if b < -G_ARG_TOL:
             raise ValueError(f"entropy argument {b} below clamp tolerance")
         return g_entropy(a)
+    # log1p(1/b) = log1p(b) - log(b), which stays finite where 1/b overflows
+    inv = 1.0 / b
+    tail = math.log1p(inv) if inv < INF else math.log1p(b) - math.log(b)
     return ((a + 1.0) * math.log1p(u / (b + 1.0))
             - a * math.log1p(u / b)
-            + u * math.log1p(1.0 / b)) / _LN2
+            + u * tail) / _LN2
 
 
 def gaussian_ce(params: GaussianParams) -> float:

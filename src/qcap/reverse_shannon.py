@@ -401,10 +401,13 @@ def _channel_kind(channel):
     where rate(x) sizes the shared set for input block x and, given the
     block law rows = _block_law(DMC, len(x)), law gives the exact oracle
     the law of one set member over the output blocks (as ordered by
-    _blocks) and an integer match label for each output block.
+    _blocks) and an integer match label for each output block. A DMC's
+    law builds its block tables once per block length, so one oracle call
+    builds them once.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
+        tables = {}  # per block length: sorted input blocks, output blocks
 
         def law(x, rows):
             # members: channel outputs of a uniform input of x's type class;
@@ -412,8 +415,11 @@ def _channel_kind(channel):
             # letters a * d_out + b fix: their block code, below the
             # (d_in d_out)^n that the oracle's guard bounds, labels it
             n = len(x)
-            same = (np.sort(_blocks(d_in, n), axis=1) == np.sort(x)).all(axis=1)
-            pairs = np.sort(x * d_out + _blocks(d_out, n), axis=1)
+            if n not in tables:
+                tables[n] = np.sort(_blocks(d_in, n), axis=1), _blocks(d_out, n)
+            inputs, outputs = tables[n]
+            same = (inputs == np.sort(x)).all(axis=1)
+            pairs = np.sort(x * d_out + outputs, axis=1)
             return rows[same].mean(axis=0), pairs @ (d_in * d_out) ** np.arange(n)
 
         return (channel, lambda: channel._capacity,

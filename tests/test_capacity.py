@@ -19,9 +19,11 @@ from qcap.capacity import (
     concavity_slack,
     holevo_chi,
     pgm_error,
+    _BOXES,
     _STALL_ITERS,
     _family_entropy,
     _project,
+    _surviving_boxes,
 )
 from qcap.channels import (
     Ensemble,
@@ -534,14 +536,19 @@ def test_bloch_grid_matches_eigvalsh_reference():
         assert r == ref_r
 
 
-def _full_lattice_grid(channel, resolution):
-    # the unpruned scan: every lattice point in the ball, one x-slice at a
-    # time, with the objective's arithmetic as bloch_grid_ce does it
+def _grid_bases(channel):
+    # the output and environment maps on I/2, X/2, Y/2 and Z/2
     paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
               np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
               np.array([[1, 0], [0, -1]], dtype=np.complex128)]
     inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
-    out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
+    return map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
+
+
+def _full_lattice_grid(channel, resolution):
+    # the unpruned scan: every lattice point in the ball, one x-slice at a
+    # time, with the objective's arithmetic as bloch_grid_ce does it
+    out_basis, env_basis = _grid_bases(channel)
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     best_val, best_r = -np.inf, None
     for rx in axis:
@@ -577,12 +584,34 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
     for res in (0.05, 0.07, 0.3, 1.0):
         for ch in chans:
             assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
-    # at 0.05 the best box's middle point nearly always shares a box with
-    # the maximum, so a bound with a tenth of the gradient passes there; on
-    # the 101-point axis it misses the maximum on five of these eight
-    for i in range(8):
-        ch = random_channel(2, 2, 2 + i % 2, rng)
+    # the 101-point axis bounds all four box levels; env 4 is the case
+    # whose unpruned scan costs most. A bound with a tenth of the gradient
+    # misses the maximum on ten of these twelve, two of them env 4
+    chans = [random_channel(2, 2, 2 + i % 2, rng) for i in range(8)]
+    chans += [random_channel(2, 2, 4, rng) for _ in range(4)]
+    for ch in chans:
         assert bloch_grid_ce(ch, 0.02) == _full_lattice_grid(ch, 0.02)
+
+
+def test_bloch_grid_refinement_stops_where_it_cannot_prune():
+    axis = np.arange(-1.0, 1.0 + 0.02 / 2, 0.02)
+    sq = axis**2
+    # the finest box of every lattice point in the ball
+    ball = np.argwhere(sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+                       <= 1.0 + 1e-12) // _BOXES[-1]
+    # amplitude damping at p = 1 is singular everywhere, so every box is
+    # unsafe; the complete depolarizer is flat, so no box is pruned
+    for ch in (amplitude_damping(1.0), depolarizing(2, 1.0)):
+        keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
+        assert sides == _BOXES[:1]
+        assert keep[tuple(ball.T)].all()
+        for res in (0.05, 0.3):
+            assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
+    # a generic channel is refined down to the finest boxes
+    ch = random_channel(2, 2, 3, generator(63))
+    keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
+    assert sides == _BOXES
+    assert keep.sum() < 100
 
 
 def test_damping_ratio_behavior():

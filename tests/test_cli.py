@@ -140,6 +140,14 @@ def test_gaussian_grid(capsys):
     assert float(cells["ub_coh"]) >= float(cells["ub_sq"]) >= float(cells["ce"])
 
 
+def test_gaussian_subnormal_signal_prints_finite_capacity(capsys):
+    code, out, _ = run(capsys, "gaussian", "--S", "1e-320", "--N", "1", "--k", "1")
+    assert code == 0
+    header, row = out.strip().split("\n")
+    ce = float(dict(zip(header.split(","), row.split(",")))["ce"])
+    assert np.isfinite(ce) and ce >= 0.0
+
+
 def test_gaussian_limit_column(capsys):
     code, out, _ = run(capsys, "gaussian", "--S", "0.5,2", "--limit")
     assert code == 0

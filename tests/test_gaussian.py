@@ -172,6 +172,14 @@ def test_low_signal_asymptotics():
     assert ce / (-0.5 * s * math.log2(s)) == pytest.approx(1.0, rel=0.2)
 
 
+def test_subnormal_signal_capacity_is_finite():
+    # below S of about 1e-308 the stable form's 1/b overflows
+    top = gaussian_ce(GaussianParams(1e-300, 1.0, 1.0))
+    for s in (1e-308, 1e-310, 1e-320, 5e-324):
+        ce = gaussian_ce(GaussianParams(s, 1.0, 1.0))
+        assert math.isfinite(ce) and 0.0 <= ce <= top
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GaussianParams(-1.0, 0.0, 1.0)
