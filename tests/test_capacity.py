@@ -586,9 +586,9 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
             assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
     # the 101-point axis bounds all four box levels; env 4 is the case
     # whose unpruned scan costs most. A bound with a tenth of the gradient
-    # misses the maximum on ten of these twelve, two of them env 4
+    # misses the maximum on each of these ten
     chans = [random_channel(2, 2, 2 + i % 2, rng) for i in range(8)]
-    chans += [random_channel(2, 2, 4, rng) for _ in range(4)]
+    chans += [random_channel(2, 2, 4, rng) for _ in range(2)]
     for ch in chans:
         assert bloch_grid_ce(ch, 0.02) == _full_lattice_grid(ch, 0.02)
 
@@ -600,13 +600,12 @@ def test_bloch_grid_refinement_stops_where_it_cannot_prune():
     ball = np.argwhere(sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
                        <= 1.0 + 1e-12) // _BOXES[-1]
     # amplitude damping at p = 1 is singular everywhere, so every box is
-    # unsafe; the complete depolarizer is flat, so no box is pruned
+    # unsafe; the complete depolarizer is flat, so no box is pruned. The
+    # equality panel above checks both channels' value and argmax
     for ch in (amplitude_damping(1.0), depolarizing(2, 1.0)):
         keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
         assert sides == _BOXES[:1]
         assert keep[tuple(ball.T)].all()
-        for res in (0.05, 0.3):
-            assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
     # a generic channel is refined down to the finest boxes
     ch = random_channel(2, 2, 3, generator(63))
     keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
