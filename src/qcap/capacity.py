@@ -215,7 +215,8 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
         y = _pullback(channel, log_out, log_env)
         grad = y - (vecs * w) @ vecs.conj().T
         top = grad if mu == 0.0 else grad - mu * obs
-        gap = (float(np.linalg.eigvalsh(top)[-1]) + mu * bound
+        # the mu b term only when mu > 0: with an infinite bound, 0 inf is NaN
+        gap = (float(np.linalg.eigvalsh(top)[-1]) + (mu * bound if mu > 0.0 else 0.0)
                - float(np.vdot(rho, grad).real))
         result = CeResult(value=value, rho=rho, iterations=it, gap_bound=max(gap, 0.0))
         if gap <= tol:
@@ -431,8 +432,8 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
 
     Walks rho = (I + r . sigma)/2 on a cubic lattice of the given resolution
     intersected with the unit ball, one x-slice at a time, evaluating the
-    objective with `hermitian_spectra`: closed-form spectra for output and
-    environment dimensions up to 3, batched eigensolves above. Independent
+    objective with `hermitian_spectra`: closed-form spectra for 2x2 output
+    and environment matrices, one batched eigensolve above. Independent
     check of `ce_maximize`; returns (max value, argmax Bloch vector), the
     first lattice point in scan order to reach the maximum.
 
@@ -603,7 +604,7 @@ def _family_entropy(basis, coef):
 
     `basis` stacks four d x d matrices; the real (n, 4) coefficients act on
     their real and imaginary parts in one product. Spectra come from
-    `hermitian_spectra`: closed forms up to 3x3, batched `eigvalsh` above.
+    `hermitian_spectra`: a closed form at 2x2, batched `eigvalsh` above.
     """
     dim = basis.shape[-1]
     flat = basis.reshape(4, -1).view(np.float64)

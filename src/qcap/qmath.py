@@ -193,75 +193,21 @@ def entropy_of_spectrum(evals):
 def hermitian_spectra(mats) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, one row per matrix.
 
-    `mats` has shape (n, d, d). 2x2 and 3x3 stacks use closed forms that
-    read only the diagonal's real part and the upper triangle, and give
-    each row in no particular order; larger ones `np.linalg.eigvalsh`.
-
-    The 3x3 form takes from O. K. Smith, CACM 4(4):168 (1961), only the
-    root lambda that lies at least sqrt(3) p from the other two, where
-    p^2 = tr (A - qI)^2 / 6 and q = tr A / 3: the largest root when
-    det(A - qI) >= 0, else the smallest. It then deflates lambda exactly.
-    P = adj(A - lambda I) / tr adj(A - lambda I) is the projector on its
-    eigenvector, and B = A - lambda P keeps A's other two eigenvalues with
-    0 in place of lambda; a stable quadratic takes them from tr B and the
-    sum of B's principal 2x2 minors. Taking them from A's own invariants
-    instead puts a double root at 0 off by about 1e-8 (J. Kopp,
-    arXiv:physics/0610206, on the analytic method's accuracy). The two
-    members of a near-double pair can still split by about 1e-8, but
-    their sum keeps full accuracy, so their entropy does too.
+    `mats` has shape (n, d, d). A 2x2 stack uses the closed form
+    m +- sqrt(m^2 - det), which reads only the diagonal's real part and the
+    upper triangle and gives each row in no particular order. It stays
+    because the Bloch grid scans whole lattices of qubit spectra where it
+    cannot prune, and `eigvalsh` makes such a scan about six times slower.
+    Larger stacks go through one batched `np.linalg.eigvalsh`.
     """
     mats = np.asarray(mats)
-    dim = mats.shape[-1]
-    if dim == 2:
-        m = 0.5 * (mats[:, 0, 0].real + mats[:, 1, 1].real)
-        det = (mats[:, 0, 0].real * mats[:, 1, 1].real
-               - (mats[:, 0, 1].real**2 + mats[:, 0, 1].imag**2))
-        disc = np.sqrt(np.clip(m * m - det, 0.0, None))
-        return np.stack([m + disc, m - disc], axis=1)
-    if dim != 3:
+    if mats.shape[-1] != 2:
         return np.linalg.eigvalsh(mats)
-    a00, a11, a22 = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 2, 2].real
-    a01, a02, a12 = mats[:, 0, 1], mats[:, 0, 2], mats[:, 1, 2]
-    q = (a00 + a11 + a22) / 3.0
-    d0, d1, d2 = a00 - q, a11 - q, a22 - q
-    # centre twice: after one pass the rounded diagonal is not traceless,
-    # and on a near-scalar matrix that residue is large against p
-    t = (d0 + d1 + d2) / 3.0
-    d0, d1, d2, q = d0 - t, d1 - t, d2 - t, q + t
-    n01 = a01.real**2 + a01.imag**2
-    n02 = a02.real**2 + a02.imag**2
-    n12 = a12.real**2 + a12.imag**2
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (n01 + n02 + n12)) / 6.0)
-    cube = p**3
-    # below p ~ 1e-108 the cube underflows; all three roots are q within 2p
-    scalar = cube == 0.0
-    det = (d0 * d1 * d2 + 2.0 * (a01 * a12 * a02.conj()).real
-           - d0 * n12 - d1 * n02 - d2 * n01)
-    half_det = det / (2.0 * np.where(scalar, 1.0, cube))
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    # the largest root is the isolated one when det >= 0, else the smallest
-    shift = 2.0 * p * np.cos(np.where(half_det >= 0.0, phi, phi + 2.0 * np.pi / 3.0))
-    lam = q + shift
-    # adj(D - shift I) is tr adj times the projector on lam's eigenvector,
-    # where D = A - q I; tr adj = 3 (shift^2 - p^2) >= 6 p^2
-    m0, m1, m2 = d0 - shift, d1 - shift, d2 - shift
-    adj00, adj11, adj22 = m1 * m2 - n12, m0 * m2 - n02, m0 * m1 - n01
-    scale = lam / np.where(scalar, 1.0, adj00 + adj11 + adj22)
-    b00 = a00 - scale * adj00
-    b11 = a11 - scale * adj11
-    b22 = a22 - scale * adj22
-    b01 = a01 - scale * (a02 * a12.conj() - a01 * m2)
-    b02 = a02 - scale * (a01 * a12 - a02 * m1)
-    b12 = a12 - scale * (a02 * a01.conj() - m0 * a12)
-    s = b00 + b11 + b22
-    e2 = (b00 * b11 + b00 * b22 + b11 * b22
-          - (b01.real**2 + b01.imag**2 + b02.real**2 + b02.imag**2
-             + b12.real**2 + b12.imag**2))
-    big = 0.5 * (s + np.copysign(np.sqrt(np.clip(s * s - 4.0 * e2, 0.0, None)), s))
-    small = e2 / np.where(big == 0.0, 1.0, big)
-    evals = np.stack([lam, big, small], axis=1)
-    evals[scalar] = q[scalar, None]
-    return evals
+    m = 0.5 * (mats[:, 0, 0].real + mats[:, 1, 1].real)
+    det = (mats[:, 0, 0].real * mats[:, 1, 1].real
+           - (mats[:, 0, 1].real**2 + mats[:, 0, 1].imag**2))
+    disc = np.sqrt(np.clip(m * m - det, 0.0, None))
+    return np.stack([m + disc, m - disc], axis=1)
 
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityOperator:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qmath import EIG_ZERO_TOL, entropy_of_spectrum, _state_matrix
+from .qmath import EIG_ZERO_TOL, DensityOperator, entropy_of_spectrum, _state_matrix
 
 MAX_ENUMERATED_TYPES = 5_000_000
 
@@ -249,10 +249,11 @@ def typical_subspace_report(rho, n: int, delta: float,
       3. (1-eps) 2^n(H-delta') <= dim <= 2^n(H+delta'),
 
     with delta' = delta * d * log2(lambda_max / lambda_min) on the support.
+    rho is validated as a DensityOperator (InvalidStateError otherwise).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    mat = _state_matrix(rho)
+    mat = DensityOperator(_state_matrix(rho)).mat
     spectrum = np.linalg.eigvalsh(mat)
     support = np.sort(spectrum[spectrum > EIG_ZERO_TOL])[::-1]
     d = support.size

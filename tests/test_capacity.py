@@ -178,6 +178,15 @@ def test_constrained_reduces_to_unconstrained_for_loose_budget():
     assert capped == pytest.approx(free, abs=1e-9)
 
 
+def test_constrained_infinite_bound_is_unconstrained():
+    # mu stays 0, so the certificate's mu b term must not read 0 inf = NaN
+    ch = amplitude_damping(0.3)
+    free = ce_maximize(ch)
+    capped = ce_maximize_constrained(ch, EnergyConstraint(np.diag([0.0, 1.0]), np.inf))
+    assert (capped.value, capped.gap_bound, capped.iterations) == (
+        free.value, free.gap_bound, free.iterations)
+
+
 def test_constrained_zero_budget_pins_ground_state():
     ch = amplitude_damping(0.3)
     cons = EnergyConstraint(np.diag([0.0, 1.0]), 0.0)
@@ -526,7 +535,8 @@ def _eigvalsh_grid(ch, res):
 
 
 def test_bloch_grid_matches_eigvalsh_reference():
-    # the 3x3 environment spectra are closed-form in the grid
+    # the grid takes the 2x2 output spectra in closed form and the 3x3
+    # environment ones from its affine basis; the reference maps every point
     rng = generator(61)
     for _ in range(2):
         ch = random_channel(2, 2, 3, rng)
@@ -579,7 +589,8 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
     chans = [random_channel(2, 2, 2 + i % 3, rng) for i in range(33)]
     chans += [noiseless(2), depolarizing(2, 1.0), amplitude_damping(1.0),
               amplitude_damping(0.5),
-              _replacement_channel(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))]
+              _replacement_channel(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])),
+              erasure(2, 1.0)]
     # axes of 41, 30, 8 and 3 points: partial boxes at the edge, one box
     for res in (0.05, 0.07, 0.3, 1.0):
         for ch in chans:

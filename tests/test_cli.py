@@ -69,6 +69,18 @@ def test_capacity_with_constraint_file(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(free, abs=1e-7)
 
 
+def test_capacity_with_infinite_constraint_bound(tmp_path, capsys):
+    cons = tmp_path / "cons.json"
+    obs = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cons.write_text('{"observable": %s, "bound": Infinity}' % json.dumps(obs))
+    code, out, _ = run(capsys, "capacity", "ce", "--preset", "amplitude-damping:0.3",
+                       "--constraint", str(cons))
+    assert code == 0
+    capped = json.loads(out)
+    code, out, _ = run(capsys, "capacity", "ce", "--preset", "amplitude-damping:0.3")
+    assert capped == json.loads(out)
+
+
 def test_malformed_spec_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

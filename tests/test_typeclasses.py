@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcap.qmath import InvalidStateError
 from qcap.rand import generator
 from qcap.reverse_shannon import _blocks
 from qcap.typeclasses import (
@@ -219,6 +220,15 @@ def test_report_json_round_trip():
     assert d["n"] == 10 and d["dim"] == rep.dim
     assert d["bounds_ok"] == list(rep.bounds_ok)
     assert isinstance(d["bounds_ok"][0], bool)
+
+
+def test_report_rejects_non_states():
+    for mat in (np.diag([2.0, 1.0]),                  # trace 3
+                np.diag([1.2, -0.2]),                 # a negative eigenvalue
+                np.array([[0.5, 0.4], [0.1, 0.5]]),   # not Hermitian
+                np.zeros((2, 2))):                    # trace 0
+        with pytest.raises(InvalidStateError):
+            typical_subspace_report(mat, 20, 0.1)
 
 
 def test_report_validation():
