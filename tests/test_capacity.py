@@ -535,8 +535,8 @@ def _eigvalsh_grid(ch, res):
 
 
 def test_bloch_grid_matches_eigvalsh_reference():
-    # the grid takes the 2x2 output spectra in closed form and the 3x3
-    # environment ones from its affine basis; the reference maps every point
+    # the grid maps an affine basis and takes 2x2 spectra in closed form;
+    # the reference applies the Kraus maps at every point and eigvalsh to all
     rng = generator(61)
     for _ in range(2):
         ch = random_channel(2, 2, 3, rng)
