@@ -425,17 +425,18 @@ def concavity_slack(channel: QuantumChannel, rho0, rho1, p0: float) -> float:
 _BOXES = (16, 8, 4, 2)  # lattice points per side of a pruning box, coarse to fine
 _BOX_RADIUS = 0.98     # box centres are pulled in to this radius
 _FLOOR_MARGIN = 1e-9   # covers rounding between the floor and the scan
+_GRID_CHUNK = 1 << 12  # most lattice points in one evaluated batch
 
 
 def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     """Grid maximum of the capacity objective over the Bloch ball.
 
     Walks rho = (I + r . sigma)/2 on a cubic lattice of the given resolution
-    intersected with the unit ball, one x-slice at a time, evaluating the
-    objective with `hermitian_spectra`: closed-form spectra for 2x2 output
-    and environment matrices, one batched eigensolve above. Independent
-    check of `ce_maximize`; returns (max value, argmax Bloch vector), the
-    first lattice point in scan order to reach the maximum.
+    intersected with the unit ball, evaluating the objective in batches
+    with `hermitian_spectra`: closed-form spectra for 2x2 output and
+    environment matrices, one batched eigensolve above. Independent check
+    of `ce_maximize`; returns (max value, argmax Bloch vector), the first
+    lattice point in scan order (x, then y, then z) to reach the maximum.
 
     The scan skips lattice boxes that cannot hold the maximum. f is concave
     on the ball, so the tangent plane at a box's centre c bounds it there:
@@ -451,11 +452,12 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     whole. A level that prunes nothing ends the refinement, and its
     survivors are scanned whole. So a flat objective, or one singular
     everywhere, bounds one level of 16-point boxes and then scans the whole
-    lattice. The scan skips x-slices that hold no surviving box before it
-    builds their ball mask. Points that are scanned get the same floats as
-    in a scan of the whole lattice, so the value and the argmax are too.
-    Raises ValueError unless 0 < resolution <= 1; at a step of at most 1
-    some lattice point lies in the ball.
+    lattice. Each point gets the floats of a scan of the whole lattice by
+    x-slices, and so do the value and the argmax: numpy multiplies a one-row
+    batch as a matrix-vector product, which rounds differently from a row of
+    a larger batch, so a point alone in its x-slice of the ball is evaluated
+    alone, first, pruned or not. Raises ValueError unless
+    0 < resolution <= 1, a step that puts some lattice point in the ball.
     """
     if channel.d_in != 2:
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
@@ -469,79 +471,63 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
-    size = len(axis)
-    side = _BOXES[-1]
-    keep, _ = _surviving_boxes(out_basis, env_basis, axis)
-    ry_g, rz_g = np.meshgrid(axis, axis, indexing="ij")
-    ry_sq, rz_sq = ry_g**2, rz_g**2
-    best_val = -np.inf
-    best_r = None
-    for ix, rx in enumerate(axis):
-        boxes = keep[ix // side]
-        if not boxes.any():
-            continue
-        ball = rx * rx + ry_sq + rz_sq <= 1.0 + 1e-12
-        mask = ball & boxes.repeat(side, axis=0).repeat(side, axis=1)[:size, :size]
-        count = np.count_nonzero(mask)
-        if count == 0:
-            continue
-        if count == 1:
-            # numpy multiplies a one-row batch as a matrix-vector product,
-            # which rounds differently from the whole slice's matrix product
-            mask = ball
-        ry = ry_g[mask]
-        rz = rz_g[mask]
-        vals = _grid_values(out_basis, env_basis, rx, ry, rz)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_r = (float(rx), float(ry[i]), float(rz[i]))
-    return best_val, best_r
+    shape = (len(axis),) * 3
+    best = (-np.inf, 0)  # (value, -key): ties go to the least scan-order key
+    for r in _scan_batches(out_basis, env_basis, axis):
+        vals = _grid_values(out_basis, env_basis, *r)
+        top = np.max(vals)
+        keys = np.ravel_multi_index(np.searchsorted(axis, r[:, np.flatnonzero(vals == top)]), shape)
+        best = max(best, (float(top), -int(keys.min())))
+    return best[0], tuple(float(axis[i]) for i in np.unravel_index(-best[1], shape))
 
 
 def _grid_values(out_basis, env_basis, rx, ry, rz):
-    """The objective at the Bloch vectors (rx, ry, rz), rx broadcast to ry."""
+    """The objective at the Bloch vectors (rx, ry, rz); see `bloch_grid_ce` on one-entry calls."""
     # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
     rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
     h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
-    coef = np.stack([np.ones_like(ry), np.broadcast_to(rx, ry.shape), ry, rz], axis=1)
+    coef = np.stack([np.ones_like(ry), rx, ry, rz], axis=1)
     return h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
 
 
-def _surviving_boxes(out_basis, env_basis, axis):
-    """Which boxes of _BOXES[-1] points per side may hold the grid maximum.
+def _scan_batches(out_basis, env_basis, axis):
+    """Batches of Bloch vectors, (3, m) arrays, that may hold the grid maximum.
 
-    Bounds boxes level by level over the sides in _BOXES, coarse to fine.
-    The first level bounds every box that meets the ball, each later one
-    the boxes that split the safe survivors of the level above. Every level
-    raises the floor with the objective at its boxes' middle lattice points
-    in the ball, then keeps the unsafe boxes and those whose bound reaches
-    the floor. Unsafe survivors are kept whole and the others are split,
-    unless this is the last level or it pruned nothing: then every
-    survivor is kept whole and the refinement ends. Returns (keep, sides):
-    keep is a bool array indexed by finest box (x, y, z), sides the box
-    sides of the levels bounded.
+    The point of each x-slice with one ball point comes first, alone, and
+    such slices are then left out. Boxes are bounded level by level over the
+    sides in _BOXES, as `bloch_grid_ce` describes, and each level yields the
+    other ball points of the boxes it keeps whole, each once, in batches of
+    at most _GRID_CHUNK points. A batch of one such point holds it twice, so
+    that it rounds as a row of a larger batch.
     """
     size = len(axis)
-    fine = _BOXES[-1]
-    keep = np.zeros((-(-size // fine),) * 3, dtype=bool)
+    # the axis padded past its end with inf, which is never in the ball
+    pad = np.concatenate([axis, np.full(_BOXES[0], np.inf)])
+    sq = pad**2
+    # the x-slices with one ball point. A rounded sum grows with each term, so
+    # slice x holds one iff x^2 + least^2 + least^2 fits and neither sum with
+    # a second least square does; the point is then (x, c, c), c the least
+    least, second = np.partition(sq[:size], 1)[:2]
+    lone = ((sq + least + least <= 1.0 + 1e-12) & (sq + second + least > 1.0 + 1e-12)
+            & (sq + least + second > 1.0 + 1e-12))
+    c = pad[np.argmin(sq[:size])]
+    yield from (np.array([[x], [c], [c]]) for x in pad[lone])
+    sqx = np.where(lone, np.inf, sq)
     floor = -np.inf
-    sides = []
-    box = np.zeros((1, 3), dtype=np.int64)  # one root box holds the lattice
+    box, above = np.zeros((1, 3), dtype=np.int64), None  # one root box holds the lattice
     for side in _BOXES:
         first = np.arange(0, size, side)
         last = np.minimum(first + side - 1, size - 1)
         nb = len(first)
         # the (x, y, z) indices of the boxes to bound: the parts of the boxes
         # split at the level above, at the first level those of the root
-        part = sides[-1] // side if sides else nb
+        part = above // side if above else nb
         box = (box[:, None, :] * part + np.indices((part,) * 3).reshape(3, -1).T).reshape(-1, 3)
         box = box[np.all(box < nb, axis=1)]
         # per box, one row each: its least, greatest and middle lattice point
         lo3, hi3, mid3 = (v[box] for v in (axis[first], axis[last], axis[(first + last) // 2]))
         meets = np.sum(np.clip(0.0, lo3, hi3) ** 2, axis=1) <= 1.0 + 1e-12
         box, lo3, hi3, mid3 = box[meets], lo3[meets], hi3[meets], mid3[meets]
-        sides.append(side)
         # the floor: the objective at each box's middle lattice point in the ball
         mx, my, mz = mid3.T
         inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
@@ -550,15 +536,23 @@ def _surviving_boxes(out_basis, env_basis, axis):
             floor = max(floor, float(np.max(vals)) - _FLOOR_MARGIN)
         bound, unsafe = _box_bounds(out_basis, env_basis, lo3, hi3)
         kept = unsafe | (bound >= floor)
-        final = kept.all() or side == fine
+        final = kept.all() or side == _BOXES[-1]
         split = np.zeros_like(kept) if final else kept & ~unsafe
-        part = side // fine
-        for x, y, z in box[kept & ~split] * part:
-            keep[x:x + part, y:y + part, z:z + part] = True
+        # the ball points of the boxes kept whole, about four batches at a time
+        whole = box[kept & ~split] * side
+        per = 4 * _GRID_CHUNK // side**3
+        for i in range(0, len(whole), per):
+            ix, iy, iz = (whole[i:i + per, k, None] + np.arange(side) for k in range(3))
+            ball = (sqx[ix][:, :, None, None] + sq[iy][:, None, :, None]
+                    + sq[iz][:, None, None, :] <= 1.0 + 1e-12)
+            r = np.stack([np.broadcast_to(v, ball.shape)[ball] for v in (
+                pad[ix][:, :, None, None], pad[iy][:, None, :, None], pad[iz][:, None, None, :])])
+            for j in range(0, r.shape[1], _GRID_CHUNK):
+                batch = r[:, j:j + _GRID_CHUNK]
+                yield batch if batch.shape[1] > 1 else np.repeat(batch, 2, axis=1)
         if not split.any():
             break
-        box = box[split]
-    return keep, tuple(sides)
+        box, above = box[split], side
 
 
 def _box_bounds(out_basis, env_basis, lo3, hi3):

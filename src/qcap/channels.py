@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +10,7 @@ from .qmath import (
     DimensionMismatchError,
     PureState,
     QuantumChannel,
+    _check_count,
     apply_channel,
     extend_channel,
     matrix_from_json,
@@ -39,8 +39,7 @@ def _dimension(d) -> int:
     value = int(d) if isinstance(d, str) else d
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"dimension must be a whole number >= 1, got {d!r}")
+    _check_count(value, "dimension")
     return int(value)
 
 

@@ -46,8 +46,8 @@ class GaussianParams:
 
 def g_entropy(s: float) -> float:
     """Entropy in bits of a thermal state with mean photon number s."""
-    if not s >= 0.0:  # NaN fails this too
-        raise ValueError(f"mean photon number must be >= 0, got {s}")
+    if not 0.0 <= s < INF:  # NaN fails this too
+        raise ValueError(f"mean photon number must be finite and >= 0, got {s}")
     if s == 0.0:
         return 0.0
     return ((s + 1.0) * math.log1p(s) - s * math.log(s)) / _LN2
@@ -99,12 +99,15 @@ def _g_diff(a: float, u: float) -> float:
         if b < -G_ARG_TOL:
             raise ValueError(f"entropy argument {b} below clamp tolerance")
         return g_entropy(a)
-    # log1p(1/b) = log1p(b) - log(b), which stays finite where 1/b overflows
-    inv = 1.0 / b
-    tail = math.log1p(inv) if inv < INF else math.log1p(b) - math.log(b)
     return ((a + 1.0) * math.log1p(u / (b + 1.0))
             - a * math.log1p(u / b)
-            + u * tail) / _LN2
+            + u * _log1p_inv(b)) / _LN2
+
+
+def _log1p_inv(b: float) -> float:
+    """ln(1 + 1/b) for b > 0, as ln(1 + b) - ln(b) where 1/b overflows."""
+    inv = 1.0 / b
+    return math.log1p(inv) if inv < INF else math.log1p(b) - math.log(b)
 
 
 def gaussian_ce(params: GaussianParams) -> float:
@@ -136,7 +139,7 @@ def ce_over_cshan_limit(s: float) -> float:
     """
     if not 0.0 < s < INF:
         raise ValueError(f"signal must be finite and > 0, got {s}")
-    return (s + 1.0) * math.log1p(1.0 / s)
+    return (s + 1.0) * _log1p_inv(s)
 
 
 def coherent_bounds(params: GaussianParams) -> tuple[float, float]:

@@ -37,6 +37,11 @@ def _as_complex_matrix(mat) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+
+
 def _check_hermitian(mat: np.ndarray, tol: float = HERM_TOL) -> None:
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if not dev <= tol:  # NaN fails this too

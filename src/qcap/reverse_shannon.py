@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .qmath import entropy_of_spectrum
+from .qmath import _check_count, entropy_of_spectrum
 from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
                           type_of, type_rank)
 
@@ -146,9 +145,7 @@ class ProtocolConfig:
     variant: str = "bsc"
 
     def __post_init__(self):
-        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
-                or self.n < 1):
-            raise ValueError(f"block length must be a whole number >= 1, got {self.n!r}")
+        _check_count(self.n, "block length")
         if not self.eps > 0.0:  # NaN fails this too
             raise ValueError(f"slack must be > 0, got {self.eps}")
         if self.variant not in ("bsc", "general"):
@@ -473,8 +470,8 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
     ProtocolConfig(n, 1.0 if eps is None else eps)
-    if zsize is not None and zsize < 1:
-        raise ValueError(f"set size zsize must be >= 1, got {zsize}")
+    if zsize is not None:
+        _check_count(zsize, "set size zsize")
     dmc, _, rate, _, law = _channel_kind(channel)
     entries = dmc.d_in ** n * dmc.d_out ** n
     if entries > ORACLE_MAX_COMBOS:

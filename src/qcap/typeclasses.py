@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qmath import EIG_ZERO_TOL, DensityOperator, entropy_of_spectrum, _state_matrix
+from .qmath import EIG_ZERO_TOL, DensityOperator, _check_count, _state_matrix, entropy_of_spectrum
 
 MAX_ENUMERATED_TYPES = 5_000_000
 
@@ -181,12 +181,13 @@ class TypicalEigenstateSet:
             raise ValueError("eigenvalue vector must be 1-d and nonempty")
         if not (np.all(arr >= -1e-12) and abs(float(arr.sum()) - 1.0) <= 1e-9):
             raise ValueError("eigenvalues must form a probability distribution")
+        _check_count(n, "block length")
         try:
             dn = Fraction(delta) * n
         except (OverflowError, ValueError):  # inf, NaN or an unreadable string
             raise ValueError(f"delta must be a finite number, got {delta!r}") from None
-        if n < 1 or dn <= 0:
-            raise ValueError(f"need n >= 1 and delta > 0, got n={n}, delta={delta}")
+        if dn <= 0:
+            raise ValueError(f"need delta > 0, got {delta}")
         self.eigs = tuple(float(v) for v in arr)
         self.n = int(n)
         self.delta = float(delta)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from qcap import capacity
 from qcap.capacity import (
     FEASIBILITY_SLACK,
     ConvergenceError,
@@ -21,9 +22,11 @@ from qcap.capacity import (
     pgm_error,
     _BOXES,
     _STALL_ITERS,
+    _box_bounds,
     _family_entropy,
+    _grid_values,
     _project,
-    _surviving_boxes,
+    _scan_batches,
 )
 from qcap.channels import (
     Ensemble,
@@ -595,6 +598,12 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
     for res in (0.05, 0.07, 0.3, 1.0):
         for ch in chans:
             assert bloch_grid_ce(ch, res) == _full_lattice_grid(ch, res)
+    # the scan evaluates each point once, and only points in the ball
+    ball = _ball_keys(0.05)
+    for ch in chans[:33]:
+        keys = np.concatenate(_scanned_keys(ch, 0.05))
+        assert len(np.unique(keys)) == len(keys)
+        assert np.isin(keys, ball).all()
     # the 101-point axis bounds all four box levels; env 4 is the case
     # whose unpruned scan costs most. A bound with a tenth of the gradient
     # misses the maximum on each of these ten
@@ -604,24 +613,85 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
         assert bloch_grid_ce(ch, 0.02) == _full_lattice_grid(ch, 0.02)
 
 
-def test_bloch_grid_refinement_stops_where_it_cannot_prune():
-    axis = np.arange(-1.0, 1.0 + 0.02 / 2, 0.02)
+def _scanned_keys(channel, resolution):
+    # the scan key of every point the pruned scan evaluates, batch by batch;
+    # a batch of one point holds it twice
+    axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
+    batches = []
+    for r in _scan_batches(*_grid_bases(channel), axis):
+        keys = np.ravel_multi_index(np.searchsorted(axis, r), (len(axis),) * 3)
+        batches.append(keys[:1] if len(keys) == 2 and keys[0] == keys[1] else keys)
+    return batches
+
+
+def _ball_keys(resolution):
+    # the scan key of every lattice point in the ball, in scan order
+    axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     sq = axis**2
-    # the finest box of every lattice point in the ball
-    ball = np.argwhere(sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
-                       <= 1.0 + 1e-12) // _BOXES[-1]
+    return np.flatnonzero(sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+                          <= 1.0 + 1e-12)
+
+
+def test_bloch_grid_refinement_stops_where_it_cannot_prune(monkeypatch):
+    levels = []
+
+    def counted(*args):
+        levels.append(len(args[2]))
+        return _box_bounds(*args)
+
+    monkeypatch.setattr(capacity, "_box_bounds", counted)
+    ball = _ball_keys(0.02)
     # amplitude damping at p = 1 is singular everywhere, so every box is
-    # unsafe; the complete depolarizer is flat, so no box is pruned. The
-    # equality panel above checks both channels' value and argmax
+    # unsafe; the complete depolarizer is flat, so no box is pruned. Both
+    # scan each lattice point of the ball once after one level. The
+    # equality panel checks both channels' value and argmax
     for ch in (amplitude_damping(1.0), depolarizing(2, 1.0)):
-        keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
-        assert sides == _BOXES[:1]
-        assert keep[tuple(ball.T)].all()
-    # a generic channel is refined down to the finest boxes
-    ch = random_channel(2, 2, 3, generator(63))
-    keep, sides = _surviving_boxes(*_grid_bases(ch), axis)
-    assert sides == _BOXES
-    assert keep.sum() < 100
+        levels.clear()
+        keys = np.concatenate(_scanned_keys(ch, 0.02))
+        assert len(levels) == 1
+        assert np.array_equal(np.sort(keys), ball)
+    # a generic channel is bounded at every level and scans a few points
+    levels.clear()
+    keys = np.concatenate(_scanned_keys(random_channel(2, 2, 3, generator(63)), 0.02))
+    assert len(levels) == len(_BOXES)
+    assert len(keys) < 800
+
+
+def test_bloch_grid_one_point_slice_rounds_as_one_row():
+    # amplitude damping at p = 0.999 has its maximizer near r = (0, 0, -0.64);
+    # HZ turns it to +x. At resolution 0.85 the lattice's argmax
+    # (0.7, -0.15, -0.15) is the one ball point of its x-slice, so the
+    # unpruned scan evaluates it as a one-row batch, which numpy multiplies
+    # as a matrix-vector product
+    hz = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    ch = QuantumChannel([k @ hz for k in amplitude_damping(0.999).kraus])
+    ref = _full_lattice_grid(ch, 0.85)
+    assert ref[1] == pytest.approx((0.7, -0.15, -0.15))
+    assert bloch_grid_ce(ch, 0.85) == ref
+    assert [len(b) for b in _scanned_keys(ch, 0.85)] == [1, 3]
+    x, y, z = (np.array([v]) for v in ref[1])
+    assert _grid_values(*_grid_bases(ch), x, y, z)[0] == ref[0]
+
+
+def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch):
+    # bounds that keep only the boxes holding one point on the ball's
+    # surface: its finest box holds no other ball point, but its x-slice
+    # holds many, which a scan by x-slices evaluates together
+    axis = np.arange(-1.0, 1.0 + 0.05 / 2, 0.05)
+    target = axis[[5, 11, 11]]
+
+    def only_target(out_basis, env_basis, lo3, hi3):
+        hit = np.all((lo3 <= target) & (target <= hi3), axis=1)
+        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool)
+
+    monkeypatch.setattr(capacity, "_box_bounds", only_target)
+    ch = random_channel(2, 2, 3, generator(64))
+    value, r = bloch_grid_ce(ch, 0.05)
+    assert r == tuple(target)
+    sq = axis**2
+    iy, iz = np.nonzero(sq[5] + sq[:, None] + sq <= 1.0 + 1e-12)
+    row = _grid_values(*_grid_bases(ch), np.full(len(iy), axis[5]), axis[iy], axis[iz])
+    assert value == row[(iy == 11) & (iz == 11)][0]
 
 
 def test_damping_ratio_behavior():

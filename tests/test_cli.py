@@ -170,6 +170,12 @@ def test_gaussian_limit_column(capsys):
         assert float(v) == pytest.approx(ce_over_cshan_limit(float(s)), rel=1e-9)
 
 
+def test_gaussian_limit_at_subnormal_signal(capsys):
+    code, out, _ = run(capsys, "gaussian", "--S", "1e-320", "--limit")
+    assert code == 0
+    assert out.strip().split("\n")[1] == "9.999888672e-321,736.8272409"
+
+
 def test_typical_check_fraction_delta(capsys):
     code, out, _ = run(capsys, "typical", "check", "--probs", "0.7,0.3",
                        "--n", "20", "--delta", "1/10")

@@ -33,6 +33,8 @@ def test_thermal_entropy_values():
         g_entropy(-0.1)
     with pytest.raises(ValueError):
         g_entropy(float("nan"))
+    with pytest.raises(ValueError):
+        g_entropy(math.inf)
 
 
 def test_noiseless_unit_gain_capacity_doubles_entropy():
@@ -76,6 +78,10 @@ def test_large_noise_ratio_limit():
     for s in (0.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             ce_over_cshan_limit(s)
+    # below S of about 5.6e-309, 1/S overflows; the limit is then
+    # (S + 1)(ln(1 + S) - ln S), about 736.83 at 1e-320
+    for s in (1e-308, 1e-320, 5e-324):
+        assert ce_over_cshan_limit(s) == pytest.approx(-math.log(s), rel=1e-15)
 
 
 def test_ratio_converges_to_limit_and_ignores_gain():

@@ -617,9 +617,10 @@ def test_exact_oracle_guards():
         exact_faithfulness_oracle(0.3, 12, zsize=1)  # block law past the guard
     # a million-member set is fine: the guard bounds the block law, not the set
     assert exact_faithfulness_oracle(0.3, 4, zsize=10**6) <= 1e-12
-    for zsize in (0, -1):
+    for zsize in (0, -1, 2.5, 3.0, True):
         with pytest.raises(ValueError, match="set size"):
             exact_faithfulness_oracle(0.3, 2, zsize=zsize)
+    assert exact_faithfulness_oracle(0.3, 2, zsize=np.int64(3)) <= 1.0
 
 
 def test_exact_oracle_guard_precedes_block_law():

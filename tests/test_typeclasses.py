@@ -245,6 +245,13 @@ def test_report_validation():
     for delta in (float("inf"), float("nan")):  # no binary rational to pin
         with pytest.raises(ValueError, match="delta must be a finite number"):
             TypicalEigenstateSet([0.5, 0.5], 10, delta)
+    # a block length is a whole number; a numpy integer is one, a bool is not
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="whole number"):
+            TypicalEigenstateSet([0.7, 0.3], n, 0.5)
+        with pytest.raises(ValueError, match="whole number"):
+            typical_subspace_report(np.diag([0.7, 0.3]), n, 0.1)
+    assert TypicalEigenstateSet([0.7, 0.3], np.int64(4), 0.5).cardinality() == 15
 
 
 def test_enumeration_cap():
