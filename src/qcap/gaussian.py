@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _dimension
 from .qmath import QuantumChannel
 
 _LN2 = math.log(2.0)
-G_ARG_TOL = 1e-12
 INF = math.inf
 
 
@@ -38,7 +38,7 @@ class GaussianParams:
             raise ValueError(f"N must be finite and >= 0, got {self.N}")
         if not 0.0 < self.k < math.inf:
             raise ValueError(f"k must be finite and > 0, got {self.k}")
-        # past 1e150 the squares (S + S' + 1)^2, 4 k^2 S (S+1) and 4NS overflow
+        # past 1e150 gaussian_ce's m^2, 4cSN and 2 k^2 S (S+1) overflow
         t = self.S + output_energy(self) + 1.0
         if not t <= 1e150:
             raise ValueError(f"S + S' + 1 = {t:.3g} exceeds 1e150 (S' is the output energy)")
@@ -48,9 +48,7 @@ def g_entropy(s: float) -> float:
     """Entropy in bits of a thermal state with mean photon number s."""
     if not 0.0 <= s < INF:  # NaN fails this too
         raise ValueError(f"mean photon number must be finite and >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    return ((s + 1.0) * math.log1p(s) - s * math.log(s)) / _LN2
+    return _g_diff(0.0, s)
 
 
 def shannon_capacity(s: float, n: float) -> float:
@@ -74,59 +72,54 @@ def output_energy(params: GaussianParams) -> float:
     return k * k * s + n + k * k - 1.0
 
 
-def big_d(s: float, s_out: float, k: float) -> float:
-    """Discriminant sqrt((S + S' + 1)^2 - 4 k^2 S (S+1)) of the output spectrum."""
-    rad = (s + s_out + 1.0) ** 2 - 4.0 * k * k * s * (s + 1.0)
-    if rad < 0.0:
-        if rad < -1e-9:
-            raise ValueError(f"invalid parameters: negative discriminant {rad}")
-        rad = 0.0
-    return math.sqrt(rad)
+def _g_diff(b: float, u: float) -> float:
+    """g(b + u) - g(b) in bits, for b, u >= 0.
 
-
-def _g_diff(a: float, u: float) -> float:
-    """g(a) - g(a - u) in bits, stable when u is far below a.
-
-    Rewrites the difference as (a+1)log2((a+1)/(b+1)) - a log2(a/b)
-    + u log2(1 + 1/b) with b = a - u, so nothing large ever cancels.
+    With a = b + u and q = u/(a+1) it is ln(1 + u/(b+1)) + u ln(1 + 1/a)
+    - b ln(1 + q/b). The last term lies in [0, q] and q <= u ln(1 + 1/a), so
+    nothing large cancels. It rounds to q where q/b < 1e-16 may underflow.
     """
-    if u < 0.0:
-        if u < -G_ARG_TOL:
-            raise ValueError(f"negative entropy shift {u}")
-        u = 0.0
-    b = a - u
-    if b <= 0.0:
-        if b < -G_ARG_TOL:
-            raise ValueError(f"entropy argument {b} below clamp tolerance")
-        return g_entropy(a)
-    return ((a + 1.0) * math.log1p(u / (b + 1.0))
-            - a * math.log1p(u / b)
-            + u * _log1p_inv(b)) / _LN2
+    if u == 0.0:
+        return 0.0
+    a = b + u
+    q = u / (a + 1.0)
+    if b == 0.0:
+        tail = 0.0
+    elif q < 1e-16 * b:
+        tail = q
+    else:
+        tail = b * _log1p_ratio(q, b)
+    return (math.log1p(u / (b + 1.0)) + u * _log1p_ratio(1.0, a) - tail) / _LN2
 
 
-def _log1p_inv(b: float) -> float:
-    """ln(1 + 1/b) for b > 0, as ln(1 + b) - ln(b) where 1/b overflows."""
-    inv = 1.0 / b
-    return math.log1p(inv) if inv < INF else math.log1p(b) - math.log(b)
+def _log1p_ratio(y: float, x: float) -> float:
+    """ln(1 + y/x) for y >= 0 and x > 0, as ln y - ln x where y/x overflows."""
+    r = y / x
+    return math.log1p(r) if r < INF else math.log(y) - math.log(x)
 
 
 def gaussian_ce(params: GaussianParams) -> float:
     """Entanglement-assisted capacity of the Gaussian channel, in bits.
 
-    g(S) + g(S') - g((D+S'-S-1)/2) - g((D-S'+S-1)/2), where the last two
-    arguments are the thermal parameters of the joint input-output state's
-    symplectic spectrum. Both arguments sit the same distance
-    u = (S + S' + 1 - D)/2 below S' and S respectively, and multiplying
-    through by the conjugate gives u = 2 k^2 S (S+1)/(S + S' + 1 + D),
-    which avoids the catastrophic cancellation of the direct form when
-    N dwarfs the signal.
+    g(S) + g(S') - g(b_out) - g(b_in). b_out, b_in = (D +- (S' - S) - 1)/2 are
+    the symplectic thermal parameters of the output joined with the mode that
+    purifies the input (a two-mode squeezed vacuum, the maximizer). Both sit
+    u = 2 k^2 S (S+1)/(S + S' + 1 + D) below S' and S. With D^2 = m^2 + 4cSN
+    and e = 2cSN/(D + m), all are sums of nonnegative terms: attenuation has
+    c = k^2, m = (1-k^2) S + N + 1, b_in = (1-k^2) S + e and b_out = N + e;
+    amplification has c = 1, m = (k^2-1)(S+1) + N + 1, b_in = e and
+    b_out = (k^2-1)(S+1) + N + e.
     """
-    s = params.S
-    s_out = output_energy(params)
-    d = big_d(s, s_out, params.k)
-    t = s + s_out + 1.0
-    u = 2.0 * params.k * params.k * s * (s + 1.0) / (t + d)
-    return max(_g_diff(s, u) + _g_diff(s_out, u), 0.0)
+    s, n, k = params.S, params.N, params.k
+    if k <= 1.0:
+        c, loss, gain = k * k, (1.0 - k) * (1.0 + k) * s, 0.0
+    else:
+        c, loss, gain = 1.0, 0.0, (k - 1.0) * (k + 1.0) * (s + 1.0)
+    m = loss + gain + n + 1.0
+    d = math.sqrt(m * m + 4.0 * c * s * n)
+    e = 2.0 * c * s * n / (d + m)
+    u = 2.0 * k * k * s * (s + 1.0) / (s + output_energy(params) + 1.0 + d)
+    return _g_diff(loss + e, u) + _g_diff(gain + n + e, u)
 
 
 def ce_over_cshan_limit(s: float) -> float:
@@ -139,7 +132,7 @@ def ce_over_cshan_limit(s: float) -> float:
     """
     if not 0.0 < s < INF:
         raise ValueError(f"signal must be finite and > 0, got {s}")
-    return (s + 1.0) * _log1p_inv(s)
+    return (s + 1.0) * _log1p_ratio(1.0, s)
 
 
 def coherent_bounds(params: GaussianParams) -> tuple[float, float]:
@@ -199,10 +192,12 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     anyway, as a guard against roundoff). At r = 0 the r-dependent bounds
     reduce to coherent_bounds.
     """
-    if not s >= 0.0:
-        raise ValueError(f"signal must be >= 0, got {s}")
-    if not n > 0.0:
-        raise ValueError(f"noise must be > 0, got {n}")
+    if not 0.0 <= s < INF:  # NaN fails this too
+        raise ValueError(f"signal must be finite and >= 0, got {s}")
+    if not 0.0 < n < INF:
+        raise ValueError(f"noise must be finite and > 0, got {n}")
+    if not s + n + 1.0 <= 1e150:  # past it (N+1)^2 + 4NS overflows
+        raise ValueError(f"S + N + 1 = {s + n + 1.0:.3g} exceeds 1e150")
     d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
     r_upper = 0.5 * math.log((d1 + 1.0) / n)
     upper = math.log1p((s + (d1 + n + 1.0) / (2.0 * n)) / n) / _LN2
@@ -221,12 +216,14 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
 def ch_conjectured(params: GaussianParams) -> float:
     """Holevo rate of the thermal coherent-state ensemble, in bits.
 
-    g(S') - g(S' - k^2 S): output entropy minus the entropy of the output
-    of a single coherent signal. Conjectured, not proven, to be the true
-    unassisted capacity of the channel.
+    g(S') - g(S' - k^2 S), S' - k^2 S = N + max(k^2 - 1, 0): output entropy
+    minus that of one coherent signal's output. Once conjectured, it is the
+    proven capacity of phase-insensitive Gaussian channels (arXiv:1312.2251,
+    1312.6225).
     """
-    s_out = output_energy(params)
-    return _g_diff(s_out, params.k * params.k * params.S)
+    k = params.k
+    b = params.N + (k - 1.0) * (k + 1.0) if k > 1.0 else params.N
+    return _g_diff(b, k * k * params.S)
 
 
 def fock_loss_channel(eta: float, dim: int) -> QuantumChannel:
@@ -241,8 +238,7 @@ def fock_loss_channel(eta: float, dim: int) -> QuantumChannel:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _dimension(dim)
     kraus = np.zeros((dim, dim, dim))
     for n in range(dim):
         for lost in range(n + 1):

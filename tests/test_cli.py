@@ -160,6 +160,28 @@ def test_gaussian_subnormal_signal_prints_finite_capacity(capsys):
     assert np.isfinite(ce) and ce >= 0.0
 
 
+def _gaussian_row(capsys, *argv):
+    code, out, _ = run(capsys, "gaussian", *argv)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    return row, {key: float(v) for key, v in zip(header.split(","), row.split(","))}
+
+
+def test_gaussian_noiseless_loss_prints_a_row(capsys):
+    # 1536 photons through pure loss at k^2 = 0.9 exited 2 on a clamp
+    _, cells = _gaussian_row(capsys, "--S", "1536", "--N", "0", "--k", "0.9486832980505138")
+    assert cells["lb_coh"] <= cells["ce"] and 0.0 < cells["ch_conj"] <= cells["ce"]
+
+
+def test_gaussian_large_signal_through_amplifier(capsys):
+    # at 1e17 photons the old thermal parameters cancelled: ce printed
+    # 120.0412442, above ub_coh, and ch_conj -1017.370509
+    row, cells = _gaussian_row(capsys, "--S", "1e17", "--N", "1e3", "--k", "1.5")
+    assert row.split(",")[3] == "47.67601702"
+    assert cells["lb_coh"] <= cells["ce"] <= cells["ub_coh"] == 47.67836175
+    assert 0.0 < cells["ch_conj"] <= cells["ce"]
+
+
 def test_gaussian_limit_column(capsys):
     code, out, _ = run(capsys, "gaussian", "--S", "0.5,2", "--limit")
     assert code == 0

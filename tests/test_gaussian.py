@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from qcap.capacity import EnergyConstraint, ce_maximize_constrained
 
 from qcap.gaussian import (
     GaussianParams,
-    big_d,
     ce_over_cshan_limit,
     ch_conjectured,
     coherent_bounds,
@@ -23,6 +23,39 @@ from qcap.gaussian import (
     sweep_csv,
     SWEEP_COLUMNS,
 )
+
+
+def _reference(s, n, k, digits=200):
+    """(C_E, thermal-ensemble rate) in bits from the direct closed forms.
+
+    C_E = g(S) + g(S') - g((D+S'-S-1)/2) - g((D-S'+S-1)/2) with
+    D^2 = (S + S' + 1)^2 - 4 k^2 S (S+1), and the rate g(S') - g(S' - k^2 S).
+    The floats S, N, k are exact decimals. The cancellations the float code
+    avoids cost digits here: g(x) = (x+1) ln(x+1) - x ln x is off by about
+    x ln x 10^-digits, so at 200 digits and S, N <= 1e60 a C_E as small as
+    1e-68 keeps over 60 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one, s, n, k2 = Decimal(1), Decimal(s), Decimal(n), Decimal(k) ** 2
+
+        def g(x):
+            # a thermal parameter that is exactly 0 may round to +-1e-100 here
+            return (x + one) * (x + one).ln() - x * x.ln() if x > 0 else Decimal(0)
+        s_out = k2 * s + n + max(k2 - one, Decimal(0))
+        d = ((s + s_out + one) ** 2 - 4 * k2 * s * (s + one)).sqrt()
+        ce = g(s) + g(s_out) - g((d + s_out - s - one) / 2) - g((d - s_out + s - one) / 2)
+        ch = g(s_out) - g(s_out - k2 * s)
+        ln2 = Decimal(2).ln()
+        return float(ce / ln2), float(ch / ln2)
+
+
+def _assert_matches_reference(points):
+    for s, n, k in points:
+        p = GaussianParams(s, n, k)
+        ref_ce, ref_ch = _reference(s, n, k)
+        assert gaussian_ce(p) == pytest.approx(ref_ce, rel=1e-12, abs=0.0), p
+        assert ch_conjectured(p) == pytest.approx(ref_ch, rel=1e-12, abs=0.0), p
 
 
 def test_thermal_entropy_values():
@@ -63,11 +96,6 @@ def test_output_energy_continuous_at_unit_gain():
     assert at == pytest.approx(below, abs=1e-10)
     # amplifier adds k^2 - 1 quanta
     assert output_energy(GaussianParams(1.0, 0.5, 2.0)) == pytest.approx(7.5)
-
-
-def test_big_d_rejects_unphysical_combination():
-    with pytest.raises(ValueError):
-        big_d(1.0, 0.0, 5.0)
 
 
 def test_large_noise_ratio_limit():
@@ -114,6 +142,16 @@ def test_squeezed_bounds_frozen_values():
     assert lb == pytest.approx(0.6651984922762122, abs=1e-10)
     assert ub == pytest.approx(2.1421564297813918, abs=1e-10)
     assert 0.0 < r_lb < r_ub
+
+
+def test_squeezed_bounds_reject_non_finite_and_huge_energies():
+    # S = 1e300 gave lower = inf above upper = 996.58; inf gave NaN
+    inf = math.inf
+    for s, n in ((1e300, 1.0), (inf, 1.0), (1.0, inf), (2e150, 1.0), (1.0, 2e150)):
+        with pytest.raises(ValueError):
+            squeezed_bounds(s, n)
+    lb, ub, _, _ = squeezed_bounds(1e149, 1e-3)
+    assert 0.0 < lb <= ub < inf
 
 
 def test_squeezed_bounds_match_pointwise_evaluations():
@@ -186,6 +224,67 @@ def test_subnormal_signal_capacity_is_finite():
         assert math.isfinite(ce) and 0.0 <= ce <= top
 
 
+def test_random_points_match_high_precision_reference():
+    # S and N over 66 decades, one point in ten noiseless, k over three
+    rng = np.random.default_rng(2026)
+    points = [(10.0 ** rng.uniform(-6, 60),
+               0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6, 60),
+               10.0 ** rng.uniform(-1.5, 1.5)) for _ in range(300)]
+    _assert_matches_reference(points)
+
+
+def test_noiseless_channels_match_high_precision_reference():
+    # pure loss, the identity and the quantum-limited amplifier: at N = 0 one
+    # thermal parameter is exactly 0 and the old discriminant cancelled to it
+    points = [(float(s), 0.0, math.sqrt(k2))
+              for k2 in (0.1, 0.5, 0.9, 0.99, 1.0, 4.0)
+              for s in np.logspace(0, 8, 25)]
+    points += [(7.8e7, 0.0, 1.0), (1536.0, 0.0, 0.9486832980505138)]
+    _assert_matches_reference(points)
+    # the identity channel: C_E = 2 g(S)
+    assert gaussian_ce(GaussianParams(7.8e7, 0.0, 1.0)) == pytest.approx(
+        2.0 * g_entropy(7.8e7), rel=1e-15)
+
+
+def test_bound_chain_on_log_grid():
+    # 67 x 52 x 6 = 20,904 points: S and N over 66 decades, N = 0 included
+    def le(x, y):
+        return x <= y + 1e-12 * abs(y)
+    for s in np.logspace(-6, 60, 67):
+        for n in np.concatenate(([0.0], np.logspace(-6, 60, 51))):
+            for k in (10 ** -1.5, 0.5, 0.9486832980505138, 1.0, 2.0, 10 ** 1.5):
+                p = GaussianParams(float(s), float(n), k)
+                ce, ch = gaussian_ce(p), ch_conjectured(p)
+                lb, ub = coherent_bounds(p)
+                assert le(lb, ce) and le(ce, ub), (p, lb, ce, ub)
+                assert 0.0 <= ch and le(ch, ce), (p, ch, ce)
+                if k == 1.0 and n > 0.0:
+                    lb_s, ub_s, _, _ = squeezed_bounds(p.S, p.N)
+                    assert le(lb_s, ce) and le(ce, ub_s), (p, lb_s, ce, ub_s)
+
+
+def test_thermal_entropy_at_large_photon_number():
+    # (s+1) ln(1+s) - s ln s cancelled to 0.0 at s = 1e16
+    assert g_entropy(1e16) == pytest.approx(54.59354456, abs=5e-9)
+    for s in (1e16, 1e100, 1e-100):
+        ref = _reference(s, 0.0, 1.0)[0] / 2  # C_E = 2 g(S) on the identity
+        assert g_entropy(s) == pytest.approx(ref, rel=1e-14)
+
+
+def test_extreme_thermal_parameters_stay_accurate():
+    # a subnormal thermal parameter b makes u/(b(a+1)) overflow; a huge b
+    # beside a small shift u makes it underflow, at u/b^2 below 1e-308,
+    # which the rate g(N + S) - g(N) at N = 1e149 shows
+    assert gaussian_ce(GaussianParams(1.0, 1e-320, 2.0)) == pytest.approx(
+        2.2068, abs=1e-4)
+    for s, n, k in ((1.0, 1e-320, 2.0), (1.0, 1e140, 1.0), (10.0, 1e145, 0.5),
+                    (1e-20, 1e149, 1.0)):
+        p = GaussianParams(s, n, k)
+        ref_ce, ref_ch = _reference(s, n, k, digits=400)
+        assert gaussian_ce(p) == pytest.approx(ref_ce, rel=1e-12, abs=0.0)
+        assert ch_conjectured(p) == pytest.approx(ref_ch, rel=1e-12, abs=0.0)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GaussianParams(-1.0, 0.0, 1.0)
@@ -237,7 +336,9 @@ def test_fock_loss_channel_kraus_and_validation():
     # |2> loses one photon with amplitude sqrt(2 eta (1 - eta))
     assert ch.kraus[1, 1, 2] == pytest.approx(math.sqrt(2 * 0.3 * 0.7), abs=1e-15)
     assert fock_loss_channel(1.0, 3).kraus[0] == pytest.approx(np.eye(3))
-    for eta, dim in ((-0.1, 4), (1.5, 4), (0.5, 0)):
+    # the channel constructors' dimension rule: 3.0 is 3, 2.5 and True are not
+    assert fock_loss_channel(0.5, 3.0).kraus.shape == (3, 3, 3)
+    for eta, dim in ((-0.1, 4), (1.5, 4), (0.5, 0), (0.5, 2.5), (0.5, True), (0.5, "x")):
         with pytest.raises(ValueError):
             fock_loss_channel(eta, dim)
 
