@@ -452,12 +452,10 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     whole. A level that prunes nothing ends the refinement, and its
     survivors are scanned whole. So a flat objective, or one singular
     everywhere, bounds one level of 16-point boxes and then scans the whole
-    lattice. Each point gets the floats of a scan of the whole lattice by
-    x-slices, and so do the value and the argmax: numpy multiplies a one-row
-    batch as a matrix-vector product, which rounds differently from a row of
-    a larger batch, so a point alone in its x-slice of the ball is evaluated
-    alone, first, pruned or not. Raises ValueError unless
-    0 < resolution <= 1, a step that puts some lattice point in the ball.
+    lattice. A point's value has the same floats in any batch (see
+    `_family_entropy`), so the value and the argmax are those of the whole
+    lattice. Raises ValueError unless 0 < resolution <= 1, a step that puts
+    some lattice point in the ball.
     """
     if channel.d_in != 2:
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
@@ -482,7 +480,7 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
 
 
 def _grid_values(out_basis, env_basis, rx, ry, rz):
-    """The objective at the Bloch vectors (rx, ry, rz); see `bloch_grid_ce` on one-entry calls."""
+    """The objective at the Bloch vectors (rx, ry, rz), each the same in any batch."""
     # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
     rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
     h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
@@ -493,26 +491,14 @@ def _grid_values(out_basis, env_basis, rx, ry, rz):
 def _scan_batches(out_basis, env_basis, axis):
     """Batches of Bloch vectors, (3, m) arrays, that may hold the grid maximum.
 
-    The point of each x-slice with one ball point comes first, alone, and
-    such slices are then left out. Boxes are bounded level by level over the
-    sides in _BOXES, as `bloch_grid_ce` describes, and each level yields the
-    other ball points of the boxes it keeps whole, each once, in batches of
-    at most _GRID_CHUNK points. A batch of one such point holds it twice, so
-    that it rounds as a row of a larger batch.
+    Boxes are bounded level by level over the sides in _BOXES, as
+    `bloch_grid_ce` describes, and each level yields the ball points of the
+    boxes it keeps whole, each once, in batches of at most _GRID_CHUNK points.
     """
     size = len(axis)
     # the axis padded past its end with inf, which is never in the ball
     pad = np.concatenate([axis, np.full(_BOXES[0], np.inf)])
     sq = pad**2
-    # the x-slices with one ball point. A rounded sum grows with each term, so
-    # slice x holds one iff x^2 + least^2 + least^2 fits and neither sum with
-    # a second least square does; the point is then (x, c, c), c the least
-    least, second = np.partition(sq[:size], 1)[:2]
-    lone = ((sq + least + least <= 1.0 + 1e-12) & (sq + second + least > 1.0 + 1e-12)
-            & (sq + least + second > 1.0 + 1e-12))
-    c = pad[np.argmin(sq[:size])]
-    yield from (np.array([[x], [c], [c]]) for x in pad[lone])
-    sqx = np.where(lone, np.inf, sq)
     floor = -np.inf
     box, above = np.zeros((1, 3), dtype=np.int64), None  # one root box holds the lattice
     for side in _BOXES:
@@ -543,13 +529,12 @@ def _scan_batches(out_basis, env_basis, axis):
         per = 4 * _GRID_CHUNK // side**3
         for i in range(0, len(whole), per):
             ix, iy, iz = (whole[i:i + per, k, None] + np.arange(side) for k in range(3))
-            ball = (sqx[ix][:, :, None, None] + sq[iy][:, None, :, None]
+            ball = (sq[ix][:, :, None, None] + sq[iy][:, None, :, None]
                     + sq[iz][:, None, None, :] <= 1.0 + 1e-12)
             r = np.stack([np.broadcast_to(v, ball.shape)[ball] for v in (
                 pad[ix][:, :, None, None], pad[iy][:, None, :, None], pad[iz][:, None, None, :])])
             for j in range(0, r.shape[1], _GRID_CHUNK):
-                batch = r[:, j:j + _GRID_CHUNK]
-                yield batch if batch.shape[1] > 1 else np.repeat(batch, 2, axis=1)
+                yield r[:, j:j + _GRID_CHUNK]
         if not split.any():
             break
         box, above = box[split], side
@@ -597,10 +582,14 @@ def _family_entropy(basis, coef):
     """Entropies of the matrices coef[j] . basis, one per row of coef.
 
     `basis` stacks four d x d matrices; the real (n, 4) coefficients act on
-    their real and imaginary parts in one product. Spectra come from
+    their real and imaginary parts in one product. numpy multiplies a
+    one-row product as a matrix-vector product, which rounds differently
+    from a row of a larger one, so one row is taken twice: each row's
+    entropy is then the same in any batch. Spectra come from
     `hermitian_spectra`: a closed form at 2x2, batched `eigvalsh` above.
     """
     dim = basis.shape[-1]
     flat = basis.reshape(4, -1).view(np.float64)
-    mats = (coef @ flat).view(np.complex128).reshape(-1, dim, dim)
-    return entropy_of_spectrum(np.clip(hermitian_spectra(mats), 0.0, None))
+    rows = np.repeat(coef, 2, axis=0) if len(coef) == 1 else coef
+    mats = (rows @ flat).view(np.complex128).reshape(-1, dim, dim)
+    return entropy_of_spectrum(np.clip(hermitian_spectra(mats), 0.0, None))[:len(coef)]

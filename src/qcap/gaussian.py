@@ -57,7 +57,7 @@ def shannon_capacity(s: float, n: float) -> float:
         raise ValueError(f"signal must be >= 0, got {s}")
     if not n > 0.0:
         raise ValueError(f"noise must be > 0, got {n}")
-    return math.log1p(s / n) / _LN2
+    return _log1p_ratio(s, n) / _LN2
 
 
 def output_energy(params: GaussianParams) -> float:
@@ -187,9 +187,9 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     """Best squeezed-state bounds at k = 1: (lower, upper, r_lower, r_upper).
 
     The optimal squeezing solves e^2r = (D1 -+ 1)/N with
-    D1 = sqrt((N+1)^2 + 4NS). Both optima are algebraically feasible for
-    every S >= 0, N > 0 (the lower one is clamped to the energy budget
-    anyway, as a guard against roundoff). At r = 0 the r-dependent bounds
+    D1 = sqrt((N+1)^2 + 4NS). Both optima are feasible for every S >= 0,
+    N > 0: (D1-1)/N <= 1 + 2S <= e^(2 asinh sqrt S), so the lower one stays
+    within the energy budget sinh^2 r <= S. At r = 0 the r-dependent bounds
     reduce to coherent_bounds.
     """
     if not 0.0 <= s < INF:  # NaN fails this too
@@ -201,15 +201,12 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
     r_upper = 0.5 * math.log((d1 + 1.0) / n)
     upper = math.log1p((s + (d1 + n + 1.0) / (2.0 * n)) / n) / _LN2
-    # (D1-1)/N = (N+2+4S)/(D1+1) sidesteps the D1 ~ 1 cancellation
-    r_lower = 0.5 * math.log((n + 2.0 + 4.0 * s) / (d1 + 1.0))
-    budget = math.asinh(math.sqrt(s)) if s > 0.0 else 0.0
-    if r_lower > budget:
-        r_lower = budget
-        lower = squeezed_bound_lower_at(s, n, r_lower)
-    else:
-        # S - (D1-N-1)/(2N) = S (D1+N-1)/(D1+N+1), all terms positive
-        lower = math.log1p(s * (d1 + n - 1.0) / ((d1 + n + 1.0) * n)) / _LN2
+    # with w = N+2+4S, (D1-1)/N = w/(D1+1) = 1 + 4Sw/((N+1+4S+D1)(D1+1)):
+    # neither form cancels at D1 ~ 1
+    w = n + 2.0 + 4.0 * s
+    r_lower = 0.5 * math.log1p(4.0 * s * w / ((n + 1.0 + 4.0 * s + d1) * (d1 + 1.0)))
+    # S - (D1-N-1)/(2N) = S (1 + (D1-1)/N)/(D1+N+1), all terms positive
+    lower = math.log1p(s * (1.0 + w / (d1 + 1.0)) / (d1 + n + 1.0)) / _LN2
     return lower, upper, r_lower, r_upper
 
 

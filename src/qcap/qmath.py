@@ -188,11 +188,11 @@ def entropy_of_spectrum(evals):
     lam = np.asarray(evals, dtype=np.float64)
     if lam.ndim > 1:
         safe = np.where(lam >= EIG_ZERO_TOL, lam, 1.0)
-        return -np.sum(lam * np.log2(safe), axis=-1)
+        return 0.0 - np.sum(lam * np.log2(safe), axis=-1)
     lam = lam[lam >= EIG_ZERO_TOL]
     if lam.size == 0:
         return 0.0
-    return float(-np.dot(lam, np.log2(lam)))
+    return float(0.0 - np.dot(lam, np.log2(lam)))
 
 
 def hermitian_spectra(mats) -> np.ndarray:

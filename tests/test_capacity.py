@@ -604,24 +604,21 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
         keys = np.concatenate(_scanned_keys(ch, 0.05))
         assert len(np.unique(keys)) == len(keys)
         assert np.isin(keys, ball).all()
-    # the 101-point axis bounds all four box levels; env 4 is the case
-    # whose unpruned scan costs most. A bound with a tenth of the gradient
-    # misses the maximum on each of these ten
+    # the 101-point axis bounds all four box levels. A bound with a tenth of
+    # the gradient misses the maximum on each of these five. The unpruned
+    # scan takes 2x2 spectra in closed form at env 2; one env-4 channel
+    # covers the batched eigvalsh, whose unpruned scan costs most
     chans = [random_channel(2, 2, 2 + i % 2, rng) for i in range(8)]
     chans += [random_channel(2, 2, 4, rng) for _ in range(2)]
-    for ch in chans:
+    for ch in chans[0:8:2] + chans[8:9]:
         assert bloch_grid_ce(ch, 0.02) == _full_lattice_grid(ch, 0.02)
 
 
 def _scanned_keys(channel, resolution):
-    # the scan key of every point the pruned scan evaluates, batch by batch;
-    # a batch of one point holds it twice
+    # the scan key of every point the pruned scan evaluates, batch by batch
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
-    batches = []
-    for r in _scan_batches(*_grid_bases(channel), axis):
-        keys = np.ravel_multi_index(np.searchsorted(axis, r), (len(axis),) * 3)
-        batches.append(keys[:1] if len(keys) == 2 and keys[0] == keys[1] else keys)
-    return batches
+    return [np.ravel_multi_index(np.searchsorted(axis, r), (len(axis),) * 3)
+            for r in _scan_batches(*_grid_bases(channel), axis)]
 
 
 def _ball_keys(resolution):
@@ -668,9 +665,22 @@ def test_bloch_grid_one_point_slice_rounds_as_one_row():
     ref = _full_lattice_grid(ch, 0.85)
     assert ref[1] == pytest.approx((0.7, -0.15, -0.15))
     assert bloch_grid_ce(ch, 0.85) == ref
-    assert [len(b) for b in _scanned_keys(ch, 0.85)] == [1, 3]
     x, y, z = (np.array([v]) for v in ref[1])
     assert _grid_values(*_grid_bases(ch), x, y, z)[0] == ref[0]
+
+
+def test_grid_values_are_the_same_in_any_batch():
+    # numpy multiplies a one-row batch as a matrix-vector product, which
+    # rounds differently from a row of a larger one; each point must get
+    # the floats it gets inside a batch of any size, alone included
+    rng = generator(65)
+    r = rng.uniform(-0.57, 0.57, size=(3, 60))
+    for env in (2, 3, 4):
+        bases = list(_grid_bases(random_channel(2, 2, env, rng)))
+        whole = _grid_values(*bases, *r)
+        for size in (1, 2, 3, 7, 16):
+            parts = [_grid_values(*bases, *r[:, i:i + size]) for i in range(0, r.shape[1], size)]
+            assert np.array_equal(np.concatenate(parts), whole), (env, size)
 
 
 def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch):

@@ -182,6 +182,17 @@ def test_gaussian_large_signal_through_amplifier(capsys):
     assert 0.0 < cells["ch_conj"] <= cells["ce"]
 
 
+def test_gaussian_rows_at_subnormal_noise(capsys):
+    # at N = 1e-320, s/n overflowed: cshan printed inf and ratio nan
+    row, cells = _gaussian_row(capsys, "--S", "1", "--N", "1e-320", "--k", "1")
+    assert row.split(",")[4] == "1063.017006"
+    assert cells["ratio"] == pytest.approx(4.0 / 1063.017006, rel=1e-9)
+    # the squeezed lower bound printed 0, below the coherent one
+    for argv in (("--S", "1", "--N", "1e-320"), ("--S", "1e-300", "--N", "1e-300")):
+        _, cells = _gaussian_row(capsys, *argv, "--k", "1")
+        assert 0.0 < cells["lb_coh"] <= cells["lb_sq"] <= cells["ce"]
+
+
 def test_gaussian_limit_column(capsys):
     code, out, _ = run(capsys, "gaussian", "--S", "0.5,2", "--limit")
     assert code == 0
@@ -224,6 +235,13 @@ def test_typical_check_large_block_length(capsys):
     rep = json.loads(out)
     assert len(rep["bounds_ok"]) == 3
     assert all(isinstance(flag, bool) for flag in rep["bounds_ok"])
+
+
+def test_typical_check_pure_source_prints_positive_zero_entropy(capsys):
+    code, out, _ = run(capsys, "typical", "check", "--probs", "1.0,0",
+                       "--n", "3", "--delta", "0.5")
+    assert code == 0
+    assert '"entropy": 0.0,' in out and "-0.0" not in out
 
 
 def test_typical_check_bad_probs(capsys):

@@ -90,6 +90,14 @@ def test_shannon_capacity():
             squeezed_bounds(s, n)
 
 
+def test_shannon_capacity_where_the_ratio_overflows():
+    # s/n overflowed to inf at n = 1e-320; the value is log2(1 + 1e320)
+    assert shannon_capacity(1.0, 1e-320) == pytest.approx(1063.017006, abs=1e-6)
+    assert shannon_capacity(1e300, 1e-300) == pytest.approx(600 * math.log2(10), rel=1e-15)
+    for s, n in ((3.0, 1.0), (0.0, 1.0), (1e-3, 7.0), (1e6, 1e-6)):
+        assert shannon_capacity(s, n) == math.log1p(s / n) / math.log(2.0)
+
+
 def test_output_energy_continuous_at_unit_gain():
     below = output_energy(GaussianParams(1.0, 0.5, 1.0 - 1e-12))
     at = output_energy(GaussianParams(1.0, 0.5, 1.0))
@@ -142,6 +150,27 @@ def test_squeezed_bounds_frozen_values():
     assert lb == pytest.approx(0.6651984922762122, abs=1e-10)
     assert ub == pytest.approx(2.1421564297813918, abs=1e-10)
     assert 0.0 < r_lb < r_ub
+
+
+def _squeezed_lower_reference(s, n, digits=400):
+    """log2(1 + S (D1+N-1)/((D1+N+1) N)), D1 = sqrt((N+1)^2 + 4NS), in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one, s, n = Decimal(1), Decimal(s), Decimal(n)
+        d1 = ((n + one) ** 2 + 4 * n * s).sqrt()
+        x = s * (d1 + n - one) / ((d1 + n + one) * n)
+        return float((one + x).ln() / Decimal(2).ln())
+
+
+def test_squeezed_lower_bound_at_small_noise():
+    # S (D1+N-1)/((D1+N+1) N) cancelled in D1 - 1: at S = 1 it gave
+    # 1.5849946 at N = 1e-12, 1.0774 at N = 1e-16 and 0 at N = 1e-320
+    for n in (1e-16, 1e-100, 1e-320):
+        assert squeezed_bounds(1.0, n)[0] == pytest.approx(math.log2(3.0), rel=1e-15)
+    for s in (1e-300, 1e-6, 1.0, 1e6):
+        for n in (1e-320, 1e-200, 1e-16, 1e-3, 1.0, 1e3):
+            ref = _squeezed_lower_reference(s, n)
+            assert squeezed_bounds(s, n)[0] == pytest.approx(ref, rel=1e-13, abs=0.0), (s, n)
 
 
 def test_squeezed_bounds_reject_non_finite_and_huge_energies():
@@ -261,6 +290,13 @@ def test_bound_chain_on_log_grid():
                 if k == 1.0 and n > 0.0:
                     lb_s, ub_s, _, _ = squeezed_bounds(p.S, p.N)
                     assert le(lb_s, ce) and le(ce, ub_s), (p, lb_s, ce, ub_s)
+    # noise down to 1e-320 at k = 1, where the squeezed lower bound was 0
+    # or, at a tiny S, raised on its energy-budget guard
+    for s in np.logspace(-300, 60, 37):
+        for n in np.logspace(-320, -6, 158):
+            p = GaussianParams(float(s), float(n), 1.0)
+            lb_c, lb_s = coherent_bounds(p)[0], squeezed_bounds(p.S, p.N)[0]
+            assert le(lb_c, lb_s) and le(lb_s, gaussian_ce(p)), (p, lb_c, lb_s)
 
 
 def test_thermal_entropy_at_large_photon_number():

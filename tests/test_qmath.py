@@ -82,6 +82,13 @@ def test_entropy_of_spectrum_empty_is_positive_zero():
         assert h == 0.0 and math.copysign(1.0, h) == 1.0, spec
 
 
+def test_entropy_of_pure_spectrum_is_positive_zero():
+    # the negated sum gave -0.0 for a pure spectrum
+    for h in (entropy_of_spectrum([1.0]), entropy_of_spectrum([0.0, 1.0]),
+              *entropy_of_spectrum(np.array([[1.0, 0.0], [0.0, 1.0]]))):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 def _spectral_batches(rng, n=400):
     # 2x2 stacks, the one size with a closed form; larger ones are eigvalsh
     def ranked(rank):
