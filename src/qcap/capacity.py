@@ -23,6 +23,7 @@ from .qmath import (
     DimensionMismatchError,
     QuantumChannel,
     _check_hermitian,
+    _check_probability,
     _outputs,
     _pullback,
     _state_matrix,
@@ -323,8 +324,7 @@ def ad_ce(p: float):
     (value, x_star); the damping channel's maximizer is diagonal, so this
     is its capacity. Raises ValueError unless 0 <= p <= 1.
     """
-    if not 0.0 <= p <= 1.0:  # NaN fails this too
-        raise ValueError("damping probability must lie in [0, 1]")
+    _check_probability(p, "damping probability")
     return _golden_max(lambda x: _h(x) + _h((1.0 - p) * x) - _h(p * x))
 
 
@@ -338,8 +338,7 @@ def ad_ch(p: float):
     eigenvalue: the smaller one as det / l is free of cancellation. Returns
     (value, x_star). Raises ValueError unless 0 <= p <= 1.
     """
-    if not 0.0 <= p <= 1.0:  # NaN fails this too
-        raise ValueError("damping probability must lie in [0, 1]")
+    _check_probability(p, "damping probability")
 
     def chi(x):
         det = p * (1.0 - p) * x * x
@@ -356,10 +355,8 @@ def ad_asymptotics(p: float, x: float):
     (-x (1-p) log2(1-p), -x (1-x) (1-p) log2(1-p)). Raises ValueError
     unless 0 <= p <= 1 and 0 <= x <= 1.
     """
-    if not 0.0 <= p <= 1.0:  # NaN fails this too
-        raise ValueError("damping probability must lie in [0, 1]")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("input weight x must lie in [0, 1]")
+    _check_probability(p, "damping probability")
+    _check_probability(x, "input weight x")
     if p == 1.0:
         return 0.0, 0.0
     base = -(1.0 - p) * np.log2(1.0 - p)

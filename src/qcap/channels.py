@@ -11,6 +11,8 @@ from .qmath import (
     PureState,
     QuantumChannel,
     _check_count,
+    _check_distribution,
+    _check_probability,
     apply_channel,
     extend_channel,
     matrix_from_json,
@@ -73,8 +75,7 @@ def erasure(d: int, p: float) -> QuantumChannel:
     Output dimension is d+1; the flag is the added basis vector |d>.
     """
     d = _dimension(d)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("erasure probability must lie in [0, 1]")
+    _check_probability(p, "erasure probability")
     embed = np.zeros((d + 1, d), dtype=np.complex128)
     embed[:d, :] = np.eye(d)
     ops = [np.sqrt(1.0 - p) * embed]
@@ -92,8 +93,7 @@ def dephasing(d: int) -> QuantumChannel:
 
 def amplitude_damping(p: float) -> QuantumChannel:
     """Qubit decay channel with excited-state survival amplitude sqrt(1-p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("damping probability must lie in [0, 1]")
+    _check_probability(p, "damping probability")
     a1 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=np.complex128)
     a2 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
     return QuantumChannel([a1, a2])
@@ -132,11 +132,9 @@ def classical_embedding(matrix) -> QuantumChannel:
     nonzero entries; the channel dephases inputs and applies the classical
     transition law on the diagonal.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = _check_distribution(matrix, "transition matrix")
     if mat.ndim != 2:
         raise ValueError("transition matrix must be 2-D")
-    if not (np.all(mat >= -1e-15) and np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12):
-        raise ValueError("rows must be probability distributions")
     d_in, d_out = mat.shape
     ops = []
     for x in range(d_in):
@@ -164,15 +162,11 @@ class Ensemble:
     states: tuple
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) != len(self.states) or not probs:
-            raise ValueError("probs and states must be equal-length and nonempty")
-        if not (all(p >= -1e-12 for p in probs) and abs(sum(probs) - 1.0) <= 1e-10):
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        probs = _check_distribution(self.probs, "probs", len(self.states))
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise DimensionMismatchError("ensemble states must share a dimension")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
         object.__setattr__(self, "states", tuple(self.states))
 
     def average(self) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 # their modules, so a wrapper installed on the module attribute sees them
 from . import capacity, channels, gaussian, reverse_shannon, typeclasses
 from .channels import ChannelSpec, Ensemble
-from .qmath import DensityOperator, apply_channel, matrix_from_json
+from .qmath import DensityOperator, _check_distribution, apply_channel, matrix_from_json
 
 
 def _round10(obj):
@@ -206,9 +206,7 @@ def cmd_rst_verify(args) -> int:
 
 
 def cmd_typical(args) -> int:
-    probs = _floats(args.probs)
-    if not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails this too
-        raise UsageError("--probs must sum to 1")
+    probs = _check_distribution(_floats(args.probs), "--probs")
     try:
         delta = Fraction(args.delta) if "/" in args.delta else float(args.delta)
     except ZeroDivisionError as exc:  # --delta 1/0

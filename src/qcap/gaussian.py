@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _dimension
-from .qmath import QuantumChannel
+from .qmath import QuantumChannel, _check_probability
 
 _LN2 = math.log(2.0)
 INF = math.inf
@@ -199,8 +199,12 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     if not s + n + 1.0 <= 1e150:  # past it (N+1)^2 + 4NS overflows
         raise ValueError(f"S + N + 1 = {s + n + 1.0:.3g} exceeds 1e150")
     d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
-    r_upper = 0.5 * math.log((d1 + 1.0) / n)
-    upper = math.log1p((s + (d1 + n + 1.0) / (2.0 * n)) / n) / _LN2
+    # (D1+1)/N and (S + (D1+N+1)/(2N))/N = (NS + (D1+N+1)/2)/N^2 overflow below
+    # N ~ 1e-308 and 1e-154; there each log is the sum of its factors' logs
+    r, u = (d1 + 1.0) / n, (s + (d1 + n + 1.0) / (2.0 * n)) / n
+    r_upper = 0.5 * (math.log(r) if r < INF else math.log(d1 + 1.0) - math.log(n))
+    upper = (math.log1p(u) if u < INF
+             else math.log(n * s + (d1 + n + 1.0) / 2.0) - 2.0 * math.log(n)) / _LN2
     # with w = N+2+4S, (D1-1)/N = w/(D1+1) = 1 + 4Sw/((N+1+4S+D1)(D1+1)):
     # neither form cancels at D1 ~ 1
     w = n + 2.0 + 4.0 * s
@@ -233,8 +237,7 @@ def fock_loss_channel(eta: float, dim: int) -> QuantumChannel:
     its capacity is a lower bound on g(S) + g(eta S) - g((1-eta) S) that
     closes as dim grows.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_probability(eta, "eta")
     dim = _dimension(dim)
     kraus = np.zeros((dim, dim, dim))
     for n in range(dim):

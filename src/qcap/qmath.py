@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
+TRACE_TOL = 1e-9  # a state's trace and a law's sum: diag(law) is a state
 PSD_TOL = 1e-10
 KRAUS_TOL = 1e-9
 EIG_ZERO_TOL = 1e-12
@@ -42,6 +42,33 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
+def _check_probability(p, name: str) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails this too
+        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+
+
+def _check_distribution(values, name: str, size: int | None = None) -> np.ndarray:
+    """values as float64 laws, one per row (1-d or 2-d), or one law over size letters.
+
+    The package's one rule: entries >= -1e-12 and each row summing to 1
+    within TRACE_TOL (NaN fails both). Accepted entries are clipped to
+    [0, 1], never renormalised.
+    """
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim not in (1, 2 if size is None else 1) or size not in (None, arr.size) or not arr.size:
+        shape = "a nonempty 1-d or 2-d array" if size is None else f"a law over {size} letters"
+        raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
+    rows = arr.reshape(-1, arr.shape[-1])
+    off, least = np.abs(rows.sum(axis=1) - 1.0), rows.min(axis=1)
+    ok = (off <= TRACE_TOL) & (least >= -1e-12)
+    if not ok.all():  # name the worst row
+        i = int(np.argmax(np.where(ok, -np.inf, np.nan_to_num(np.maximum(off, -least), nan=np.inf))))
+        where = f"row {i} of {name}" if arr.ndim == 2 else name
+        raise ValueError(f"{where} is not a probability distribution: its sum is off 1 by "
+                         f"{float(off[i])!r} and its least entry is {float(least[i])!r}")
+    return np.clip(arr, 0.0, 1.0)
+
+
 def _check_hermitian(mat: np.ndarray, tol: float = HERM_TOL) -> None:
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if not dev <= tol:  # NaN fails this too
@@ -55,7 +82,7 @@ class DensityOperator:
     ----------
     mat : array_like
         Square complex matrix. Must be Hermitian within 1e-10, unit trace
-        within 1e-10, and positive semidefinite with eigenvalues >= -1e-10.
+        within 1e-9, and positive semidefinite with eigenvalues >= -1e-10.
 
     Raises
     ------

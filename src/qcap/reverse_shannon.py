@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .qmath import _check_count, entropy_of_spectrum
+from .qmath import _check_count, _check_distribution, _check_probability, entropy_of_spectrum
 from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
                           type_of, type_rank)
 
@@ -37,15 +37,9 @@ class DMC:
     """
 
     def __init__(self, matrix):
-        mat = np.array(matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.size == 0:
-            raise ValueError("transition matrix must be 2-d and nonempty")
-        if not np.all((mat >= -1e-12) & (mat <= 1.0 + 1e-12)):  # NaN fails this too
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        rows = mat.sum(axis=1)
-        if not np.all(np.abs(rows - 1.0) <= 1e-12):
-            raise ValueError(f"rows must sum to 1, got sums {rows}")
-        mat = np.clip(mat, 0.0, 1.0)
+        mat = _check_distribution(matrix, "transition matrix")
+        if mat.ndim != 2:
+            raise ValueError("transition matrix must be 2-d")
         mat.setflags(write=False)
         self.matrix = mat
         self._cum = np.cumsum(mat, axis=1)
@@ -87,8 +81,7 @@ class DMC:
 
 def bsc(p: float) -> DMC:
     """Binary symmetric channel flipping each bit with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    _check_probability(p, "flip probability")
     return DMC([[1.0 - p, p], [p, 1.0 - p]])
 
 
@@ -129,12 +122,7 @@ def ba_capacity(dmc: DMC, tol: float = 1e-10):
 
 def constrained_mi(dmc: DMC, q) -> float:
     """Single-letter mutual information I(q, N) in bits."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size != dmc.d_in:
-        raise ValueError(f"input distribution must have length {dmc.d_in}")
-    if not (np.all(q >= -1e-12) and abs(float(q.sum()) - 1.0) <= 1e-9):
-        raise ValueError("input distribution must be nonnegative and sum to 1")
-    q = np.clip(q, 0.0, None)
+    q = _check_distribution(q, "q", dmc.d_in)
     return max(float((q * _divergences(dmc, q)).sum()), 0.0)
 
 
@@ -316,8 +304,7 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
 
     Returns (receiver's output block, Transcript).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"flip probability must be in (0, 1), got {p}")
+    _check_probability(p, "flip probability")
     n = cfg.n
     if n > 64:
         raise ValueError("bit blocks above 64 are not supported")
@@ -506,14 +493,9 @@ def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
         fixed = letters(arg, dmc.d_in, n)
         inputs = lambda t: fixed
     elif name == "iid":
-        q = np.asarray(arg, dtype=np.float64)
-        if not (q.ndim == 1 and q.size == dmc.d_in and abs(q.sum() - 1.0) <= 1e-9
-                and np.all(q >= -1e-12)):  # NaN fails this too
-            raise ValueError("iid source needs a distribution over the input alphabet")
-        qcum = np.cumsum(q)
-        qcum[-1] = 1.0  # as in DMC._cum: no uniform lands past the last letter
-        inputs = lambda t: np.searchsorted(
-            qcum, base.stream("input", t).random(n)).astype(np.int64)
+        # the law as a one-row channel: its output on letter 0 is the input
+        law, zeros = DMC([_check_distribution(arg, "iid source", dmc.d_in)]), np.zeros(n, int)
+        inputs = lambda t: law.outputs(zeros, base.stream("input", t).random(n))
     elif name == "itc-uniform":
         tc = TypeClass(tuple(arg))
         if tc.n != n or tc.d != dmc.d_in:
@@ -540,6 +522,7 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     """
     from scipy.stats import chisquare  # the one scipy use; kept off the import path
 
+    _check_count(trials, "trial count")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable histogram")
     kind = _channel_kind(channel)
@@ -571,10 +554,9 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     ("itc-uniform", letter counts). Reports mean bits per symbol, the
     rate of blocks costing more than n(C+eps), and the fallback rate,
     each with a standard error; the mean's standard error is None for a
-    single trial. Raises ValueError for fewer than one trial.
+    single trial. Raises ValueError unless trials is a whole number >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    _check_count(trials, "trial count")
     kind, n = _channel_kind(channel), cfg.n
     cap = kind[1]()
     _, bits, fell, itc_bits = _run_trials(kind, cfg, trials, source, seed)

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qmath import EIG_ZERO_TOL, DensityOperator, _check_count, _state_matrix, entropy_of_spectrum
+from .qmath import (EIG_ZERO_TOL, DensityOperator, _check_count, _check_distribution,
+                    _state_matrix, entropy_of_spectrum)
 
 MAX_ENUMERATED_TYPES = 5_000_000
 
@@ -173,14 +174,10 @@ class TypicalEigenstateSet:
     """
 
     def __init__(self, eigs, n: int, delta):
-        # keep the raw values: a Fraction (or "1/10" string) passes through
-        # exactly, while a float is pinned to the binary rational it denotes
+        # keep the raw values: a Fraction passes through exactly, while a
+        # float is pinned to the binary rational it denotes
         raw = [v for v in eigs]
-        arr = np.asarray([float(v) for v in raw], dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("eigenvalue vector must be 1-d and nonempty")
-        if not (np.all(arr >= -1e-12) and abs(float(arr.sum()) - 1.0) <= 1e-9):
-            raise ValueError("eigenvalues must form a probability distribution")
+        arr = _check_distribution([float(v) for v in raw], "eigenvalue vector")
         _check_count(n, "block length")
         try:
             dn = Fraction(delta) * n

@@ -187,10 +187,13 @@ def test_gaussian_rows_at_subnormal_noise(capsys):
     row, cells = _gaussian_row(capsys, "--S", "1", "--N", "1e-320", "--k", "1")
     assert row.split(",")[4] == "1063.017006"
     assert cells["ratio"] == pytest.approx(4.0 / 1063.017006, rel=1e-9)
-    # the squeezed lower bound printed 0, below the coherent one
+    # the squeezed lower bound printed 0, below the coherent one, and the
+    # upper one inf
     for argv in (("--S", "1", "--N", "1e-320"), ("--S", "1e-300", "--N", "1e-300")):
         _, cells = _gaussian_row(capsys, *argv, "--k", "1")
         assert 0.0 < cells["lb_coh"] <= cells["lb_sq"] <= cells["ce"]
+        assert cells["ce"] <= cells["ub_sq"] <= cells["ub_coh"]
+    assert cells["ub_sq"] == pytest.approx(1993.156857, rel=1e-9)
 
 
 def test_gaussian_limit_column(capsys):
@@ -308,6 +311,11 @@ def test_rst_simulate_reports_cost(capsys):
         assert key in res
     assert res["variant"] == "bsc"
     assert res["units"] == "bits"
+    # flip probabilities 0 and 1 exited 2 with "must be in (0, 1)"
+    for p in ("0", "1"):
+        code, out, _ = run(capsys, "rst", "simulate", "--bsc", p, "--n", "8",
+                           "--eps", "0.25", "--trials", "50")
+        assert code == 0 and json.loads(out)["capacity"] == 1.0, p
 
 
 def test_rst_simulate_single_trial_is_strict_json(capsys):

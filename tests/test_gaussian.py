@@ -173,6 +173,37 @@ def test_squeezed_lower_bound_at_small_noise():
             assert squeezed_bounds(s, n)[0] == pytest.approx(ref, rel=1e-13, abs=0.0), (s, n)
 
 
+def _squeezed_upper_reference(s, n, digits=400):
+    """(log2(1 + (S + (D1+N+1)/(2N))/N), ln((D1+1)/N)/2) in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one, s, n = Decimal(1), Decimal(s), Decimal(n)
+        d1 = ((n + one) ** 2 + 4 * n * s).sqrt()
+        x = (s + (d1 + n + one) / (2 * n)) / n
+        return float((one + x).ln() / Decimal(2).ln()), float(((d1 + one) / n).ln() / 2)
+
+
+def test_squeezed_upper_bound_at_small_noise():
+    # (S + (D1+N+1)/(2N))/N and (D1+1)/N overflowed below N ~ 1e-154 and
+    # 1e-308: ub_sq was inf at S = N = 1e-300 and r_upper inf at N = 1e-320
+    for s in (1e-300, 1e-6, 1.0, 1e6):
+        for n in (1e-320, 1e-200, 1e-16, 1e-3, 1.0, 1e3):
+            upper, r_upper = _squeezed_upper_reference(s, n)
+            _, ub, _, r_ub = squeezed_bounds(s, n)
+            assert ub == pytest.approx(upper, rel=1e-12, abs=0.0), (s, n)
+            assert r_ub == pytest.approx(r_upper, rel=1e-12, abs=0.0), (s, n)
+    assert squeezed_bounds(1e-300, 1e-300)[1] == pytest.approx(1993.156857, rel=1e-9)
+    # where neither ratio overflows, the floats are those of the direct form
+    for s in (0.0, 1e-300, 1e-6, 1.0, 1e6, 1e149):
+        for n in (1e-150, 1e-16, 1e-3, 1.0, 1e3, 1e149):
+            if s + n + 1.0 > 1e150:
+                continue
+            d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
+            _, ub, _, r_ub = squeezed_bounds(s, n)
+            assert ub == math.log1p((s + (d1 + n + 1.0) / (2.0 * n)) / n) / math.log(2.0)
+            assert r_ub == 0.5 * math.log((d1 + 1.0) / n)
+
+
 def test_squeezed_bounds_reject_non_finite_and_huge_energies():
     # S = 1e300 gave lower = inf above upper = 996.58; inf gave NaN
     inf = math.inf

@@ -234,14 +234,29 @@ def test_bsc_simulate_guards():
     with pytest.raises(ValueError):
         bsc_simulate(0.1, cfg, SharedRandomness(0), [0] * 65)
     cfg = ProtocolConfig(n=4, eps=0.25, variant="bsc")
-    with pytest.raises(ValueError):
-        bsc_simulate(0.0, cfg, SharedRandomness(0), [0] * 4)
-    with pytest.raises(ValueError):
-        bsc_simulate(1.0, cfg, SharedRandomness(0), [0] * 4)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"flip probability must lie in \[0, 1\]"):
+            bsc_simulate(p, cfg, SharedRandomness(0), [0] * 4)
     with pytest.raises(ValueError):
         bsc_simulate(0.1, cfg, SharedRandomness(0), [0] * 3)  # length mismatch
     with pytest.raises(ValueError):
         bsc_simulate(0.1, cfg, SharedRandomness(0), [0, 2, 0, 0])
+
+
+def test_bsc_simulate_at_flip_probability_zero_and_one():
+    # p = 0 and 1 are channels like any other: bsc, the oracle and the
+    # protocol all take them (the protocol used to refuse both)
+    cfg = ProtocolConfig(n=8, eps=0.25, variant="bsc")
+    x = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    for p, want in ((0.0, x), (1.0, 1 - x)):
+        fell = set()
+        for seed in range(40):
+            y, tr = bsc_simulate(p, cfg, SharedRandomness(seed), x)
+            assert y.tolist() == want.tolist() and list(tr.output) == want.tolist(), (p, seed)
+            fell.add(tr.fallback)
+        assert fell == {False, True}, p  # both paths ran
+        assert exact_faithfulness_oracle(p, 4, eps=0.25) <= 1e-12
+        assert exact_faithfulness_oracle(p, 3, zsize=5) <= 1e-12
 
 
 def test_type_rank_matches_enumeration_order():
@@ -670,6 +685,9 @@ def test_empirical_faithfulness_guards():
     cfg = ProtocolConfig(n=4, eps=0.5, variant="bsc")
     with pytest.raises(ValueError):
         empirical_faithfulness(0.3, cfg, 999, seed=5)
+    for trials in (1000.0, 2500.5, True):
+        with pytest.raises(ValueError):
+            empirical_faithfulness(0.3, cfg, trials, seed=5)
     with pytest.raises(ValueError):
         empirical_faithfulness(0.3, ProtocolConfig(n=20, eps=0.5, variant="bsc"),
                                1000, seed=5)  # 2^20 bins over budget
@@ -693,8 +711,12 @@ def test_cost_statistics_sources_and_determinism():
     assert itc["itc_bits"] == _index_width(math.comb(9, 1)) == 4
     with pytest.raises(ValueError):
         cost_statistics(0.1, cfg, 100, ("bad-kind", None), seed=1)
-    with pytest.raises(ValueError):
-        cost_statistics(0.1, cfg, 0, ("fixed", [0] * 8), seed=1)
+    # a trial count is a whole number >= 1: a bool, 2.5 or 3.0 used to
+    # raise TypeError from inside numpy
+    for trials in (0, -1, True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="trial count"):
+            cost_statistics(0.1, cfg, trials, ("fixed", [0] * 8), seed=1)
+    assert cost_statistics(0.1, cfg, np.int64(2), ("fixed", [0] * 8), seed=2)["trials"] == 2
     one = cost_statistics(0.1, cfg, 1, ("fixed", [0] * 8), seed=2)
     assert one["trials"] == 1 and one["mean_bits_se"] is None
 
