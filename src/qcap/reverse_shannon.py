@@ -21,13 +21,24 @@ import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .qmath import _check_count, _check_distribution, _check_probability, entropy_of_spectrum
-from .typeclasses import (TypeClass, block_code, letters, pair_counts, sample_from_type,
+from .typeclasses import (TypeClass, _joint_type_labels, block_code, letters, sample_from_type,
                           type_of, type_rank)
 
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
-_SCAN_CHUNK = 1 << 16  # shared-set words drawn per step of a scan
+# Shared-set words drawn per step of a scan. At 2^14 a chunk's words
+# (128 KiB) and the temporaries made from them (for 512 DMC members at
+# n = 16: sort keys, letters, uniforms, outputs and labels, about 64 KiB
+# each) stay in a 2 MiB L2 cache, and none is large enough for glibc's
+# malloc to map fresh pages: a 16-trial pass of the 2 -> 3 DMC at n = 16
+# took 1 minor page fault at 2^14, 2,764 at 2^15 and 5,337 at 2^16.
+# Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13, 1.62x at
+# 2^14 and 1.64x at 2^15, and 8 BSC trials at n = 32 ran 0.94x, 1.10x,
+# 1.17x and 1.19x (medians of 40 runs, 2-vCPU Xeon VM, one thread). Head
+# to head over 60 runs, 2^14 was 1.19x faster than 2^15 on the DMC pass
+# and 5% slower on the BSC trials.
+_SCAN_CHUNK = 1 << 14
 
 
 class DMC:
@@ -225,18 +236,19 @@ def _first_match(bg, size: int, width: int, hit, lane_bits: int):
     words cut into lane_bits-bit lanes (_lanes). The scan draws about
     _SCAN_CHUNK words at a time, drops the spare lanes past the last
     member, hands hit one row of lanes per member, and stops at the first
-    chunk holding a match. A chunk holds whole words and whole members,
-    as the layouts in use have width 1 or 64-bit lanes.
+    chunk holding a match, whose first flagged row argmax finds. A chunk
+    holds whole words and whole members, as the layouts in use have width
+    1 or 64-bit lanes, so the chunk size never changes which member is sent.
     """
     per_word = 64 // lane_bits
     rows = max(_SCAN_CHUNK * per_word // width, 1)
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
         words = bg.random_raw(-(-m * width // per_word))
-        lanes = _lanes(words, lane_bits)[:m * width].reshape(m, width)
-        hits = np.flatnonzero(hit(lanes))
-        if hits.size:
-            return lo + int(hits[0])
+        flags = hit(_lanes(words, lane_bits)[:m * width].reshape(m, width))
+        first = int(flags.argmax())
+        if flags[first]:
+            return lo + first
     return None
 
 
@@ -336,13 +348,14 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     shuffle: each word's low ceil(log2 n) bits are replaced by the
     letter's position, so the keys are unique and the order is by the
     top 64 - ceil(log2 n) bits, ties broken by position (odds below
-    C(n, 2) * 2^(ceil(log2 n) - 64)). Then the channel on those letters
-    is driven by n uniforms, the top 53 bits of its other n words.
+    C(n, 2) * 2^(ceil(log2 n) - 64)). The sorted keys' low bits are then
+    that order, with no argsort. Then the channel on those letters is
+    driven by n uniforms, the top 53 bits of its other n words.
     """
     n = tc.n
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = words[:, :n] & ~low | np.arange(n, dtype=np.uint64)
-    xp = tc.letters()[np.argsort(keys, axis=1)]
+    xp = tc.letters()[np.sort(keys, axis=1) & low]
     return dmc.outputs(xp, (words[:, n:] >> 11) * 2.0 ** -53)
 
 
@@ -354,9 +367,9 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     within that class: the shared set, one keyed stream per class, holds
     outputs of the channel fed with uniform inputs of the same class
     (_class_members), and a set member replaces the privately simulated
-    output when their pair-count matrices against x agree. The block
-    transition law is constant on each such pair class, so the swap is
-    exact.
+    output when it has the same joint type with x, that is the same
+    _joint_type_labels label. The block transition law is constant on
+    each such pair class, so the swap is exact.
 
     Returns (receiver's output block, Transcript).
     """
@@ -366,11 +379,11 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     k = type_rank(tc.counts)
     itc_bits = _index_width(math.comb(n + dmc.d_in - 1, dmc.d_in - 1))
     decode = functools.partial(_class_members, dmc, tc)
-    counts = functools.partial(pair_counts, xs, d_in=dmc.d_in, d_out=dmc.d_out)
+    label = _joint_type_labels(xs, dmc.d_in, dmc.d_out)
 
     def hit(y):
-        target = counts(y)
-        return lambda words: (counts(decode(words)) == target).all(axis=1)
+        target = label(y)
+        return lambda words: (label(decode(words)) == target).all(axis=1)
 
     prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
     return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix, (k,),
@@ -385,26 +398,28 @@ def _channel_kind(channel):
     where rate(x) sizes the shared set for input block x and, given the
     block law rows = _block_law(DMC, len(x)), law gives the exact oracle
     the law of one set member over the output blocks (as ordered by
-    _blocks) and an integer match label for each output block. A DMC's
-    law builds its block tables once per block length, so one oracle call
-    builds them once.
+    _blocks) and a match label for each output block: one integer, or a
+    row of label words. A DMC's law builds its block tables once per
+    block length, so one oracle call builds them once.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
-        tables = {}  # per block length: sorted input blocks, output blocks
+        tables = {}  # per block length: type labeller, input type labels, output blocks
 
         def law(x, rows):
-            # members: channel outputs of a uniform input of x's type class;
-            # a match shares y's joint type with x, which the sorted pair
-            # letters a * d_out + b fix: their block code, below the
-            # (d_in d_out)^n that the oracle's guard bounds, labels it
+            # members: channel outputs of a uniform input of x's type class,
+            # the input blocks whose type (joint type with the all-zero block
+            # over one letter) is x's; a match shares y's joint type with x.
+            # One-word labels go out 1-d, which np.unique groups without the
+            # row sort that axis=0 costs on 2-d labels
             n = len(x)
             if n not in tables:
-                tables[n] = np.sort(_blocks(d_in, n), axis=1), _blocks(d_out, n)
-            inputs, outputs = tables[n]
-            same = (inputs == np.sort(x)).all(axis=1)
-            pairs = np.sort(x * d_out + outputs, axis=1)
-            return rows[same].mean(axis=0), pairs @ (d_in * d_out) ** np.arange(n)
+                of_type = _joint_type_labels(np.zeros(n, dtype=np.int64), 1, d_in)
+                tables[n] = of_type, of_type(_blocks(d_in, n)), _blocks(d_out, n)
+            of_type, types, outputs = tables[n]
+            same = (types == of_type(x)).all(axis=1)
+            labels = _joint_type_labels(x, d_in, d_out)(outputs)
+            return rows[same].mean(axis=0), labels[:, 0] if labels.shape[1] == 1 else labels
 
         return (channel, lambda: channel._capacity,
                 lambda x: _class_rate(channel, type_of(x, d_in)),
@@ -467,7 +482,7 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     for x, true in zip(_blocks(dmc.d_in, n), rows):
         size = zsize if zsize is not None else _set_size(rate(x), n, eps)
         member, labels = law(x, rows)
-        sig = np.unique(labels, return_inverse=True)[1]
+        sig = np.unique(labels, axis=0, return_inverse=True)[1]
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
         miss = (1.0 - m_s) ** size
         share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)

@@ -88,6 +88,30 @@ def pair_counts(x: np.ndarray, ys: np.ndarray, d_in: int, d_out: int) -> np.ndar
     return np.bincount(codes.ravel(), minlength=m * k).reshape(ys.shape[:-1] + (k,))
 
 
+def _joint_type_labels(x: np.ndarray, d_in: int, d_out: int):
+    """Joint-type labeller for input block x: label(ys) -> int64 label words.
+
+    label(ys) writes each block y on ys's last axis as
+    sum_i (n + 1)^(x_i d_out + y_i), n = len(x): its pair_counts row read
+    as base-(n + 1) digits, which no count reaches, so equal labels mean
+    equal joint types with x, and no sort or bincount builds them. The
+    d_in * d_out digits go into as many int64 words as (n + 1)^(d_in d_out)
+    needs, each holding the most digits j with (n + 1)^j <= 2^63, so no
+    word overflows. Returns ys.shape[:-1] + (words,). x and each y are
+    valid blocks of one length (see letters).
+    """
+    n, cells = len(x), d_in * d_out
+    per_word = 1
+    while (n + 1) ** (per_word + 1) <= 1 << 63:
+        per_word += 1
+    word, digit = np.divmod(np.arange(cells), per_word)
+    table = np.zeros((cells, word[-1] + 1), dtype=np.int64)  # cell -> its label words
+    table[np.arange(cells), word] = np.int64(n + 1) ** digit
+    offset, ones = x * d_out, np.ones(n, dtype=np.int64)
+    # the digits summed as a product with ones: far faster than .sum on rows this short
+    return lambda ys: ones @ np.take(table, offset + ys, axis=0)
+
+
 def joint_type(x, y, d_in: int | None = None, d_out: int | None = None) -> np.ndarray:
     """pair_counts of two equal-length strings as a (d_in, d_out) array: their
     joint type, shared by two pairs iff one position permutation maps one

@@ -30,7 +30,8 @@ from qcap.reverse_shannon import (
     _run_trials,
     _set_size,
 )
-from qcap.typeclasses import TypeClass, enumerate_types, joint_type, type_of, type_rank
+from qcap.typeclasses import (TypeClass, enumerate_types, joint_type, pair_counts, type_of,
+                              type_rank)
 
 
 def test_dmc_validation():
@@ -396,24 +397,32 @@ def test_first_match_sends_no_later_member():
 
 
 def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
-    d = DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
-    cfg = ProtocolConfig(n=16, eps=0.5, variant="general")
-    x = [0, 1] * 4 + [0] * 8
+    # the 4x4 channel at n = 16 has 17^16 > 2^63, so its labels take two words
+    dmcs = [(DMC([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]]), 0.5, [0, 1] * 4 + [0] * 8),
+            (DMC(0.24 + 0.04 * np.eye(4)), 1.5, [3, 0] * 8)]
     cfg_b = ProtocolConfig(n=16, eps=0.25, variant="bsc")
     x_b = [0, 1, 1] * 5 + [1]
 
     def runs():
-        return ([dmc_simulate(d, cfg, SharedRandomness(s), x)[1] for s in range(12)],
-                [bsc_simulate(0.1, cfg_b, SharedRandomness(s), x_b)[1] for s in range(12)])
+        return [[dmc_simulate(d, ProtocolConfig(16, eps, "general"), SharedRandomness(s), x)[1]
+                 for s in range(12)] for d, eps, x in dmcs] + [
+                [bsc_simulate(0.1, cfg_b, SharedRandomness(s), x_b)[1] for s in range(12)]]
 
     whole = runs()
     assert all(any(not tr.fallback for tr in kind) for kind in whole)
-    assert any(int(tr.message[tr.itc_bits + 1:], 2) >= 7
-               for kind in whole for tr in kind if not tr.fallback)
-    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7 * 32)  # 7 DMC members, 896 BSC ones
-    assert runs() == whole
-    monkeypatch.setattr(rs, "_SCAN_CHUNK", 7)  # 1 DMC member, 28 BSC ones
-    assert runs() == whole
+    assert all(any(int(tr.message[tr.itc_bits + 1:], 2) >= 7 for tr in kind if not tr.fallback)
+               for kind in whole)
+    for (d, _, x), kind in zip(dmcs, whole):
+        for s, tr in enumerate(kind):
+            if not tr.fallback:
+                y = d.sample_outputs(np.array(x), SharedRandomness(s).stream("private"))
+                assert np.array_equal(joint_type(x, tr.output, d.d_in, d.d_out),
+                                      joint_type(x, y, d.d_in, d.d_out))
+    # the old and the current default, then 7 DMC members (896 BSC ones) and
+    # 1 DMC member (28 BSC ones) per chunk
+    for chunk in (1 << 16, 1 << 14, 7 * 32, 7):
+        monkeypatch.setattr(rs, "_SCAN_CHUNK", chunk)
+        assert runs() == whole, chunk
 
 
 def test_bsc_packed_batches_match_lone_regeneration(monkeypatch):
@@ -738,17 +747,20 @@ def test_cost_statistics_computes_dmc_capacity_once(monkeypatch):
 
 
 def test_oracle_labels_group_by_joint_type():
-    # the integer labels split the output blocks exactly as the pair-count
-    # rows do, so the oracle's class sums are unchanged
-    d = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-    law = _channel_kind(d)[4]
-    for n in (3, 4):
+    # the labels split the output blocks exactly as the pair-count rows do,
+    # so the oracle's class sums are unchanged; the 7x7 channel's labels
+    # take two words (3^49 > 2^63)
+    cases = [(DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]), n) for n in (3, 4)]
+    cases.append((DMC(0.1 + 0.3 * np.eye(7)), 2))
+    for d, n in cases:
+        law = _channel_kind(d)[4]
         rows, ys = rs._block_law(d, n), rs._blocks(d.d_out, n)
         worst = 0.0
         for x, true in zip(rs._blocks(d.d_in, n), rows):
             member, labels = law(x, rows)
-            sig = np.unique(labels, return_inverse=True)[1]
-            ref = np.unique(rs.pair_counts(x, ys, d.d_in, d.d_out), axis=0,
+            assert labels.ndim == (2 if d.d_in == 7 else 1)
+            sig = np.unique(labels, axis=0, return_inverse=True)[1]
+            ref = np.unique(pair_counts(x, ys, d.d_in, d.d_out), axis=0,
                             return_inverse=True)[1].ravel()
             # the same partition: each class of one is one class of the other
             pairs = np.unique(np.stack([sig, ref]), axis=1).shape[1]

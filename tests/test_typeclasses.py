@@ -11,6 +11,7 @@ from qcap.reverse_shannon import _blocks
 from qcap.typeclasses import (
     TypeClass,
     TypicalEigenstateSet,
+    _joint_type_labels,
     block_code,
     enumerate_types,
     joint_type,
@@ -102,6 +103,31 @@ def test_pair_counts_match_brute_force():
         assert pair_counts(x, ys[0, 0], d_in, d_out).tolist() == got[0, 0].tolist()
         assert np.array_equal(joint_type(x, ys[0, 0], d_in, d_out),
                               got[0, 0].reshape(d_in, d_out))
+
+
+def test_joint_type_labels_equal_exactly_on_equal_pair_counts():
+    # (4, 4, 16) needs two label words; permuting y within the positions
+    # of each letter of x keeps the joint type, which random pairs rarely share
+    rng = generator(3)
+    for d_in, d_out, n in ((2, 3, 16), (3, 3, 20), (4, 4, 16), (2, 2, 1)):
+        for x in (rng.integers(0, d_in, n), np.full(n, d_in - 1)):
+            ys = [rng.integers(0, d_out, n) for _ in range(40)]
+            ys += [np.full(n, b) for b in range(d_out)]
+            for y in ys[:20]:
+                z = y.copy()
+                for a in range(d_in):
+                    at = np.flatnonzero(x == a)
+                    z[at] = z[rng.permutation(at)]
+                ys += [z, rng.permutation(y)]
+            ys = np.array(ys)
+            labels = _joint_type_labels(x, d_in, d_out)(ys)
+            assert labels.shape == (len(ys), 2 if (d_in, d_out, n) == (4, 4, 16) else 1)
+            assert np.array_equal(_joint_type_labels(x, d_in, d_out)(ys[0]), labels[0])
+            counts = pair_counts(x, ys, d_in, d_out)
+            same_label = (labels[:, None] == labels[None]).all(axis=-1)
+            same_counts = (counts[:, None] == counts[None]).all(axis=-1)
+            assert np.array_equal(same_label, same_counts), (d_in, d_out, n)
+            assert same_counts.sum() > len(ys) + 20
 
 
 def test_block_code_is_the_block_row():
