@@ -27,17 +27,17 @@ from .typeclasses import (TypeClass, _joint_type_labels, block_code, letters, sa
 BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
-# Shared-set words drawn per step of a scan. At 2^14 a chunk's words
-# (128 KiB) and the temporaries made from them (for 512 DMC members at
-# n = 16: sort keys, letters, uniforms, outputs and labels, about 64 KiB
-# each) stay in a 2 MiB L2 cache, and none is large enough for glibc's
-# malloc to map fresh pages: a 16-trial pass of the 2 -> 3 DMC at n = 16
-# took 1 minor page fault at 2^14, 2,764 at 2^15 and 5,337 at 2^16.
-# Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13, 1.62x at
-# 2^14 and 1.64x at 2^15, and 8 BSC trials at n = 32 ran 0.94x, 1.10x,
-# 1.17x and 1.19x (medians of 40 runs, 2-vCPU Xeon VM, one thread). Head
-# to head over 60 runs, 2^14 was 1.19x faster than 2^15 on the DMC pass
-# and 5% slower on the BSC trials.
+# Shared-set words drawn per step of a scan. At 2^14 no array a chunk
+# makes (its 128 KiB of words, and for 512 DMC members at n = 16 the sort
+# keys, letters, uniforms, outputs and labels of about 64 KiB each) is
+# large enough for glibc's malloc to map fresh pages for it, and they fit
+# a 2 MiB L2 cache. In a fresh process a 16-trial pass of the 2 -> 3 DMC
+# at n = 16 took 1 minor page fault at 2^14, 2,764 at 2^15 and 5,337 at
+# 2^16. Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13,
+# 1.62x at 2^14 and 1.64x at 2^15, and 8 BSC trials at n = 32 ran 0.94x,
+# 1.10x, 1.17x and 1.19x (medians of 40 runs, 2-vCPU Xeon VM, one
+# thread). Head to head over 60 runs, 2^14 was 1.19x faster than 2^15 on
+# the DMC pass and 5% slower on the BSC trials.
 _SCAN_CHUNK = 1 << 14
 
 
