@@ -394,45 +394,35 @@ def _channel_kind(channel):
     """The one dispatch on the channel kind.
 
     A flip probability (bit protocol) or a DMC (general protocol) maps to
-    (DMC, capacity(), rate(x), simulate(cfg, shared, x), law(x, rows)),
-    where rate(x) sizes the shared set for input block x and, given the
-    block law rows = _block_law(DMC, len(x)), law gives the exact oracle
-    the law of one set member over the output blocks (as ordered by
-    _blocks) and a match label for each output block: one integer, or a
-    row of label words. A DMC's law builds its block tables once per
-    block length, so one oracle call builds them once.
+    (DMC, capacity(), rate(x), simulate(cfg, shared, x), members(rows, xs),
+    label(x)), where rate(x) sizes the shared set for input block x. Given
+    the block law rows and the input blocks xs, members gives the exact
+    oracle each block's member class and, per class, one set member's law
+    over the output blocks; label(x) maps output blocks, one per row, to
+    their match labels: one integer each, or a row of label words.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
-        tables = {}  # per block length: type labeller, input type labels, output blocks
 
-        def law(x, rows):
-            # members: channel outputs of a uniform input of x's type class,
-            # the input blocks whose type (joint type with the all-zero block
-            # over one letter) is x's; a match shares y's joint type with x.
-            # One-word labels go out 1-d, which np.unique groups without the
-            # row sort that axis=0 costs on 2-d labels
-            n = len(x)
-            if n not in tables:
-                of_type = _joint_type_labels(np.zeros(n, dtype=np.int64), 1, d_in)
-                tables[n] = of_type, of_type(_blocks(d_in, n)), _blocks(d_out, n)
-            of_type, types, outputs = tables[n]
-            same = (types == of_type(x)).all(axis=1)
-            labels = _joint_type_labels(x, d_in, d_out)(outputs)
-            return rows[same].mean(axis=0), labels[:, 0] if labels.shape[1] == 1 else labels
+        def members(rows, xs):
+            # the channel on a uniform input of x's type: the mean row of x's
+            # type class, which the code of the sorted block names
+            cls = np.unique(np.sort(xs, axis=1) @ d_in ** np.arange(xs.shape[1]),
+                            return_inverse=True)[1]
+            return cls, np.array([rows[cls == c].mean(axis=0) for c in range(cls.max() + 1)])
 
         return (channel, lambda: channel._capacity,
                 lambda x: _class_rate(channel, type_of(x, d_in)),
-                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), law)
-
-    def law(x, rows):
-        # members: uniform words; a match lies on y's Hamming shell around x
-        ys = _blocks(2, len(x))
-        return np.full(len(ys), 1.0 / len(ys)), (ys != x).sum(axis=1)
+                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), members,
+                lambda x: _joint_type_labels(x, d_in, d_out))  # a match shares y's joint type
 
     p = float(channel)
     return (bsc(p), lambda: bsc_capacity(p), lambda x: bsc_capacity(p),
-            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x), law)
+            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x),
+            # members are uniform words, one class; a match lies on y's Hamming shell
+            lambda rows, xs: (np.zeros(len(xs), dtype=np.intp),
+                              np.full((1, rows.shape[1]), 1.0 / rows.shape[1])),
+            lambda x: lambda ys: (ys != x).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +442,14 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
                               zsize: int | None = None) -> float:
     """Max deviation of the induced block channel from the true one.
 
-    Integrates the protocol in closed form, building the block law once.
-    For input block x, law(x, block law) gives m, one set member's law
-    over the output blocks, and each block's match class; m(s) and t(s)
-    are the member and true masses of class s. No member of M lands in s
-    with odds miss(s) = (1 - m(s))^M, and a private output in s then
-    falls back to itself. Given K_s > 0, the first member in s is
-    distributed as m restricted to s, as members are iid. So the induced
-    law on y' in class s is
+    Integrates the protocol in closed form, building the block law and the
+    member laws once. For input block x, m is its class's member law and
+    label(x) gives each output block's match class; m(s) and t(s) are the
+    member and true masses of class s. No member of M lands in s with
+    odds miss(s) = (1 - m(s))^M, and a private output in s then falls
+    back to itself. Otherwise the first member in s is distributed as m
+    restricted to s, as members are iid. So the induced law on y' in
+    class s is
 
         (1 - miss(s)) t(s) m(y') / m(s) + miss(s) true(y'),
 
@@ -474,15 +464,19 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     ProtocolConfig(n, 1.0 if eps is None else eps)
     if zsize is not None:
         _check_count(zsize, "set size zsize")
-    dmc, _, rate, _, law = _channel_kind(channel)
+    dmc, _, rate, _, members, label = _channel_kind(channel)
     entries = dmc.d_in ** n * dmc.d_out ** n
     if entries > ORACLE_MAX_COMBOS:
         raise ValueError(f"a block law of {entries} entries exceeds the enumeration guard")
-    worst, rows = 0.0, _block_law(dmc, n)
-    for x, true in zip(_blocks(dmc.d_in, n), rows):
+    rows, xs, ys = _block_law(dmc, n), _blocks(dmc.d_in, n), _blocks(dmc.d_out, n)
+    classes, laws = members(rows, xs)
+    worst = 0.0
+    for x, true, c in zip(xs, rows, classes):
         size = zsize if zsize is not None else _set_size(rate(x), n, eps)
-        member, labels = law(x, rows)
-        sig = np.unique(labels, axis=0, return_inverse=True)[1]
+        member, labels = laws[c], label(x)(ys).reshape(len(ys), -1)
+        # one-word labels go in 1-d: np.unique then skips axis=0's row sort
+        sig = np.unique(labels[:, 0] if labels.shape[1] == 1 else labels, axis=0,
+                        return_inverse=True)[1]
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
         miss = (1.0 - m_s) ** size
         share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)
@@ -500,7 +494,7 @@ def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
     reproduces alone. Returns (outputs, bits sent, fallback flags,
     itc_bits): a row or entry per trial, and the class prefix width.
     """
-    dmc, _, _, simulate, _ = kind
+    dmc, _, _, simulate, _, _ = kind
     n = cfg.n
     base = SharedRandomness(seed)
     name, arg = source

@@ -29,10 +29,10 @@ class TypeClass:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative letter count in {counts}")
-        object.__setattr__(self, "counts", counts)
+        for c in self.counts:  # as _check_count: ints and numpy integers, not bools
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                raise ValueError(f"letter counts must be whole numbers >= 0, got {self.counts!r}")
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     @property
     def n(self) -> int:

@@ -515,6 +515,8 @@ def test_bloch_grid_rejects_bad_resolution():
     for res in (0.0, -0.1, 3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="resolution"):
             bloch_grid_ce(ch, res)
+    with pytest.raises(ValueError, match="qubit-input"):
+        bloch_grid_ce(depolarizing(3, 0.5))
     value, r = bloch_grid_ce(ch, 1.0)
     assert np.isfinite(value) and r is not None
 
@@ -805,6 +807,10 @@ def test_pgm_matches_per_pair_reference():
 def test_pgm_rejects_degenerate_projector():
     with pytest.raises(ValueError):
         pgm_error([np.array([1.0, 0.0])], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="no codewords"):
+        pgm_error([], np.eye(2))
+    with pytest.raises(ValueError, match="idempotent"):
+        pgm_error([np.array([1.0, 0.0])], np.array([[1.0, 0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="Hermitian"):  # not a failed eigensolve
         pgm_error([np.array([1.0, 0.0])], np.diag([1.0, np.nan]))
 

@@ -17,7 +17,7 @@ from qcap.channels import (
     superdense_ensemble,
     switched_3to2,
 )
-from qcap.qmath import DensityOperator, apply_channel
+from qcap.qmath import DensityOperator, DimensionMismatchError, apply_channel
 from qcap.rand import generator, random_channel
 
 
@@ -27,6 +27,8 @@ def test_generalized_pauli_unitary():
             for k in range(d):
                 u = generalized_pauli(d, j, k)
                 assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
+    with pytest.raises(ValueError, match="dimension"):
+        generalized_pauli(0, 0, 0)
 
 
 def test_depolarizing_action():
@@ -96,6 +98,8 @@ def test_ensemble_validation():
     for probs in ((float("nan"), 1.0), (0.5, float("nan"))):
         with pytest.raises(ValueError):
             Ensemble(probs=probs, states=(rho, rho))
+    with pytest.raises(DimensionMismatchError):
+        Ensemble(probs=(0.5, 0.5), states=(rho, DensityOperator(np.eye(3) / 3)))
 
 
 def test_superdense_ensemble_structure():
@@ -121,6 +125,9 @@ def test_channel_spec_round_trip():
         ChannelSpec(kind="nonsense").resolve()
     with pytest.raises(ValueError):
         ChannelSpec(kind="explicit_kraus").resolve()
+    for data in ([{"kind": "noiseless"}], "noiseless", None, {"params": {"d": 2}}):
+        with pytest.raises(ValueError, match="object with a 'kind'"):
+            ChannelSpec.from_json(data)
 
 
 def test_channel_spec_explicit_kraus():
@@ -129,10 +136,12 @@ def test_channel_spec_explicit_kraus():
     ch0 = amplitude_damping(0.3)
     spec = ChannelSpec(kind="explicit_kraus",
                        kraus=[matrix_to_json(k) for k in ch0.kraus])
-    ch = spec.resolve()
+    again = ChannelSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    assert again == spec
     rho = DensityOperator(np.diag([0.2, 0.8]))
-    assert np.allclose(apply_channel(ch, rho).mat,
-                       apply_channel(ch0, rho).mat, atol=1e-12)
+    for ch in (spec.resolve(), again.resolve()):
+        assert np.allclose(apply_channel(ch, rho).mat,
+                           apply_channel(ch0, rho).mat, atol=1e-12)
 
 
 def test_parameter_range_errors():
@@ -147,6 +156,8 @@ def test_parameter_range_errors():
             depolarizing(2, bad)
     with pytest.raises(ValueError):
         classical_embedding([[float("nan"), 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="2-D"):
+        classical_embedding([0.5, 0.5])
 
 
 def test_dimension_must_be_whole_and_positive():

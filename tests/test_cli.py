@@ -344,7 +344,7 @@ def test_rst_simulate_source_parsing(capsys):
     # rejects them: wrong alphabet size, wrong length, bad letter, counts
     # not summing to n, non-numeric probabilities
     for source in ("iid:0.3", "fixed:0101", "fixed:01x10101",
-                   "itc-uniform:3,3", "iid:a,b", "iid:1.5,-0.5"):
+                   "itc-uniform:3,3", "itc-uniform:", "iid:a,b", "iid:1.5,-0.5"):
         code, out, err = run(capsys, "rst", "simulate", "--bsc", "0.1", "--n", "8",
                              "--eps", "0.3", "--trials", "10", "--source", source)
         assert code == 2, source
@@ -457,6 +457,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "error:" in err, argv
+
+
+def test_convergence_failure_exits_1(monkeypatch, capsys):
+    # a solver that stops short of its tolerance is exit 1, not a usage error
+    from qcap import capacity
+
+    def stalled(*args, **kwargs):
+        raise capacity.ConvergenceError("stalled at gap 5.6e-17", None)
+
+    monkeypatch.setattr(capacity, "ce_maximize", stalled)
+    code, out, err = run(capsys, "capacity", "ce", "--preset", "amplitude-damping:0.5")
+    assert code == 1
+    assert out == "" and "error:" in err
 
 
 def test_zero_tol_is_allowed(capsys):

@@ -43,6 +43,10 @@ def test_density_operator_validation():
             DensityOperator(mat)
     with pytest.raises(InvalidStateError):
         PureState([np.nan, 1.0])
+    with pytest.raises(DimensionMismatchError, match="multiply"):
+        PureState([1.0, 0.0, 0.0], dims=(2, 2))
+    with pytest.raises(DimensionMismatchError, match="square"):
+        DensityOperator(np.zeros((2, 3)))
 
 
 def test_entropy_values():
@@ -55,6 +59,9 @@ def test_entropy_values():
     u = random_unitary(3, rng)
     rot = DensityOperator(u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T)
     assert von_neumann_entropy(rot) == pytest.approx(1.5, abs=1e-10)
+    # a bare matrix is checked too: an eigenvalue past -1e-12 is refused
+    with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+        von_neumann_entropy(np.diag([1 + 1e-6, -1e-6]))
 
 
 def test_entropy_of_spectrum_stack_matches_rows():
@@ -129,6 +136,10 @@ def test_channel_validation():
         QuantumChannel([])
     with pytest.raises(InvalidChannelError):
         QuantumChannel([np.array([[1.0, 0.0], [0.0, np.nan]])])
+    with pytest.raises(InvalidChannelError, match="one 2-D shape"):
+        QuantumChannel([np.eye(2), np.zeros((3, 2))])
+    with pytest.raises(ValueError, match="isometry"):
+        random_channel(3, 1, 2, generator(0))
 
 
 def test_apply_channel_preserves_state():
@@ -226,6 +237,9 @@ def test_matrix_serialization_round_trip():
     m = random_density(3, rng).mat
     again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert np.allclose(m, again, atol=0)
+    for bad in ([[1, 2]], []):  # real cells; no rows
+        with pytest.raises(ValueError, match="malformed complex-matrix JSON"):
+            matrix_from_json(bad)
 
 
 def test_entropy_exchange_equals_env_entropy():

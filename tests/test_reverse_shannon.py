@@ -41,6 +41,8 @@ def test_dmc_validation():
         DMC([[1.5, -0.5], [0.5, 0.5]])  # entries outside [0, 1]
     with pytest.raises(ValueError):
         DMC([[float("nan"), 1.0], [0.5, 0.5]])  # NaN fails the range check
+    with pytest.raises(ValueError, match="2-d"):
+        DMC([0.5, 0.5])  # one law, not a table
     with pytest.raises(ValueError):
         constrained_mi(DMC([[0.7, 0.3], [0.2, 0.8]]), [float("nan"), 1.0])
     d = DMC([[0.7, 0.3], [0.2, 0.8]])
@@ -355,8 +357,29 @@ def test_dmc_member_law_matches_oracle_law():
     words = SharedRandomness(1).bitgen("Z", type_rank(tc.counts)).random_raw(60000 * 6)
     members = _class_members(d, tc, words.reshape(60000, 6))
     hist = np.bincount(members @ [9, 3, 1], minlength=27)
-    law = _channel_kind(d)[4](x, rs._block_law(d, 3))[0]
-    assert chisquare(hist, law * 60000).pvalue > 1e-3
+    xs = rs._blocks(2, 3)
+    classes, laws = _channel_kind(d)[4](rs._block_law(d, 3), xs)
+    assert np.array_equal(xs[3], x)
+    assert chisquare(hist, laws[classes[3]] * 60000).pvalue > 1e-3
+
+
+def test_oracle_class_laws_are_type_class_means():
+    # one member law per input type class: the mean of the class's block-law
+    # rows, as each input block's own masked mean gives it
+    cases = [(DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]), 4),
+             (DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]]), 3),
+             (DMC(0.1 + 0.3 * np.eye(7)), 2)]  # its labels take two words
+    for d, n in cases:
+        rows, xs = rs._block_law(d, n), rs._blocks(d.d_in, n)
+        classes, laws = _channel_kind(d)[4](rows, xs)
+        types = np.array([type_of(x, d.d_in).counts for x in xs])
+        assert len(laws) == len(np.unique(types, axis=0)) == math.comb(n + d.d_in - 1, n)
+        for x, c, counts in zip(xs, classes, types):
+            same = (types == counts).all(axis=1)
+            assert np.array_equal(laws[c], rows[same].mean(axis=0)), (d.d_in, x)
+    # the bit protocol's members are uniform words: one class, law 2^-n
+    classes, laws = _channel_kind(0.3)[4](rs._block_law(bsc(0.3), 3), rs._blocks(2, 3))
+    assert classes.tolist() == [0] * 8 and laws.tolist() == [[2.0 ** -3] * 8]
 
 
 def test_first_match_sends_no_later_member():
@@ -613,9 +636,7 @@ def test_exact_oracle_matches_literal_first_match(monkeypatch):
     kind = rs._channel_kind
 
     def coarse(channel):
-        dmc, cap, rate, simulate, law = kind(channel)
-        return (dmc, cap, rate, simulate,
-                lambda x, rows: (law(x, rows)[0], rs._blocks(dmc.d_out, len(x)).sum(axis=1)))
+        return kind(channel)[:5] + (lambda x: lambda ys: ys.sum(axis=1),)
 
     monkeypatch.setattr(rs, "_channel_kind", coarse)
     for (channel, matrix, member, _), value in zip(cases, (0.2625, 0.15838875)):
@@ -753,12 +774,13 @@ def test_oracle_labels_group_by_joint_type():
     cases = [(DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]), n) for n in (3, 4)]
     cases.append((DMC(0.1 + 0.3 * np.eye(7)), 2))
     for d, n in cases:
-        law = _channel_kind(d)[4]
-        rows, ys = rs._block_law(d, n), rs._blocks(d.d_out, n)
+        _, _, _, _, members, label = _channel_kind(d)
+        rows, xs, ys = rs._block_law(d, n), rs._blocks(d.d_in, n), rs._blocks(d.d_out, n)
+        classes, laws = members(rows, xs)
         worst = 0.0
-        for x, true in zip(rs._blocks(d.d_in, n), rows):
-            member, labels = law(x, rows)
-            assert labels.ndim == (2 if d.d_in == 7 else 1)
+        for x, true, c in zip(xs, rows, classes):
+            member, labels = laws[c], label(x)(ys)
+            assert labels.shape == (len(ys), 2 if d.d_in == 7 else 1)
             sig = np.unique(labels, axis=0, return_inverse=True)[1]
             ref = np.unique(pair_counts(x, ys, d.d_in, d.d_out), axis=0,
                             return_inverse=True)[1].ravel()

@@ -7,7 +7,7 @@ import pytest
 
 from qcap.qmath import InvalidStateError
 from qcap.rand import generator
-from qcap.reverse_shannon import _blocks
+from qcap.reverse_shannon import DMC, ProtocolConfig, _blocks, cost_statistics
 from qcap.typeclasses import (
     TypeClass,
     TypicalEigenstateSet,
@@ -29,6 +29,19 @@ def test_type_class_multiplicity():
     assert TypeClass((5, 0)).multiplicity() == 1
     with pytest.raises(ValueError):
         TypeClass((2, -1))
+
+
+def test_type_class_counts_must_be_whole():
+    # fractional counts were truncated, a bool read as 1 and inf overflowed
+    for bad in ((2.7, 1.2), (True, 2), (2, np.bool_(False)), (float("inf"), 1),
+                (float("nan"), 1), (2.0, 1), ("2", 1)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            TypeClass(bad)
+    assert TypeClass((np.int64(2), 3)).counts == (2, 3)
+    assert type_of(np.array([0, 1, 1]), 2).counts == (1, 2)
+    d = DMC([[0.75, 0.25], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="whole numbers"):
+        cost_statistics(d, ProtocolConfig(4, 0.8, "general"), 3, ("itc-uniform", [2.9, 2.9]), 1)
 
 
 def test_enumerate_types_order_and_count():
