@@ -266,7 +266,7 @@ def _member_words(bg, i: int, width: int, lane_bits: int) -> np.ndarray:
 
 def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
                 rate: float, prefix: str, set_idx: tuple, member_width: int,
-                lane_bits: int, draw, hit, decode):
+                lane_bits: int, draw, label, member_label, decode):
     """The set-substitution game, shared by both channel kinds.
 
     The shared set holds _set_size(rate, n, eps) members; member i is
@@ -274,18 +274,20 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
     bitgen("Z", *set_idx), read as little-endian lane_bits-bit lanes
     (_lanes), and decode maps rows of member lanes to output blocks. The
     sender draws its private output y = draw(priv) and sends prefix,
-    then 0 and the index of the first member that hit(y) flags, or 1 and
-    y as one big-endian base-d_out integer when no member matches.
-    Members are iid, so the first match is a uniform pick among the
-    matches. The receiver regenerates the sent member with
-    _member_words, which is all it needs to decode.
+    then 0 and the index of the first member whose member_label (of its
+    row of lanes) equals label(y), or 1 and y as one big-endian
+    base-d_out integer when no member matches. Members are iid, so the
+    first match is a uniform pick among the matches. The receiver
+    regenerates the sent member with _member_words, which is all it
+    needs to decode.
 
     Returns (receiver's output block, Transcript).
     """
     size = _set_size(rate, cfg.n, cfg.eps)
     y = draw(shared.stream("private"))
-    zset = ("Z",) + set_idx
-    chosen = _first_match(shared.bitgen(*zset), size, member_width, hit(y), lane_bits)
+    target, zset = label(y), ("Z",) + set_idx
+    chosen = _first_match(shared.bitgen(*zset), size, member_width,
+                          lambda lanes: member_label(lanes) == target, lane_bits)
     if chosen is not None:
         lanes = _member_words(shared.bitgen(*zset), chosen, member_width, lane_bits)
         y_out, direction = decode(lanes[None])[0], "0"
@@ -325,15 +327,12 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     lane = np.dtype(f"u{lane_bits // 8}").type
     x_lane, mask = lane(block_code(xs, 2)), lane((1 << n) - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=lane)
-
-    def hit(y):
-        # members on y's Hamming shell around x
-        dist = (y != xs).sum()
-        return lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane) == dist
-
+    # labels: a block's Hamming distance from x, as a packed member's popcount finds it
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       hit, lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
+                       lambda y: (y != xs).sum(),
+                       lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane),
+                       lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
 
 
 def _class_rate(dmc: DMC, tc: TypeClass) -> float:
@@ -380,14 +379,10 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
     itc_bits = _index_width(math.comb(n + dmc.d_in - 1, dmc.d_in - 1))
     decode = functools.partial(_class_members, dmc, tc)
     label = _joint_type_labels(xs, dmc.d_in, dmc.d_out)
-
-    def hit(y):
-        target = label(y)
-        return lambda words: (label(decode(words)) == target).all(axis=1)
-
     prefix = format(k, f"0{itc_bits}b") if itc_bits else ""
     return _substitute(shared, cfg, dmc.d_out, _class_rate(dmc, tc), prefix, (k,),
-                       2 * n, 64, lambda priv: dmc.sample_outputs(xs, priv), hit, decode)
+                       2 * n, 64, lambda priv: dmc.sample_outputs(xs, priv), label,
+                       lambda words: label(decode(words)), decode)
 
 
 def _channel_kind(channel):
@@ -395,11 +390,13 @@ def _channel_kind(channel):
 
     A flip probability (bit protocol) or a DMC (general protocol) maps to
     (DMC, capacity(), rate(x), simulate(cfg, shared, x), members(rows, xs),
-    label(x)), where rate(x) sizes the shared set for input block x. Given
-    the block law rows and the input blocks xs, members gives the exact
-    oracle each block's member class and, per class, one set member's law
-    over the output blocks; label(x) maps output blocks, one per row, to
-    their match labels: one integer each, or a row of label words.
+    label(x)), where rate(x) sizes the shared set for input block x and
+    depends on x only through its member class. Given the block law rows
+    and the input blocks xs, members gives the exact oracle each block's
+    member class and, per class, one set member's law over the output
+    blocks; label(x) maps output blocks, one per row, to their match
+    labels, one value per block, which the simulators' match rule
+    compares: a member replaces y when its label equals y's.
     """
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
@@ -443,8 +440,9 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     """Max deviation of the induced block channel from the true one.
 
     Integrates the protocol in closed form, building the block law and the
-    member laws once. For input block x, m is its class's member law and
-    label(x) gives each output block's match class; m(s) and t(s) are the
+    member laws once. For input block x, m is its class's member law, and
+    one np.unique of label(x) over the output blocks groups them into
+    match classes, the blocks sharing one label; m(s) and t(s) are the
     member and true masses of class s. No member of M lands in s with
     odds miss(s) = (1 - m(s))^M, and a private output in s then falls
     back to itself. Otherwise the first member in s is distributed as m
@@ -455,9 +453,10 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
 
     with m(y') / m(s) read as 0 where m(s) = 0. channel is a flip
     probability (bit protocol) or a DMC (general protocol). M comes from
-    zsize (at least 1), or from eps via the protocol's own sizing rule.
-    n, and eps where given, must pass ProtocolConfig's checks. Refuses
-    block laws beyond ORACLE_MAX_COMBOS entries before building any.
+    zsize (at least 1), or from eps via the protocol's own sizing rule,
+    applied once per member class. n, and eps where given, must pass
+    ProtocolConfig's checks. Refuses block laws beyond ORACLE_MAX_COMBOS
+    entries before building any.
     """
     if zsize is None and eps is None:
         raise ValueError("need either eps or an explicit set size")
@@ -470,15 +469,16 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
         raise ValueError(f"a block law of {entries} entries exceeds the enumeration guard")
     rows, xs, ys = _block_law(dmc, n), _blocks(dmc.d_in, n), _blocks(dmc.d_out, n)
     classes, laws = members(rows, xs)
+    if zsize is None:  # one rate per member class, read off its first block
+        sizes = [_set_size(rate(xs[i]), n, eps)
+                 for i in np.unique(classes, return_index=True)[1]]
+    else:
+        sizes = [zsize] * len(laws)
     worst = 0.0
     for x, true, c in zip(xs, rows, classes):
-        size = zsize if zsize is not None else _set_size(rate(x), n, eps)
-        member, labels = laws[c], label(x)(ys).reshape(len(ys), -1)
-        # one-word labels go in 1-d: np.unique then skips axis=0's row sort
-        sig = np.unique(labels[:, 0] if labels.shape[1] == 1 else labels, axis=0,
-                        return_inverse=True)[1]
+        member, sig = laws[c], np.unique(label(x)(ys), return_inverse=True)[1]
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
-        miss = (1.0 - m_s) ** size
+        miss = (1.0 - m_s) ** sizes[c]
         share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)
         induced = (1.0 - miss) * t_s * share + miss * true
         worst = max(worst, float(np.max(np.abs(induced - true))))

@@ -89,7 +89,7 @@ def pair_counts(x: np.ndarray, ys: np.ndarray, d_in: int, d_out: int) -> np.ndar
 
 
 def _joint_type_labels(x: np.ndarray, d_in: int, d_out: int):
-    """Joint-type labeller for input block x: label(ys) -> int64 label words.
+    """Joint-type labeller for input block x: label(ys) -> one label per block.
 
     label(ys) writes each block y on ys's last axis as
     sum_i (n + 1)^(x_i d_out + y_i), n = len(x): its pair_counts row read
@@ -97,19 +97,23 @@ def _joint_type_labels(x: np.ndarray, d_in: int, d_out: int):
     equal joint types with x, and no sort or bincount builds them. The
     d_in * d_out digits go into as many int64 words as (n + 1)^(d_in d_out)
     needs, each holding the most digits j with (n + 1)^j <= 2^63, so no
-    word overflows. Returns ys.shape[:-1] + (words,). x and each y are
-    valid blocks of one length (see letters).
+    word overflows. A label is that int64 when one word holds it, and
+    otherwise its words read as one opaque fixed-width value, which ==
+    and np.unique compare whole. Returns shape ys.shape[:-1]. x and each
+    y are valid blocks of one length (see letters).
     """
     n, cells = len(x), d_in * d_out
     per_word = 1
     while (n + 1) ** (per_word + 1) <= 1 << 63:
         per_word += 1
     word, digit = np.divmod(np.arange(cells), per_word)
-    table = np.zeros((cells, word[-1] + 1), dtype=np.int64)  # cell -> its label words
+    words = word[-1] + 1
+    table = np.zeros((cells, words), dtype=np.int64)  # cell -> its label words
     table[np.arange(cells), word] = np.int64(n + 1) ** digit
     offset, ones = x * d_out, np.ones(n, dtype=np.int64)
+    value = np.dtype(np.int64) if words == 1 else np.dtype((np.void, 8 * words))
     # the digits summed as a product with ones: far faster than .sum on rows this short
-    return lambda ys: ones @ np.take(table, offset + ys, axis=0)
+    return lambda ys: (ones @ np.take(table, offset + ys, axis=0)).view(value)[..., 0]
 
 
 def joint_type(x, y, d_in: int | None = None, d_out: int | None = None) -> np.ndarray:
@@ -230,7 +234,17 @@ class TypicalEigenstateSet:
         return all(lo <= c <= hi for c, (lo, hi) in zip(counts, self._ranges))
 
     def admissible_types(self):
-        """Yield every letter-count vector the membership test accepts."""
+        """Yield every letter-count vector the membership test accepts.
+
+        Raises ValueError before the first vector when the count-range
+        sizes, the widest left out, multiply past MAX_ENUMERATED_TYPES:
+        the other counts fix the last one, so that product bounds the
+        number of vectors.
+        """
+        sizes = sorted(max(hi - lo + 1, 0) for lo, hi in self._ranges)
+        bound = math.prod(sizes[:-1])
+        if bound > MAX_ENUMERATED_TYPES:
+            raise ValueError(f"up to {bound} admissible types exceed the enumeration cap")
         yield from _count_vectors(self.n, self._ranges)
 
     def cardinality(self) -> int:

@@ -472,6 +472,30 @@ def test_convergence_failure_exits_1(monkeypatch, capsys):
     assert out == "" and "error:" in err
 
 
+def test_capacity_without_convergence_exits_1(monkeypatch, tmp_path, capsys):
+    # Blahut-Arimoto past its iteration cap raises RuntimeError: exit 1
+    from qcap import reverse_shannon as rs
+
+    matrix = [[1.0, 0.0], [0.5, 0.5]]
+    monkeypatch.setattr(rs, "BA_MAX_ITERS", 3)
+    with pytest.raises(RuntimeError, match="no convergence within 3 iterations"):
+        rs.ba_capacity(rs.DMC(matrix), 0.0)
+    mat = tmp_path / "dmc.json"
+    mat.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, "rst", "simulate", "--dmc", str(mat), "--n", "4",
+                         "--eps", "0.5", "--trials", "2")
+    assert code == 1
+    assert out == "" and "error:" in err
+
+
+def test_typical_check_refuses_sets_too_large_to_enumerate(capsys):
+    # 2.2e20 admissible types: refused before the first is enumerated
+    code, out, err = run(capsys, "typical", "check", "--probs", ",".join(["0.1"] * 10),
+                         "--n", "1000", "--delta", "0.1")
+    assert code == 2
+    assert out == "" and "error:" in err and "enumeration cap" in err
+
+
 def test_zero_tol_is_allowed(capsys):
     code, out, _ = run(capsys, "capacity", "ce", "--preset", "amplitude-damping:0.3",
                        "--tol", "0")

@@ -30,8 +30,8 @@ from qcap.reverse_shannon import (
     _run_trials,
     _set_size,
 )
-from qcap.typeclasses import (TypeClass, enumerate_types, joint_type, pair_counts, type_of,
-                              type_rank)
+from qcap.typeclasses import (TypeClass, block_code, enumerate_types, joint_type, pair_counts,
+                              type_of, type_rank)
 
 
 def test_dmc_validation():
@@ -383,40 +383,46 @@ def test_oracle_class_laws_are_type_class_means():
 
 
 def test_first_match_sends_no_later_member():
-    # no member before the sent index lies in the private output's match class
-    sent_late = 0
-    cfg = ProtocolConfig(n=6, eps=0.25, variant="bsc")
-    x = np.array([0, 1, 1, 0, 0, 1])
-    for seed in range(8):
-        sh = SharedRandomness(seed)
-        _, tr = bsc_simulate(0.2, cfg, sh, x)
-        priv = sh.stream("private").random(6) < 0.2
-        if tr.fallback:
-            continue
-        chosen = int(tr.message[1:], 2)
-        # 6-bit members in the low bits of 8-bit little-endian lanes
-        lanes = np.frombuffer(sh.bitgen("Z").random_raw(chosen // 8 + 1).astype("<u8")
-                              .tobytes(), dtype=np.uint8)[:chosen + 1] & 0x3F
-        shells = [bin(int(v) ^ 0b011001).count("1") for v in lanes]  # distance to x
-        assert shells.index(int(priv.sum())) == chosen
-        sent_late += chosen > 0
-    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
-    cfg = ProtocolConfig(n=4, eps=0.8, variant="general")
-    x = np.array([0, 1, 1, 0])
-    tc, k = type_of(x, 2), type_rank((2, 2))
-    for seed in range(12):
-        sh = SharedRandomness(seed)
-        _, tr = dmc_simulate(d, cfg, sh, x)
-        if tr.fallback:
-            continue
-        y = d.sample_outputs(x, sh.stream("private"))
-        chosen = int(tr.message[tr.itc_bits + 1:], 2)
-        members = _class_members(d, tc, sh.bitgen("Z", k).random_raw(
-            (chosen + 1) * 8).reshape(chosen + 1, 8))
-        keys = [joint_type(x, m, 2, 3).tolist() for m in members]
-        assert keys.index(joint_type(x, y, 2, 3).tolist()) == chosen
-        sent_late += chosen > 0
-    assert sent_late >= 4
+    # no member before the sent index lies in the private output's match class;
+    # BSC members sit in the low n bits of 8-, 16- and 32-bit little-endian
+    # lanes, and the 4x4 channel's labels at n = 16 take two words
+    for n, eps, lane_bits in ((6, 0.25, 8), (16, 0.5, 16), (32, 0.5, 32)):
+        cfg, sent_late = ProtocolConfig(n=n, eps=eps, variant="bsc"), 0
+        x = np.resize([0, 1, 1, 0, 0, 1], n)
+        for seed in range(8):
+            sh = SharedRandomness(seed)
+            _, tr = bsc_simulate(0.2, cfg, sh, x)
+            priv = sh.stream("private").random(n) < 0.2
+            if tr.fallback:
+                continue
+            chosen = int(tr.message[1:], 2)
+            lanes = np.frombuffer(
+                sh.bitgen("Z").random_raw(chosen * lane_bits // 64 + 1).astype("<u8").tobytes(),
+                dtype=f"<u{lane_bits // 8}")[:chosen + 1] & (1 << n) - 1
+            shells = [bin(int(v) ^ block_code(x, 2)).count("1") for v in lanes]  # distance to x
+            assert shells.index(int(priv.sum())) == chosen
+            sent_late += chosen > 0
+        assert sent_late >= 2, n
+    cases = [(DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]]), 0.8, np.array([0, 1, 1, 0])),
+             (DMC(0.24 + 0.04 * np.eye(4)), 1.5, np.array([3, 0] * 8))]
+    for d, eps, x in cases:
+        n, sent_late = len(x), 0
+        cfg = ProtocolConfig(n=n, eps=eps, variant="general")
+        tc = type_of(x, d.d_in)
+        k = type_rank(tc.counts)
+        for seed in range(12):
+            sh = SharedRandomness(seed)
+            _, tr = dmc_simulate(d, cfg, sh, x)
+            if tr.fallback:
+                continue
+            y = d.sample_outputs(x, sh.stream("private"))
+            chosen = int(tr.message[tr.itc_bits + 1:], 2)
+            members = _class_members(d, tc, sh.bitgen("Z", k).random_raw(
+                (chosen + 1) * 2 * n).reshape(chosen + 1, 2 * n))
+            keys = pair_counts(x, members, d.d_in, d.d_out).tolist()
+            assert keys.index(pair_counts(x, y, d.d_in, d.d_out).tolist()) == chosen
+            sent_late += chosen > 0
+        assert sent_late >= 2, d.matrix
 
 
 def test_dmc_scan_chunking_leaves_transcripts_unchanged(monkeypatch):
@@ -655,6 +661,21 @@ def test_kronecker_block_law_matches_block_probability():
             assert law[i, j] == np.prod(d.matrix[x, y])
 
 
+def test_exact_oracle_sizes_each_member_class_once(monkeypatch):
+    # a set's size depends on x only through x's type: one constrained_mi per
+    # type class with eps (9 at n = 8 over 2 letters, 21 at n = 5 over 3
+    # letters, against one per input block before), none with zsize
+    mi, calls = rs.constrained_mi, []
+    monkeypatch.setattr(rs, "constrained_mi", lambda dmc, q: calls.append(q) or mi(dmc, q))
+    tall = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    square = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]])
+    for d, n, kwargs, want in ((tall, 8, {"eps": 1.0}, 9), (square, 5, {"eps": 1.5}, 21),
+                               (tall, 8, {"zsize": 4}, 0)):
+        calls.clear()
+        assert exact_faithfulness_oracle(d, n, **kwargs) <= 1e-12
+        assert len(calls) == want, (n, kwargs)
+
+
 def test_exact_oracle_guards():
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 2)  # neither eps nor zsize
@@ -780,8 +801,9 @@ def test_oracle_labels_group_by_joint_type():
         worst = 0.0
         for x, true, c in zip(xs, rows, classes):
             member, labels = laws[c], label(x)(ys)
-            assert labels.shape == (len(ys), 2 if d.d_in == 7 else 1)
-            sig = np.unique(labels, axis=0, return_inverse=True)[1]
+            assert labels.shape == (len(ys),)
+            assert labels.dtype == (np.dtype((np.void, 16)) if d.d_in == 7 else np.int64)
+            sig = np.unique(labels, return_inverse=True)[1]
             ref = np.unique(pair_counts(x, ys, d.d_in, d.d_out), axis=0,
                             return_inverse=True)[1].ravel()
             # the same partition: each class of one is one class of the other

@@ -134,10 +134,13 @@ def test_joint_type_labels_equal_exactly_on_equal_pair_counts():
                 ys += [z, rng.permutation(y)]
             ys = np.array(ys)
             labels = _joint_type_labels(x, d_in, d_out)(ys)
-            assert labels.shape == (len(ys), 2 if (d_in, d_out, n) == (4, 4, 16) else 1)
+            # one value per block: an int64, or two words read as one 16-byte value
+            two = (d_in, d_out, n) == (4, 4, 16)
+            assert labels.shape == (len(ys),)
+            assert labels.dtype == (np.dtype((np.void, 16)) if two else np.int64)
             assert np.array_equal(_joint_type_labels(x, d_in, d_out)(ys[0]), labels[0])
             counts = pair_counts(x, ys, d_in, d_out)
-            same_label = (labels[:, None] == labels[None]).all(axis=-1)
+            same_label = labels[:, None] == labels[None]
             same_counts = (counts[:, None] == counts[None]).all(axis=-1)
             assert np.array_equal(same_label, same_counts), (d_in, d_out, n)
             assert same_counts.sum() > len(ys) + 20
