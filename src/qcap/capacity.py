@@ -430,7 +430,7 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
 
     Walks rho = (I + r . sigma)/2 on a cubic lattice of the given resolution
     intersected with the unit ball, evaluating the objective in batches
-    with `hermitian_spectra`: closed-form spectra for 2x2 output and
+    with `hermitian_spectra`: closed-form spectra for 2x2 input, output and
     environment matrices, one batched eigensolve above. Independent check
     of `ce_maximize`; returns (max value, argmax Bloch vector), the first
     lattice point in scan order (x, then y, then z) to reach the maximum.
@@ -458,44 +458,40 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution must be in (0, 1], got {resolution!r}")
-    paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
-              np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-              np.array([[1, 0], [0, -1]], dtype=np.complex128)]
-    # rho = I/2 + rx X/2 + ry Y/2 + rz Z/2, and both maps are linear
-    inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
-    out_basis, env_basis = map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
+    # rho = I/2 + rx X/2 + ry Y/2 + rz Z/2: it and both maps' outputs are affine in r
+    inputs = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]]) / 2
+    bases = (inputs, *map(np.stack, zip(*(_outputs(channel, m) for m in inputs))))
 
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     shape = (len(axis),) * 3
     best = (-np.inf, 0)  # (value, -key): ties go to the least scan-order key
-    for r in _scan_batches(out_basis, env_basis, axis):
-        vals = _grid_values(out_basis, env_basis, *r)
+    for idx in _scan_batches(bases, axis):
+        vals = _grid_values(bases, *axis[idx])
         top = np.max(vals)
-        keys = np.ravel_multi_index(np.searchsorted(axis, r[:, np.flatnonzero(vals == top)]), shape)
+        keys = np.ravel_multi_index(idx[:, vals == top], shape)
         best = max(best, (float(top), -int(keys.min())))
     return best[0], tuple(float(axis[i]) for i in np.unravel_index(-best[1], shape))
 
 
-def _grid_values(out_basis, env_basis, rx, ry, rz):
+def _grid_values(bases, rx, ry, rz):
     """The objective at the Bloch vectors (rx, ry, rz), each the same in any batch."""
-    # the input's spectrum is ((1 + |r|)/2, (1 - |r|)/2)
-    rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
-    h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
     coef = np.stack([np.ones_like(ry), rx, ry, rz], axis=1)
-    return h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
+    h_in, h_out, h_env = (_family_entropy(basis, coef) for basis in bases)
+    return h_in + h_out - h_env
 
 
-def _scan_batches(out_basis, env_basis, axis):
-    """Batches of Bloch vectors, (3, m) arrays, that may hold the grid maximum.
+def _scan_batches(bases, axis):
+    """Batches of lattice points that may hold the grid maximum, as (3, m) axis indices.
 
     Boxes are bounded level by level over the sides in _BOXES, as
-    `bloch_grid_ce` describes, and each level yields the ball points of the
-    boxes it keeps whole, each once, in batches of at most _GRID_CHUNK points.
+    `bloch_grid_ce` describes. Each level yields the ball points of the
+    boxes it keeps whole, each point once: one batch per _GRID_CHUNK / side^3
+    boxes, so no batch holds more than _GRID_CHUNK points.
     """
     size = len(axis)
-    # the axis padded past its end with inf, which is never in the ball
-    pad = np.concatenate([axis, np.full(_BOXES[0], np.inf)])
-    sq = pad**2
+    # the squared axis padded past its end with inf, which is never in the ball
+    sq = np.concatenate([axis**2, np.full(_BOXES[0], np.inf)])
     floor = -np.inf
     box, above = np.zeros((1, 3), dtype=np.int64), None  # one root box holds the lattice
     for side in _BOXES:
@@ -515,61 +511,64 @@ def _scan_batches(out_basis, env_basis, axis):
         mx, my, mz = mid3.T
         inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
         if inside.any():
-            vals = _grid_values(out_basis, env_basis, mx[inside], my[inside], mz[inside])
+            vals = _grid_values(bases, mx[inside], my[inside], mz[inside])
             floor = max(floor, float(np.max(vals)) - _FLOOR_MARGIN)
-        bound, unsafe = _box_bounds(out_basis, env_basis, lo3, hi3)
+        bound, unsafe = _box_bounds(bases, lo3, hi3)
         kept = unsafe | (bound >= floor)
         final = kept.all() or side == _BOXES[-1]
         split = np.zeros_like(kept) if final else kept & ~unsafe
-        # the ball points of the boxes kept whole, about four batches at a time
         whole = box[kept & ~split] * side
-        per = 4 * _GRID_CHUNK // side**3
+        per = _GRID_CHUNK // side**3
         for i in range(0, len(whole), per):
-            ix, iy, iz = (whole[i:i + per, k, None] + np.arange(side) for k in range(3))
-            ball = (sq[ix][:, :, None, None] + sq[iy][:, None, :, None]
-                    + sq[iz][:, None, None, :] <= 1.0 + 1e-12)
-            r = np.stack([np.broadcast_to(v, ball.shape)[ball] for v in (
-                pad[ix][:, :, None, None], pad[iy][:, None, :, None], pad[iz][:, None, None, :])])
-            for j in range(0, r.shape[1], _GRID_CHUNK):
-                yield r[:, j:j + _GRID_CHUNK]
+            idx = whole[i:i + per, :, None, None, None] + np.indices((side,) * 3)
+            ball = np.sum(sq[idx], axis=1) <= 1.0 + 1e-12
+            if ball.any():  # a box can meet the ball between its lattice points
+                yield np.moveaxis(idx, 1, 0)[:, ball]
         if not split.any():
             break
         box, above = box[split], side
 
 
-def _box_bounds(out_basis, env_basis, lo3, hi3):
+def _box_bounds(bases, lo3, hi3):
     """Tangent-plane bound on the objective over each box, and whether it is unsafe.
 
     The boxes' least and greatest lattice points are the rows of lo3 and
     hi3. The bound at each box centre c, pulled in to radius _BOX_RADIUS so
-    the input entropy's gradient is finite, is f(c) + sum_k |g_k| reach_k,
-    where reach_k is the box's farthest lattice coordinate from c_k. Each
-    entropy gradient comes from the basis the objective is affine in: every
-    basis[k + 1] is traceless, so dH(M)/dr_k = -tr(log2 M . basis[k + 1]).
-    A box is unsafe when an eigenvalue at c is below EIG_ZERO_TOL or its
+    the input's eigenvalues stay at least 0.01, is f(c) + sum_k |g_k| reach_k,
+    with g = df/dr from `_entropy_gradient` on each family and reach_k the
+    box's farthest lattice coordinate from c_k. A box is unsafe when an
+    output or environment eigenvalue at c is below EIG_ZERO_TOL or its
     bound is not finite.
     """
     centre = 0.5 * (lo3 + hi3)
-    norm = np.linalg.norm(centre, axis=1)
-    centre *= (_BOX_RADIUS / np.maximum(norm, _BOX_RADIUS))[:, None]
-    rn = np.minimum(norm, _BOX_RADIUS)
-    h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rn, 1.0 - rn], axis=1))
-    # dh_in/dr = -(1/2) log2((1 + |r|)/(1 - |r|)) r/|r|, which is 0 at r = 0
-    slope = np.divide(np.log2((1.0 + rn) / (1.0 - rn)), 2.0 * rn,
-                      out=np.zeros_like(rn), where=rn > 0.0)
-    coef = np.concatenate([np.ones((len(rn), 1)), centre], axis=1)
-    h_out, g_out, low_out = _entropy_gradient(out_basis, coef)
-    h_env, g_env, low_env = _entropy_gradient(env_basis, coef)
-    grad = g_out - g_env - slope[:, None] * centre
+    centre *= (_BOX_RADIUS / np.maximum(np.linalg.norm(centre, axis=1), _BOX_RADIUS))[:, None]
+    coef = np.concatenate([np.ones((len(centre), 1)), centre], axis=1)
+    (h_in, g_in, _), (h_out, g_out, low_out), (h_env, g_env, low_env) = (
+        _entropy_gradient(basis, coef) for basis in bases)
     reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
-    bound = h_in + h_out - h_env + np.sum(np.abs(grad) * reach, axis=1)
+    bound = h_in + h_out - h_env + np.sum(np.abs(g_in + g_out - g_env) * reach, axis=1)
     return bound, (np.minimum(low_out, low_env) < EIG_ZERO_TOL) | ~np.isfinite(bound)
 
 
 def _entropy_gradient(basis, coef):
-    """Entropy, its gradient in coef[:, 1:] and least eigenvalue of each coef . basis."""
+    """Entropy, its gradient in coef[:, 1:] and least eigenvalue of each M = coef . basis.
+
+    Every basis[k + 1] is traceless, so dH(M)/dr_k = -tr(log2 M . basis[k + 1])
+    and any multiple of I in log2 M drops out. A 2x2 M with eigenvalues
+    lo <= hi from `hermitian_spectra`, clipped at EIG_ZERO_TOL as in
+    `_eig_log2`, has log2 M = a I + b M with b = log2(hi / lo) / (hi - lo),
+    taken by log1p (1 / (lo ln 2) at hi = lo): no eigensolve. Other sizes
+    take log2 M from `_eig_log2`.
+    """
     dim = basis.shape[-1]
-    evals, logm = _eig_log2((coef @ basis.reshape(4, -1)).reshape(-1, dim, dim))
+    mats = (coef @ basis.reshape(4, -1)).reshape(-1, dim, dim)
+    if dim == 2:
+        evals = hermitian_spectra(mats)[:, ::-1]
+        lo, hi = np.clip(evals, EIG_ZERO_TOL, None).T
+        b = np.divide(np.log1p((hi - lo) / lo), hi - lo, out=1.0 / lo, where=hi > lo) / _LN2
+        logm = b[:, None, None] * mats
+    else:
+        evals, logm = _eig_log2(mats)
     # tr(L B) = sum_il L_il B_li, one product against the transposed basis
     grad = -(logm.reshape(len(coef), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
     return entropy_of_spectrum(np.clip(evals, 0.0, None)), grad, evals[:, 0]

@@ -453,13 +453,13 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
 
     with m(y') / m(s) read as 0 where m(s) = 0. channel is a flip
     probability (bit protocol) or a DMC (general protocol). M comes from
-    zsize (at least 1), or from eps via the protocol's own sizing rule,
-    applied once per member class. n, and eps where given, must pass
-    ProtocolConfig's checks. Refuses block laws beyond ORACLE_MAX_COMBOS
-    entries before building any.
+    exactly one of zsize (at least 1) and eps, through the protocol's own
+    sizing rule, applied once per member class; both or neither raise
+    ValueError. n, and eps where given, must pass ProtocolConfig's checks.
+    Refuses block laws beyond ORACLE_MAX_COMBOS entries before building any.
     """
-    if zsize is None and eps is None:
-        raise ValueError("need either eps or an explicit set size")
+    if (zsize is None) == (eps is None):
+        raise ValueError("need exactly one of eps and an explicit set size zsize")
     ProtocolConfig(n, 1.0 if eps is None else eps)
     if zsize is not None:
         _check_count(zsize, "set size zsize")

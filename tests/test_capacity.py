@@ -23,7 +23,8 @@ from qcap.capacity import (
     _BOXES,
     _STALL_ITERS,
     _box_bounds,
-    _family_entropy,
+    _eig_log2,
+    _entropy_gradient,
     _grid_values,
     _project,
     _scan_batches,
@@ -40,6 +41,7 @@ from qcap.channels import (
     switched_3to2,
 )
 from qcap.qmath import (
+    EIG_ZERO_TOL,
     DensityOperator,
     QuantumChannel,
     _outputs,
@@ -541,29 +543,34 @@ def _eigvalsh_grid(ch, res):
 
 def test_bloch_grid_matches_eigvalsh_reference():
     # the grid maps an affine basis and takes 2x2 spectra in closed form;
-    # the reference applies the Kraus maps at every point and eigvalsh to all
+    # the reference applies the Kraus maps at every point and eigvalsh to all.
+    # The tied channels reach their maximum at many lattice points within
+    # rounding, so only their value is compared
     rng = generator(61)
-    for _ in range(2):
-        ch = random_channel(2, 2, 3, rng)
-        value, r = bloch_grid_ce(ch, 0.05)
-        ref_value, ref_r = _eigvalsh_grid(ch, 0.05)
-        assert abs(value - ref_value) <= 1e-12
-        assert r == ref_r
+    chans = [random_channel(2, 2, env, rng) for env in (3, 3, 2, 4)]
+    chans += [amplitude_damping(0.5), noiseless(2)]
+    tied = [_replacement_channel(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])),
+            depolarizing(2, 1.0), erasure(2, 1.0)]
+    for res in (0.05, 0.07):
+        for i, ch in enumerate(chans + tied):
+            value, r = bloch_grid_ce(ch, res)
+            ref_value, ref_r = _eigvalsh_grid(ch, res)
+            assert abs(value - ref_value) <= 1e-12, (res, i)
+            if i < len(chans):
+                assert r == ref_r, (res, i)
 
 
 def _grid_bases(channel):
-    # the output and environment maps on I/2, X/2, Y/2 and Z/2
-    paulis = [np.array([[0, 1], [1, 0]], dtype=np.complex128),
-              np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-              np.array([[1, 0], [0, -1]], dtype=np.complex128)]
-    inputs = [np.eye(2, dtype=np.complex128) / 2] + [p / 2 for p in paulis]
-    return map(np.stack, zip(*(_outputs(channel, m) for m in inputs)))
+    # the input, output and environment on I/2, X/2, Y/2 and Z/2
+    inputs = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]]) / 2
+    return (inputs, *map(np.stack, zip(*(_outputs(channel, m) for m in inputs))))
 
 
 def _full_lattice_grid(channel, resolution):
     # the unpruned scan: every lattice point in the ball, one x-slice at a
-    # time, with the objective's arithmetic as bloch_grid_ce does it
-    out_basis, env_basis = _grid_bases(channel)
+    # time, through the grid's own evaluator
+    bases = _grid_bases(channel)
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
     best_val, best_r = -np.inf, None
     for rx in axis:
@@ -572,10 +579,7 @@ def _full_lattice_grid(channel, resolution):
         if not mask.any():
             continue
         ry, rz = ry_g[mask], rz_g[mask]
-        rnorm = np.minimum(np.sqrt(rx * rx + ry**2 + rz**2), 1.0)
-        h_in = entropy_of_spectrum(0.5 * np.stack([1.0 + rnorm, 1.0 - rnorm], axis=1))
-        coef = np.stack([np.ones_like(ry), np.full_like(ry, rx), ry, rz], axis=1)
-        vals = h_in + _family_entropy(out_basis, coef) - _family_entropy(env_basis, coef)
+        vals = _grid_values(bases, np.full_like(ry, rx), ry, rz)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_r = float(vals[i]), (float(rx), float(ry[i]), float(rz[i]))
@@ -619,8 +623,8 @@ def test_bloch_grid_pruning_keeps_value_and_argmax():
 def _scanned_keys(channel, resolution):
     # the scan key of every point the pruned scan evaluates, batch by batch
     axis = np.arange(-1.0, 1.0 + resolution / 2, resolution)
-    return [np.ravel_multi_index(np.searchsorted(axis, r), (len(axis),) * 3)
-            for r in _scan_batches(*_grid_bases(channel), axis)]
+    return [np.ravel_multi_index(idx, (len(axis),) * 3)
+            for idx in _scan_batches(_grid_bases(channel), axis)]
 
 
 def _ball_keys(resolution):
@@ -656,6 +660,21 @@ def test_bloch_grid_refinement_stops_where_it_cannot_prune(monkeypatch):
     assert len(keys) < 800
 
 
+def test_scan_yields_no_batch_for_a_kept_box_without_ball_points(monkeypatch):
+    # at resolution 0.04863 the 2-point box over lattice indices 4-5, 20-21
+    # and 34-35 meets the ball between its lattice points (y crosses 0)
+    # but holds no ball point; bounds keep only the boxes around its centre
+    axis = np.arange(-1.0, 1.0 + 0.04863 / 2, 0.04863)
+    target = 0.5 * (axis[[4, 20, 34]] + axis[[5, 21, 35]])
+
+    def only_target(bases, lo3, hi3):
+        hit = np.all((lo3 <= target) & (target <= hi3), axis=1)
+        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool)
+
+    monkeypatch.setattr(capacity, "_box_bounds", only_target)
+    assert _scanned_keys(amplitude_damping(0.3), 0.04863) == []
+
+
 def test_bloch_grid_one_point_slice_rounds_as_one_row():
     # amplitude damping at p = 0.999 has its maximizer near r = (0, 0, -0.64);
     # HZ turns it to +x. At resolution 0.85 the lattice's argmax
@@ -668,7 +687,7 @@ def test_bloch_grid_one_point_slice_rounds_as_one_row():
     assert ref[1] == pytest.approx((0.7, -0.15, -0.15))
     assert bloch_grid_ce(ch, 0.85) == ref
     x, y, z = (np.array([v]) for v in ref[1])
-    assert _grid_values(*_grid_bases(ch), x, y, z)[0] == ref[0]
+    assert _grid_values(_grid_bases(ch), x, y, z)[0] == ref[0]
 
 
 def test_grid_values_are_the_same_in_any_batch():
@@ -678,11 +697,47 @@ def test_grid_values_are_the_same_in_any_batch():
     rng = generator(65)
     r = rng.uniform(-0.57, 0.57, size=(3, 60))
     for env in (2, 3, 4):
-        bases = list(_grid_bases(random_channel(2, 2, env, rng)))
-        whole = _grid_values(*bases, *r)
+        bases = _grid_bases(random_channel(2, 2, env, rng))
+        whole = _grid_values(bases, *r)
         for size in (1, 2, 3, 7, 16):
-            parts = [_grid_values(*bases, *r[:, i:i + size]) for i in range(0, r.shape[1], size)]
+            parts = [_grid_values(bases, *r[:, i:i + size]) for i in range(0, r.shape[1], size)]
             assert np.array_equal(np.concatenate(parts), whole), (env, size)
+
+
+def test_entropy_gradient_closed_form_matches_eigensolve():
+    # 2x2 families take log2 M = a I + b M from the closed-form spectrum;
+    # the reference takes log2 M from _eig_log2, as larger families do.
+    # basis[0] has the spectrum (lo, hi), first in the standard basis (so
+    # hi = lo is exact) then in random ones, and the first coefficient row
+    # puts M exactly there; the second moves M off it
+    rng = generator(66)
+    eps = np.finfo(float).eps
+    spectra = [(0.3, 0.7), (0.02, 0.98), (0.5, 0.5), (0.4, 0.4 + 1e-12),
+               (0.2, 0.2 + 1e-9), (1e-11, 1.0 - 1e-11), (3e-12, 0.6), (0.0, 1.0)]
+    for lo, hi in spectra:
+        for trial in range(20):
+            v = random_unitary(2, rng) if trial else np.eye(2)
+            traceless = []
+            for _ in range(3):
+                x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                x = x + x.conj().T
+                traceless.append(x - 0.5 * np.trace(x) * np.eye(2))
+            basis = np.stack([(v * [lo, hi]) @ v.conj().T] + traceless)
+            coef = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, *rng.uniform(-0.05, 0.05, 3)]])
+            h, grad, low = _entropy_gradient(basis, coef)
+            mats = (coef @ basis.reshape(4, -1)).reshape(-1, 2, 2)
+            evals, logm = _eig_log2(mats)
+            ref = -np.einsum("nil,kli->nk", logm, basis[1:]).real
+            assert np.max(np.abs(h - entropy_of_spectrum(np.clip(evals, 0.0, None)))) <= 1e-14
+            assert np.max(np.abs(low - evals[:, 0])) <= 1e-15
+            # each route's least eigenvalue carries a rounding error of a few
+            # eps tr(M), which moves log2 lo by that over lo ln 2: the floor
+            # under any agreement near a singular M
+            sure = evals[:, 0] >= EIG_ZERO_TOL
+            size = np.max(np.linalg.norm(basis[1:], axis=(1, 2)))
+            floor = 8 * eps * size / (evals[sure, 0] * np.log(2.0))
+            err = np.abs(grad[sure] - ref[sure])
+            assert np.all(err <= 1e-9 * np.abs(ref[sure]) + floor[:, None]), (lo, hi)
 
 
 def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch):
@@ -692,7 +747,7 @@ def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch)
     axis = np.arange(-1.0, 1.0 + 0.05 / 2, 0.05)
     target = axis[[5, 11, 11]]
 
-    def only_target(out_basis, env_basis, lo3, hi3):
+    def only_target(bases, lo3, hi3):
         hit = np.all((lo3 <= target) & (target <= hi3), axis=1)
         return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool)
 
@@ -702,7 +757,7 @@ def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch)
     assert r == tuple(target)
     sq = axis**2
     iy, iz = np.nonzero(sq[5] + sq[:, None] + sq <= 1.0 + 1e-12)
-    row = _grid_values(*_grid_bases(ch), np.full(len(iy), axis[5]), axis[iy], axis[iz])
+    row = _grid_values(_grid_bases(ch), np.full(len(iy), axis[5]), axis[iy], axis[iz])
     assert value == row[(iy == 11) & (iz == 11)][0]
 
 

@@ -291,9 +291,10 @@ def test_rst_verify_exact_dmc(tmp_path, capsys):
 
 
 def test_rst_verify_exact_input_errors(capsys):
-    # neither --eps nor --zsize; a block law past the oracle's enumeration guard;
-    # eps <= 0 or NaN and n < 1, which rst simulate rejects too
-    for extra in (("--n", "2"), ("--n", "12", "--zsize", "1"),
+    # neither --eps nor --zsize, or both; a block law past the oracle's
+    # enumeration guard; eps <= 0 or NaN and n < 1, which rst simulate rejects too
+    for extra in (("--n", "2"), ("--n", "2", "--eps", "1.0", "--zsize", "5"),
+                  ("--n", "12", "--zsize", "1"),
                   ("--n", "2", "--eps", "-1"), ("--n", "2", "--eps", "0"),
                   ("--n", "2", "--eps", "nan"), ("--n", "0", "--eps", "1.0"),
                   ("--n", "0", "--zsize", "4"), ("--n", "2", "--eps", "0", "--zsize", "4")):

@@ -125,8 +125,8 @@ def test_hermitian_spectra_match_eigvalsh():
         h_ref = entropy_of_spectrum(np.clip(ref, 0.0, None))
         h_got = entropy_of_spectrum(np.clip(got, 0.0, None))
         assert np.max(np.abs(h_got - h_ref)) <= 1e-12, name
-        if name == "full":
-            assert np.max(np.abs(np.sort(got, axis=1) - ref)) <= 1e-12
+        # close eigenvalues too: "near scalar" spreads them by about 1e-9
+        assert np.max(np.abs(got[:, ::-1] - ref)) <= 2e-15, name
 
 
 def test_channel_validation():

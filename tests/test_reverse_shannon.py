@@ -679,6 +679,8 @@ def test_exact_oracle_sizes_each_member_class_once(monkeypatch):
 def test_exact_oracle_guards():
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 2)  # neither eps nor zsize
+    with pytest.raises(ValueError, match="exactly one"):
+        exact_faithfulness_oracle(0.3, 2, eps=1.0, zsize=5)  # both
     with pytest.raises(ValueError):
         exact_faithfulness_oracle(0.3, 12, zsize=1)  # block law past the guard
     # a million-member set is fine: the guard bounds the block law, not the set
