@@ -29,11 +29,13 @@ MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
 # Shared-set words drawn per step of a scan. At 2^14 no array a chunk
 # makes (its 128 KiB of words, and for 512 DMC members at n = 16 the sort
-# keys, letters, uniforms, outputs and labels of about 64 KiB each) is
-# large enough for glibc's malloc to map fresh pages for it, and they fit
-# a 2 MiB L2 cache. In a fresh process a 16-trial pass of the 2 -> 3 DMC
-# at n = 16 took 1 minor page fault at 2^14, 2,764 at 2^15 and 5,337 at
-# 2^16. Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13,
+# keys, which become the positions, the shifted words, a column's gathered
+# thresholds, the outputs and the labels of about 64 KiB each) is large
+# enough for glibc's malloc to map fresh pages for it, and they fit a
+# 2 MiB L2 cache. Measured when DMC members still formed letter and
+# uniform arrays (a pass still takes about 1 fault at 2^14 without them):
+# in a fresh process a 16-trial pass of the 2 -> 3 DMC at n = 16 took 1
+# minor page fault at 2^14, 2,764 at 2^15 and 5,337 at 2^16. Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13,
 # 1.62x at 2^14 and 1.64x at 2^15, and 8 BSC trials at n = 32 ran 0.94x,
 # 1.10x, 1.17x and 1.19x (medians of 40 runs, 2-vCPU Xeon VM, one
 # thread). Head to head over 60 runs, 2^14 was 1.19x faster than 2^15 on
@@ -44,7 +46,14 @@ _SCAN_CHUNK = 1 << 14
 class DMC:
     """Discrete memoryless channel: row-stochastic transition table.
 
-    Row x holds the output distribution P(y | input x).
+    Row x holds the output distribution P(y | input x). A channel use on
+    letter x is driven by a uniform u in [0, 1): its output is the number
+    of columns c < d_out - 1 with u > cum[x, c], cum being the row's
+    running sums (inverse-CDF sampling). The general protocol's set
+    members draw u = k 2^-53 from the top 53 bits k of a stream word,
+    and on that grid u > cum[x, c] holds exactly when k >= K[c, x] =
+    floor(cum[x, c] 2^53) + 1, so they compare k with the integer
+    thresholds K and never form u.
     """
 
     def __init__(self, matrix):
@@ -57,6 +66,12 @@ class DMC:
         # a row summing to just under 1 would let u land past its last
         # entry and yield the letter d_out; uniforms are always below 1
         self._cum[:, -1] = 1.0
+        # K, one row per column c < d_out - 1: the scaling by 2^53 is exact,
+        # and the + 1 comes after the cast, as 2^53 + 1 is not a double (a
+        # cumulative 1.0 gives K = 2^53 + 1, past every k)
+        scaled = np.floor(self._cum[:, :-1].T * 2.0 ** 53)
+        self._thresholds = scaled.astype(np.uint64) + np.uint64(1)
+        self._class_rates = {}  # TypeClass.counts -> _class_rate, filled as classes come up
 
     @property
     def d_in(self) -> int:
@@ -67,7 +82,11 @@ class DMC:
         return self.matrix.shape[1]
 
     def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Channel outputs on inputs x, each driven by the uniform in u at its place."""
+        """Channel outputs on inputs x, each driven by the uniform in u at its place.
+
+        u may be any floats in [0, 1); on the grid k 2^-53 the rule is the
+        one the integer thresholds give (see the class docstring).
+        """
         y = np.zeros(np.shape(x), dtype=np.int64)
         for c in range(self.d_out - 1):  # no u < 1 passes the last entry, 1.0
             y += u > self._cum[:, c][x]
@@ -336,8 +355,13 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
 
 
 def _class_rate(dmc: DMC, tc: TypeClass) -> float:
-    """Set-sizing rate of the general protocol: I(type of x, N)."""
-    return constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / tc.n)
+    """Set-sizing rate of the general protocol: I(type of x, N), computed
+    once per class, as the transition table is read-only."""
+    rate = dmc._class_rates.get(tc.counts)
+    if rate is None:
+        rate = constrained_mi(dmc, np.asarray(tc.counts, dtype=np.float64) / tc.n)
+        dmc._class_rates[tc.counts] = rate
+    return rate
 
 
 def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
@@ -348,14 +372,24 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     letter's position, so the keys are unique and the order is by the
     top 64 - ceil(log2 n) bits, ties broken by position (odds below
     C(n, 2) * 2^(ceil(log2 n) - 64)). The sorted keys' low bits are then
-    that order, with no argsort. Then the channel on those letters is
-    driven by n uniforms, the top 53 bits of its other n words.
+    that order, with no argsort. The channel on those letters is driven
+    by the other n words: place j's output is the number of columns c
+    with k_j >= K[c, x_j], where x_j is the letter at place j and k_j the
+    top 53 bits of word n + j. That is DMC.outputs on the uniforms
+    k_j 2^-53 (see DMC), with each column's thresholds gathered by sorted
+    position and no letter or uniform array formed.
     """
     n = tc.n
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = words[:, :n] & ~low | np.arange(n, dtype=np.uint64)
-    xp = tc.letters()[np.sort(keys, axis=1) & low]
-    return dmc.outputs(xp, (words[:, n:] >> 11) * 2.0 ** -53)
+    keys = words[:, :n] & ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    keys &= low
+    pos, k = keys.view(np.int64), words[:, n:] >> np.uint64(11)  # uint64 indices would be cast
+    y = np.zeros(pos.shape, dtype=np.int64)
+    for column in dmc._thresholds[:, tc.letters()]:
+        y += k >= column[pos]
+    return y
 
 
 def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -363,6 +365,31 @@ def test_dmc_member_law_matches_oracle_law():
     assert chisquare(hist, laws[classes[3]] * 60000).pvalue > 1e-3
 
 
+def test_member_thresholds_match_float_rule():
+    # a member's output on letter a from word k << 11 is DMC.outputs(a, k 2^-53)
+    # at and around every threshold K = floor(cum 2^53) + 1, the low 11 bits
+    # ignored; a cumulative entry of 1.0 before the last column makes K = 2^53 + 1
+    top, rng = 2 ** 53 - 1, np.random.default_rng(5)
+    for matrix in ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+                   [[1.0 - 2.0 ** -53, 2.0 ** -53, 0.0], [0.3, 0.3, 0.4]],
+                   [[0.0, 0.25, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                   [[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]], [[1.0], [1.0]]):
+        d = DMC(matrix)
+        for a in range(d.d_in):
+            near = [int(t) + step for t in d._thresholds[:, a] for step in (-1, 0, 1)]
+            ks = np.array(sorted({v for v in [0, top] + near if 0 <= v <= top}), dtype=np.uint64)
+            words = np.stack([rng.integers(0, 2 ** 63, len(ks), dtype=np.uint64),
+                              ks << np.uint64(11) | rng.integers(0, 2 ** 11, len(ks),
+                                                                 dtype=np.uint64)], axis=1)
+            counts = np.eye(d.d_in, dtype=int)[a]
+            got = _class_members(d, TypeClass(tuple(counts)), words)[:, 0]
+            want = d.outputs(np.full(len(ks), a), ks * 2.0 ** -53)
+            assert np.array_equal(got, want), (matrix, a)
+    # a one-output channel's members are all zeros on any class
+    words = rng.integers(0, 2 ** 63, (4, 10), dtype=np.uint64)
+    assert _class_members(DMC([[1.0], [1.0]]), TypeClass((2, 3)), words).tolist() == [[0] * 5] * 4
+
+
 def test_oracle_class_laws_are_type_class_means():
     # one member law per input type class: the mean of the class's block-law
     # rows, as each input block's own masked mean gives it
@@ -380,6 +407,36 @@ def test_oracle_class_laws_are_type_class_means():
     # the bit protocol's members are uniform words: one class, law 2^-n
     classes, laws = _channel_kind(0.3)[4](rs._block_law(bsc(0.3), 3), rs._blocks(2, 3))
     assert classes.tolist() == [0] * 8 and laws.tolist() == [[2.0 ** -3] * 8]
+
+
+# SHA-256 of json.dumps of the to_json() dicts of dmc_simulate's transcripts,
+# inputs in order, seeds 0..7 each, computed when members still drew float
+# uniforms: a change to member generation must not move them. Each case
+# sends some blocks by index and some raw
+PINNED_TRANSCRIPTS = {
+    "sim-dmc": ([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]], 0.5,
+                [[0, 1] * 4 + [0] * 8, [1] * 13 + [0] * 3, [0] * 16],
+                "045d0ee2be33d439e08dc5f87dd3147bd5c74ef86e9f65736557657f0e4b5708"),
+    "4x4-two-word-labels": (0.24 + 0.04 * np.eye(4), 1.5, [[3, 0] * 8, [0, 1, 2, 3] * 4],
+                             "5117a6962eb803960bb9c85cdb7d3440a17f5dfa75e446791975875ac2f7e93b"),
+    "cum-one-before-last-column": (
+        [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]], 0.5, [[0, 1] * 4, [1] * 8, [1, 1, 0, 1]],
+        "b1d61216610da4ca7417211dd46f6d71bb4bf40f0654f9609df2e7cf5a401f5b"),
+    "entry-2^-53": ([[1.0 - 2.0 ** -53, 2.0 ** -53, 0.0], [0.3, 0.3, 0.4]], 0.5,
+                    [[0] * 8, [0, 1] * 4, [1, 1, 0, 1, 1, 1]],
+                    "f729fa79fa014acc5f27f466ca8fae5bcf76f37f340b6bc56099d58ca202cb22"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_TRANSCRIPTS)
+def test_dmc_transcripts_pinned(case):
+    matrix, eps, inputs, digest = PINNED_TRANSCRIPTS[case]
+    d = DMC(matrix)
+    trs = [dmc_simulate(d, ProtocolConfig(len(x), eps, "general"), SharedRandomness(s), x)[1]
+           for x in inputs for s in range(8)]
+    assert 0 < sum(tr.fallback for tr in trs) < len(trs)
+    dump = json.dumps([tr.to_json() for tr in trs]).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
 
 
 def test_first_match_sends_no_later_member():
@@ -788,6 +845,23 @@ def test_cost_statistics_computes_dmc_capacity_once(monkeypatch):
     assert calls == [1e-10]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0]["capacity"] == ba_capacity(d, 1e-10)[0]
+
+
+def test_dmc_class_rate_computed_once_per_class(monkeypatch):
+    # the set-sizing rate depends on the input only through its type: one
+    # constrained_mi per class on a DMC, however many trials and calls
+    mi, calls = rs.constrained_mi, []
+    monkeypatch.setattr(rs, "constrained_mi", lambda dmc, q: calls.append(q) or mi(dmc, q))
+    d = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    cfg = ProtocolConfig(n=6, eps=1.2, variant="general")
+    runs = [cost_statistics(d, cfg, 20, ("itc-uniform", [2, 4]), seed=s) for s in (4, 4, 5)]
+    assert len(calls) == 1 and runs[0] == runs[1]
+    assert _class_rate(d, TypeClass((2, 4))) == mi(d, [2 / 6, 4 / 6]) and len(calls) == 1
+    cost_statistics(d, cfg, 30, ("iid", [0.5, 0.5]), seed=4)
+    assert len(calls) == len({tuple(q) for q in calls}) <= 7  # the 7 classes at n = 6
+    before = len(calls)  # the rates live on the channel object
+    assert _class_rate(DMC(d.matrix), TypeClass((2, 4))) == mi(d, [2 / 6, 4 / 6])
+    assert len(calls) == before + 1
 
 
 def test_oracle_labels_group_by_joint_type():
