@@ -450,9 +450,9 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     survivors are scanned whole. So a flat objective, or one singular
     everywhere, bounds one level of 16-point boxes and then scans the whole
     lattice. A point's value has the same floats in any batch (see
-    `_family_entropy`), so the value and the argmax are those of the whole
-    lattice. Raises ValueError unless 0 < resolution <= 1, a step that puts
-    some lattice point in the ball.
+    `_objective` and `_family`), so the value and the argmax are those of
+    the whole lattice. Raises ValueError unless 0 < resolution <= 1, a step
+    that puts some lattice point in the ball.
     """
     if channel.d_in != 2:
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
@@ -467,18 +467,23 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     shape = (len(axis),) * 3
     best = (-np.inf, 0)  # (value, -key): ties go to the least scan-order key
     for idx in _scan_batches(bases, axis):
-        vals = _grid_values(bases, *axis[idx])
+        vals = _objective(bases, *axis[idx])
         top = np.max(vals)
         keys = np.ravel_multi_index(idx[:, vals == top], shape)
         best = max(best, (float(top), -int(keys.min())))
     return best[0], tuple(float(axis[i]) for i in np.unravel_index(-best[1], shape))
 
 
-def _grid_values(bases, rx, ry, rz):
-    """The objective at the Bloch vectors (rx, ry, rz), each the same in any batch."""
+def _objective(bases, rx, ry, rz, gradient=False):
+    """The objective at the Bloch vectors (rx, ry, rz), each the same in any batch.
+
+    With `gradient`: (f, df/dr, the least output or environment eigenvalue).
+    """
     coef = np.stack([np.ones_like(ry), rx, ry, rz], axis=1)
-    h_in, h_out, h_env = (_family_entropy(basis, coef) for basis in bases)
-    return h_in + h_out - h_env
+    (h_in, g_in, _), (h_out, g_out, low_out), (h_env, g_env, low_env) = (
+        _family(basis, coef, gradient) for basis in bases)
+    f = h_in + h_out - h_env
+    return (f, g_in + g_out - g_env, np.minimum(low_out, low_env)) if gradient else f
 
 
 def _scan_batches(bases, axis):
@@ -511,7 +516,7 @@ def _scan_batches(bases, axis):
         mx, my, mz = mid3.T
         inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
         if inside.any():
-            vals = _grid_values(bases, mx[inside], my[inside], mz[inside])
+            vals = _objective(bases, mx[inside], my[inside], mz[inside])
             floor = max(floor, float(np.max(vals)) - _FLOOR_MARGIN)
         bound, unsafe = _box_bounds(bases, lo3, hi3)
         kept = unsafe | (bound >= floor)
@@ -535,57 +540,53 @@ def _box_bounds(bases, lo3, hi3):
     The boxes' least and greatest lattice points are the rows of lo3 and
     hi3. The bound at each box centre c, pulled in to radius _BOX_RADIUS so
     the input's eigenvalues stay at least 0.01, is f(c) + sum_k |g_k| reach_k,
-    with g = df/dr from `_entropy_gradient` on each family and reach_k the
-    box's farthest lattice coordinate from c_k. A box is unsafe when an
-    output or environment eigenvalue at c is below EIG_ZERO_TOL or its
-    bound is not finite.
+    with f and g = df/dr from `_objective` and reach_k the box's farthest
+    lattice coordinate from c_k. A box is unsafe when an output or
+    environment eigenvalue at c is below EIG_ZERO_TOL or its bound is not
+    finite.
     """
     centre = 0.5 * (lo3 + hi3)
     centre *= (_BOX_RADIUS / np.maximum(np.linalg.norm(centre, axis=1), _BOX_RADIUS))[:, None]
-    coef = np.concatenate([np.ones((len(centre), 1)), centre], axis=1)
-    (h_in, g_in, _), (h_out, g_out, low_out), (h_env, g_env, low_env) = (
-        _entropy_gradient(basis, coef) for basis in bases)
+    value, grad, low = _objective(bases, *centre.T, gradient=True)
     reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
-    bound = h_in + h_out - h_env + np.sum(np.abs(g_in + g_out - g_env) * reach, axis=1)
-    return bound, (np.minimum(low_out, low_env) < EIG_ZERO_TOL) | ~np.isfinite(bound)
+    bound = value + np.sum(np.abs(grad) * reach, axis=1)
+    return bound, (low < EIG_ZERO_TOL) | ~np.isfinite(bound)
 
 
-def _entropy_gradient(basis, coef):
-    """Entropy, its gradient in coef[:, 1:] and least eigenvalue of each M = coef . basis.
+def _family(basis, coef, gradient=False):
+    """Entropy of each M = coef[j] . basis, and with `gradient` dH/dr and its least eigenvalue.
 
-    Every basis[k + 1] is traceless, so dH(M)/dr_k = -tr(log2 M . basis[k + 1])
-    and any multiple of I in log2 M drops out. A 2x2 M with eigenvalues
-    lo <= hi from `hermitian_spectra`, clipped at EIG_ZERO_TOL as in
+    `basis` stacks four d x d Hermitian matrices; the real (n, 4)
+    coefficients act on their real and imaginary parts in one product.
+    numpy multiplies a one-row product as a matrix-vector product, which
+    rounds differently from a row of a larger one, so one row is taken
+    twice: each row's results are then the same in any batch. Spectra come
+    from `hermitian_spectra`: a closed form at 2x2, batched `eigvalsh`
+    above. Every basis[k + 1] is traceless, so dH(M)/dr_k =
+    -tr(log2 M . basis[k + 1]) and any multiple of I in log2 M drops out.
+    A 2x2 M with eigenvalues lo <= hi, clipped at EIG_ZERO_TOL as in
     `_eig_log2`, has log2 M = a I + b M with b = log2(hi / lo) / (hi - lo),
     taken by log1p (1 / (lo ln 2) at hi = lo): no eigensolve. Other sizes
-    take log2 M from `_eig_log2`.
+    take the spectrum and log2 M from `_eig_log2`. Returns (entropy,
+    gradient, least eigenvalue), the last two None without `gradient`.
     """
-    dim = basis.shape[-1]
-    mats = (coef @ basis.reshape(4, -1)).reshape(-1, dim, dim)
+    n, dim = len(coef), basis.shape[-1]
+    flat = basis.reshape(4, -1).view(np.float64)
+    rows = np.repeat(coef, 2, axis=0) if n == 1 else coef
+    mats = (rows @ flat).view(np.complex128).reshape(-1, dim, dim)
+    if gradient and dim != 2:
+        evals, logm = _eig_log2(mats)
+    else:
+        evals = hermitian_spectra(mats)
+    h = entropy_of_spectrum(np.clip(evals[:n], 0.0, None))
+    if not gradient:
+        return h, None, None
     if dim == 2:
-        evals = hermitian_spectra(mats)[:, ::-1]
-        lo, hi = np.clip(evals, EIG_ZERO_TOL, None).T
+        hi, lo = np.clip(evals, EIG_ZERO_TOL, None).T
         b = np.divide(np.log1p((hi - lo) / lo), hi - lo, out=1.0 / lo, where=hi > lo) / _LN2
         logm = b[:, None, None] * mats
-    else:
-        evals, logm = _eig_log2(mats)
-    # tr(L B) = sum_il L_il B_li, one product against the transposed basis
-    grad = -(logm.reshape(len(coef), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
-    return entropy_of_spectrum(np.clip(evals, 0.0, None)), grad, evals[:, 0]
-
-
-def _family_entropy(basis, coef):
-    """Entropies of the matrices coef[j] . basis, one per row of coef.
-
-    `basis` stacks four d x d matrices; the real (n, 4) coefficients act on
-    their real and imaginary parts in one product. numpy multiplies a
-    one-row product as a matrix-vector product, which rounds differently
-    from a row of a larger one, so one row is taken twice: each row's
-    entropy is then the same in any batch. Spectra come from
-    `hermitian_spectra`: a closed form at 2x2, batched `eigvalsh` above.
-    """
-    dim = basis.shape[-1]
-    flat = basis.reshape(4, -1).view(np.float64)
-    rows = np.repeat(coef, 2, axis=0) if len(coef) == 1 else coef
-    mats = (rows @ flat).view(np.complex128).reshape(-1, dim, dim)
-    return entropy_of_spectrum(np.clip(hermitian_spectra(mats), 0.0, None))[:len(coef)]
+    # tr(L B) = sum_il L_il B_li, one product against the transposed basis, in
+    # complex: a real-view product rounds a 4x4 L's rows differently by batch
+    grad = -(logm.reshape(len(rows), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
+    # hermitian_spectra's 2x2 rows are (larger, smaller); eigh's rise
+    return h, grad[:n], evals[:n, -1 if dim == 2 else 0]

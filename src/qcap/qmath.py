@@ -229,9 +229,8 @@ def hermitian_spectra(mats) -> np.ndarray:
     from the diagonal's real part a, d and the upper corner c as
     (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2), a sum of squares that keeps
     close eigenvalues accurate. It serves the Bloch grid's 2x2 entropies and
-    their gradients at every box level: a 0.02 grid with a 2-dim environment
-    makes no eigensolve (1758 before) and took 2.3 ms, not 4.3 (2-vCPU VM).
-    Larger stacks go through one batched `np.linalg.eigvalsh`.
+    their gradients at every box level. Larger stacks go through one batched
+    `np.linalg.eigvalsh`.
     """
     mats = np.asarray(mats)
     if mats.shape[-1] != 2:

@@ -63,9 +63,6 @@ class DMC:
         mat.setflags(write=False)
         self.matrix = mat
         self._cum = np.cumsum(mat, axis=1)
-        # a row summing to just under 1 would let u land past its last
-        # entry and yield the letter d_out; uniforms are always below 1
-        self._cum[:, -1] = 1.0
         # K, one row per column c < d_out - 1: the scaling by 2^53 is exact,
         # and the + 1 comes after the cast, as 2^53 + 1 is not a double (a
         # cumulative 1.0 gives K = 2^53 + 1, past every k)
@@ -88,7 +85,7 @@ class DMC:
         one the integer thresholds give (see the class docstring).
         """
         y = np.zeros(np.shape(x), dtype=np.int64)
-        for c in range(self.d_out - 1):  # no u < 1 passes the last entry, 1.0
+        for c in range(self.d_out - 1):  # a u past every one of these gives d_out - 1
             y += u > self._cum[:, c][x]
         return y
 

@@ -24,8 +24,8 @@ from qcap.capacity import (
     _STALL_ITERS,
     _box_bounds,
     _eig_log2,
-    _entropy_gradient,
-    _grid_values,
+    _family,
+    _objective,
     _project,
     _scan_batches,
 )
@@ -365,6 +365,31 @@ def test_project_edge_cases():
             assert _gibbs_load(y, scale * obs, mu) <= 1e-13 + FEASIBILITY_SLACK
 
 
+def test_project_bisection_exit(monkeypatch):
+    # with the slope reported as 0 there is no Newton root, so every step
+    # doubles or bisects, and a projection can stop at mu > 0 only when the
+    # bracket collapses: it must return the feasible end, as Newton would
+    ch, cons = amplitude_damping(0.3), EnergyConstraint(np.diag([0.0, 1.0]), 0.2)
+    newton = ce_maximize_constrained(ch, cons, tol=1e-9)
+    gibbs, project, ends = capacity._gibbs, capacity._project, []
+
+    def flat(y, obs, mu):
+        w, vecs, load, _ = gibbs(y, obs, mu)
+        return w, vecs, load, 0.0
+
+    def recorded(*args):
+        mu, w, vecs = project(*args)
+        ends.append(mu)
+        return mu, w, vecs
+
+    monkeypatch.setattr(capacity, "_gibbs", flat)
+    monkeypatch.setattr(capacity, "_project", recorded)
+    bisected = ce_maximize_constrained(ch, cons, tol=1e-9)
+    assert max(ends) > 0.0
+    assert np.trace(cons.observable @ bisected.rho).real <= cons.bound + FEASIBILITY_SLACK
+    assert bisected.value == pytest.approx(newton.value, abs=1e-9)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_project_raises_where_rounding_hides_a_pinned_bound():
     # rounding in the load of this large non-commuting observable exceeds
@@ -579,7 +604,7 @@ def _full_lattice_grid(channel, resolution):
         if not mask.any():
             continue
         ry, rz = ry_g[mask], rz_g[mask]
-        vals = _grid_values(bases, np.full_like(ry, rx), ry, rz)
+        vals = _objective(bases, np.full_like(ry, rx), ry, rz)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_r = float(vals[i]), (float(rx), float(ry[i]), float(rz[i]))
@@ -687,21 +712,27 @@ def test_bloch_grid_one_point_slice_rounds_as_one_row():
     assert ref[1] == pytest.approx((0.7, -0.15, -0.15))
     assert bloch_grid_ce(ch, 0.85) == ref
     x, y, z = (np.array([v]) for v in ref[1])
-    assert _grid_values(_grid_bases(ch), x, y, z)[0] == ref[0]
+    assert _objective(_grid_bases(ch), x, y, z)[0] == ref[0]
 
 
 def test_grid_values_are_the_same_in_any_batch():
     # numpy multiplies a one-row batch as a matrix-vector product, which
     # rounds differently from a row of a larger one; each point must get
-    # the floats it gets inside a batch of any size, alone included
+    # the floats it gets inside a batch of any size, alone included: its
+    # value, and the value, gradient and least eigenvalue a box bound reads
     rng = generator(65)
     r = rng.uniform(-0.57, 0.57, size=(3, 60))
     for env in (2, 3, 4):
         bases = _grid_bases(random_channel(2, 2, env, rng))
-        whole = _grid_values(bases, *r)
+        whole = _objective(bases, *r)
+        jet = _objective(bases, *r, gradient=True)
         for size in (1, 2, 3, 7, 16):
-            parts = [_grid_values(bases, *r[:, i:i + size]) for i in range(0, r.shape[1], size)]
+            cuts = [r[:, i:i + size] for i in range(0, r.shape[1], size)]
+            parts = [_objective(bases, *cut) for cut in cuts]
             assert np.array_equal(np.concatenate(parts), whole), (env, size)
+            parts = [_objective(bases, *cut, gradient=True) for cut in cuts]
+            for got, want in zip(zip(*parts), jet):
+                assert np.array_equal(np.concatenate(got), want), (env, size)
 
 
 def test_entropy_gradient_closed_form_matches_eigensolve():
@@ -724,7 +755,7 @@ def test_entropy_gradient_closed_form_matches_eigensolve():
                 traceless.append(x - 0.5 * np.trace(x) * np.eye(2))
             basis = np.stack([(v * [lo, hi]) @ v.conj().T] + traceless)
             coef = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, *rng.uniform(-0.05, 0.05, 3)]])
-            h, grad, low = _entropy_gradient(basis, coef)
+            h, grad, low = _family(basis, coef, gradient=True)
             mats = (coef @ basis.reshape(4, -1)).reshape(-1, 2, 2)
             evals, logm = _eig_log2(mats)
             ref = -np.einsum("nil,kli->nk", logm, basis[1:]).real
@@ -757,7 +788,7 @@ def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch)
     assert r == tuple(target)
     sq = axis**2
     iy, iz = np.nonzero(sq[5] + sq[:, None] + sq <= 1.0 + 1e-12)
-    row = _grid_values(_grid_bases(ch), np.full(len(iy), axis[5]), axis[iy], axis[iz])
+    row = _objective(_grid_bases(ch), np.full(len(iy), axis[5]), axis[iy], axis[iz])
     assert value == row[(iy == 11) & (iz == 11)][0]
 
 

@@ -388,6 +388,18 @@ def test_member_thresholds_match_float_rule():
     # a one-output channel's members are all zeros on any class
     words = rng.integers(0, 2 ** 63, (4, 10), dtype=np.uint64)
     assert _class_members(DMC([[1.0], [1.0]]), TypeClass((2, 3)), words).tolist() == [[0] * 5] * 4
+    # the private draw shares that grid: PCG64DXSM's random() is exactly
+    # (raw word >> 11) 2^-53, so sample_outputs is the threshold rule on k
+    for matrix in ([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]], [[0.3, 0.3, 0.4], [1.0, 0.0, 0.0]],
+                   [[0.0, 0.25, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]):
+        d = DMC(matrix)
+        x = rng.integers(0, d.d_in, 64)
+        for seed in range(50):
+            shared = SharedRandomness(seed)
+            k = shared.bitgen("private").random_raw(len(x)) >> np.uint64(11)
+            assert np.array_equal(shared.stream("private").random(len(x)), k * 2.0 ** -53)
+            want = np.sum(k >= d._thresholds[:, x], axis=0)
+            assert np.array_equal(d.sample_outputs(x, shared.stream("private")), want), seed
 
 
 def test_oracle_class_laws_are_type_class_means():
@@ -721,13 +733,15 @@ def test_kronecker_block_law_matches_block_probability():
 def test_exact_oracle_sizes_each_member_class_once(monkeypatch):
     # a set's size depends on x only through x's type: one constrained_mi per
     # type class with eps (9 at n = 8 over 2 letters, 21 at n = 5 over 3
-    # letters, against one per input block before), none with zsize
+    # letters, against one per input block before), none with zsize. Each
+    # case has a fresh DMC, whose class rates no earlier case has cached
     mi, calls = rs.constrained_mi, []
     monkeypatch.setattr(rs, "constrained_mi", lambda dmc, q: calls.append(q) or mi(dmc, q))
-    tall = DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-    square = DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]])
-    for d, n, kwargs, want in ((tall, 8, {"eps": 1.0}, 9), (square, 5, {"eps": 1.5}, 21),
-                               (tall, 8, {"zsize": 4}, 0)):
+    tall = [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]
+    square = [[0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]]
+    for matrix, n, kwargs, want in ((tall, 8, {"eps": 1.0}, 9), (square, 5, {"eps": 1.5}, 21),
+                                    (tall, 8, {"zsize": 4}, 0)):
+        d = DMC(matrix)
         calls.clear()
         assert exact_faithfulness_oracle(d, n, **kwargs) <= 1e-12
         assert len(calls) == want, (n, kwargs)
