@@ -5,16 +5,21 @@ f(rho) = H(rho) + H(N(rho)) - H(E(rho)), with E the environment output.
 f is concave, and its maximizer is found by mirror ascent (the quantum
 Blahut-Arimoto iteration of Ramakrishnan, Iten, Scholz and Berta,
 arXiv:1905.01286): rho <- exp2(log2 rho + G) / tr, with G the gradient.
-Each result carries a duality-gap certificate: for any mu >= 0,
-lambda_max(G - mu A) + mu b - tr(G rho) bounds the remaining suboptimality
-over every state with tr(A rho) <= b (mu = 0 without a constraint).
+That unit step is a fixed-point map of the log domain, and the solver
+first tries its Anderson extrapolation (Walker and Ni, SIAM J. Numer.
+Anal. 49 (2011) 1715), kept only when it does not lower f; otherwise it
+takes the unit step. Each result carries a duality-gap certificate: for
+any mu >= 0, lambda_max(G - mu A) + mu b - tr(G rho) bounds the remaining
+suboptimality over every state with tr(A rho) <= b (mu = 0 without a
+constraint).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +44,8 @@ MAX_ITERS = 100_000
 # iterations without a new least gap after which the solver gives up: a
 # converging solve improves its gap at nearly every iteration
 _STALL_ITERS = 1_000
+# residual differences an Anderson step mixes, from the last 4 iterates
+_ANDERSON_DEPTH = 3
 FEASIBILITY_SLACK = 1e-12
 _MU_RTOL = 1e-12
 _LN2 = float(np.log(2.0))
@@ -78,6 +85,10 @@ class EnergyConstraint:
 
     observable: np.ndarray
     bound: float
+    # the observable's least eigenvalue and max |eigenvalue|, from the
+    # validating eigensolve
+    lam_min: float = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observable, dtype=np.complex128)
@@ -88,6 +99,8 @@ class EnergyConstraint:
         if not self.bound >= 0.0:  # NaN fails this too
             raise ValueError(f"bound must be nonnegative, got {self.bound}")
         object.__setattr__(self, "observable", obs)
+        object.__setattr__(self, "lam_min", float(evals[0]))
+        object.__setattr__(self, "norm", float(np.max(np.abs(evals))))
 
 
 def holevo_chi(ensemble) -> float:
@@ -187,40 +200,88 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
                              f"{bound}: the bound is below the load's rounding error")
 
 
+class _Iterate(NamedTuple):
+    """One evaluated state: rho(y) and what the solver reads off it."""
+
+    y: np.ndarray      # the log-domain point whose projection is rho
+    mu: float          # the projection's multiplier
+    rho: np.ndarray
+    value: float
+    step: np.ndarray   # the unit step's next y: log2 rho + G, G the gradient at rho
+    gap: float
+
+
+def _evaluate(channel: QuantumChannel, obs, bound: float, y: np.ndarray,
+              mu: float) -> _Iterate:
+    """rho = the projection of exp2(y), from multiplier `mu`, with its value, step and gap.
+
+    rho is carried by its eigen-decomposition, so log2 rho is exact and
+    never the log of a clamped spectrum. Four eigensolves without a
+    constraint: the projection, both outputs and the gap's lambda_max.
+    """
+    mu, w, vecs = _project(y, obs, bound, mu)
+    p = np.exp2(w)
+    rho = (vecs * p) @ vecs.conj().T
+    out, env = _outputs(channel, rho)
+    spec_out, log_out = _eig_log2(out)
+    spec_env, log_env = _eig_log2(env)
+    value = (entropy_of_spectrum(p) + entropy_of_spectrum(spec_out)
+             - entropy_of_spectrum(spec_env))
+    step = _pullback(channel, log_out, log_env)
+    grad = step - (vecs * w) @ vecs.conj().T
+    top = grad if mu == 0.0 else grad - mu * obs
+    # the mu b term only when mu > 0: with an infinite bound, 0 inf is NaN
+    gap = (float(np.linalg.eigvalsh(top)[-1]) + (mu * bound if mu > 0.0 else 0.0)
+           - float(np.vdot(rho, grad).real))
+    return _Iterate(y, mu, rho, value, step, gap)
+
+
+def _anderson(history) -> np.ndarray:
+    """Type-II Anderson extrapolation of the fixed point of y -> step over `history`.
+
+    The residuals r_i = step_i - y_i are taken trace-free, since a multiple
+    of I in y leaves rho unchanged. The weights gamma minimize
+    |r_k - sum_j gamma_j (r_{j+1} - r_j)| in the Frobenius norm, a real
+    least-squares fit, and the extrapolated point is
+    step_k - sum_j gamma_j (step_{j+1} - step_j) (Walker and Ni, SIAM J.
+    Numer. Anal. 49 (2011) 1715).
+    """
+    n, d = len(history), history[0].y.shape[0]
+    res = np.array([it.step - it.y for it in history]).reshape(n, -1)
+    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
+    res[:, ::d + 1] -= res[:, ::d + 1].sum(axis=1, keepdims=True) / d
+    flat = res.view(np.float64)
+    gamma = np.linalg.lstsq((flat[1:] - flat[:-1]).T, flat[-1], rcond=None)[0]
+    steps = np.array([it.step for it in history]).reshape(n, -1)
+    return (steps[-1] - gamma @ (steps[1:] - steps[:-1])).reshape(d, d)
+
+
 def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
                    max_iters: int, callback) -> CeResult:
     """Mirror ascent on f under tr(obs rho) <= bound (obs None: no constraint).
 
-    Carries rho by its eigen-decomposition, so log2 rho is exact and never
-    the log of a clamped spectrum. Each step is the unit step
-    rho <- exp2(log2 rho + G) / tr, projected onto the constraint; data
-    processing makes it an ascent step (arXiv:1905.01286). Each projection
-    starts its Newton search from the previous step's multiplier mu.
+    The unit step is rho <- exp2(log2 rho + G) / tr, projected onto the
+    constraint; data processing makes it an ascent step
+    (arXiv:1905.01286). It is the fixed-point map y -> step of the log
+    domain, and each iteration first tries the Anderson extrapolation of
+    that map over the last _ANDERSON_DEPTH + 1 iterates (`_anderson`). The
+    extrapolated state is taken when its value is at least the current
+    one; otherwise the iteration takes the unit step from the current
+    iterate and the history restarts there. So the value never falls, and
+    a rejected candidate costs one more evaluated state. Each projection
+    starts its Newton search from the current iterate's multiplier mu.
     Gives up, with the least-gap iterate, after `max_iters` iterations or
     once _STALL_ITERS iterations in a row bring no smaller gap.
     """
     if not tol >= 0.0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative gap, got {tol}")
     d = channel.d_in
-    mu, w, vecs = _project(np.zeros((d, d), dtype=np.complex128), obs, bound)
-    best = None
+    cur = _evaluate(channel, obs, bound, np.zeros((d, d), dtype=np.complex128), 0.0)
+    history, best = [], None
     for it in itertools.count():
-        p = np.exp2(w)
-        rho = (vecs * p) @ vecs.conj().T
-        out, env = _outputs(channel, rho)
-        spec_out, log_out = _eig_log2(out)
-        spec_env, log_env = _eig_log2(env)
-        value = (entropy_of_spectrum(p) + entropy_of_spectrum(spec_out)
-                 - entropy_of_spectrum(spec_env))
-        # y = log2 rho + G, with G the gradient of f at rho
-        y = _pullback(channel, log_out, log_env)
-        grad = y - (vecs * w) @ vecs.conj().T
-        top = grad if mu == 0.0 else grad - mu * obs
-        # the mu b term only when mu > 0: with an infinite bound, 0 inf is NaN
-        gap = (float(np.linalg.eigvalsh(top)[-1]) + (mu * bound if mu > 0.0 else 0.0)
-               - float(np.vdot(rho, grad).real))
-        result = CeResult(value=value, rho=rho, iterations=it, gap_bound=max(gap, 0.0))
-        if gap <= tol:
+        result = CeResult(value=cur.value, rho=cur.rho, iterations=it,
+                          gap_bound=max(cur.gap, 0.0))
+        if cur.gap <= tol:
             return result
         if best is None or result.gap_bound < best.gap_bound:
             best = result
@@ -231,18 +292,27 @@ def _mirror_ascent(channel: QuantumChannel, obs, bound: float, tol: float,
             raise ConvergenceError(
                 f"no convergence to gap {tol}: the gap has not fallen below "
                 f"{best.gap_bound:.3e} for {_STALL_ITERS} iterations", best)
-        if callback is not None and callback(it, value, result.gap_bound):
+        if callback is not None and callback(it, cur.value, result.gap_bound):
             raise OptimizationCancelled("cancelled by callback", result)
-        mu, w, vecs = _project(y, obs, bound, mu)
+        history = [*history[-_ANDERSON_DEPTH:], cur]
+        nxt = None
+        if len(history) > 1:
+            nxt = _evaluate(channel, obs, bound, _anderson(history), cur.mu)
+        if nxt is None or not nxt.value >= cur.value:  # NaN is rejected too
+            history = [cur]
+            nxt = _evaluate(channel, obs, bound, cur.step, cur.mu)
+        cur = nxt
 
 
 def ce_maximize(channel: QuantumChannel, tol: float = 1e-7,
                 max_iters: int = MAX_ITERS, callback=None) -> CeResult:
     """Maximize H(rho) + H(N(rho)) - H(E(rho)) over density operators.
 
-    Mirror ascent (quantum Blahut-Arimoto) from the maximally mixed state.
-    Stops when the duality gap lambda_max(G) - tr(G rho) drops to `tol`
-    (bits); the returned value is then within `tol` of the maximum over all
+    Mirror ascent (quantum Blahut-Arimoto) from the maximally mixed state,
+    each step the Anderson extrapolation of the unit steps when it does
+    not lower the value and the unit step otherwise. Stops when the
+    duality gap lambda_max(G) - tr(G rho) drops to `tol` (bits); the
+    returned value is then within `tol` of the maximum over all
     density operators. Raises ConvergenceError with the least-gap iterate
     attached if `max_iters` steps, or 1,000 steps in a row without a
     smaller gap, do not reach `tol`, and OptimizationCancelled if
@@ -256,10 +326,11 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
                             callback=None) -> CeResult:
     """Capacity maximization restricted to tr(observable rho) <= bound.
 
-    The same mirror ascent as `ce_maximize`, with every step (and the
-    maximally mixed start, which becomes a Gibbs state) projected onto the
+    The same safeguarded, extrapolated mirror ascent as `ce_maximize`, with
+    every evaluated state (the maximally mixed start, which becomes a Gibbs
+    state, the unit steps and the extrapolated candidates) projected onto the
     constraint in relative entropy: rho proportional to exp2(Y - mu A), with
-    mu found by safeguarded Newton steps from the previous step's mu. The
+    mu found by safeguarded Newton steps from the current iterate's mu. The
     gap lambda_max(G - mu A) + mu b - tr(G rho) certifies the value over the
     whole feasible set. The feasibility slack is relative to the norm
     s = max |lambda| of the observable (s = 1 when it is 0): a bound below
@@ -269,8 +340,7 @@ def ce_maximize_constrained(channel: QuantumChannel, constraint: EnergyConstrain
     obs = constraint.observable
     if obs.shape[0] != channel.d_in:
         raise DimensionMismatchError("observable dimension mismatch")
-    evals = np.linalg.eigvalsh(obs)
-    lam_min, norm = float(evals[0]), float(np.max(np.abs(evals)))
+    lam_min, norm = constraint.lam_min, constraint.norm
     scale = norm if norm > 0.0 else 1.0
     bound = (float(constraint.bound) - lam_min) / scale
     if bound < -FEASIBILITY_SLACK:

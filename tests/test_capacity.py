@@ -115,19 +115,21 @@ def test_switched_channel_reaches_two_bits():
 
 
 def test_convergence_error_carries_best_iterate():
-    # five mirror-ascent steps leave a gap near 1e-3 on this channel, far
-    # above the default tolerance, so the iteration cap is hit
+    # two steps leave a gap near 2.5e-5 on this channel (the third reaches
+    # 1.8e-8), far above the default tolerance, so the iteration cap is hit
     with pytest.raises(ConvergenceError) as exc:
-        ce_maximize(amplitude_damping(0.3), max_iters=5)
+        ce_maximize(amplitude_damping(0.3), max_iters=2)
     best = exc.value.best
+    assert best.iterations == 2
     assert best.value == pytest.approx(ad_ce(0.3)[0], abs=1e-6)
     assert best.gap_bound > 1e-12
 
 
 def test_unreachable_tol_stops_at_a_stall():
-    # the least gap, 5.55e-17, comes at iteration 98 and is never beaten;
-    # without the stall stop the solver ran all 100,000 iterations (17 s)
-    ch = random_channel(2, 2, 3, generator(5))
+    # the iterates stay diagonal on this channel and reach a fixed point in
+    # floats at iteration 5, where the gap is 2.2e-16 and stays there;
+    # without the stall stop the solver ran all 100,000 iterations (12 s)
+    ch = amplitude_damping(0.4)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError) as exc:
         ce_maximize(ch, tol=1e-17)
@@ -414,9 +416,12 @@ def _count_eigensolves(monkeypatch):
 
 
 def test_constrained_eigensolve_budget(monkeypatch):
-    # a step is one gradient: iterations + 1 of them, the last one unprojected
-    ch = random_channel(4, 4, 2, generator(3))
-    cons = EnergyConstraint(np.diag(np.arange(4.0)), 0.3)
+    # a step is one gradient: iterations + 1 of them, the last one unprojected;
+    # no extrapolated candidate is rejected on this channel, so every
+    # evaluated state is an iterate. Its qubit output makes the optimal input
+    # state nearly rank 2, which keeps the solves long (33 iterations each)
+    ch = random_channel(6, 2, 6, generator(5))
+    cons = EnergyConstraint(np.diag(np.arange(6.0)), 0.3)
     calls = _count_eigensolves(monkeypatch)
     res = ce_maximize_constrained(ch, cons)
     assert res.iterations >= 20
@@ -471,16 +476,39 @@ def _from_upper(diag, upper):
     return rho + np.triu(rho, 1).conj().T
 
 
-# The two constrained channels of perfbench's solve workload, solved before
-# the Newton projection replaced bisection. Rotating the outputs leaves the
-# optimal input state the same for every seed.
+# The two constrained channels of perfbench's solve workload. The values
+# were solved before the Newton projection replaced bisection; the
+# iteration counts and states are those of the Anderson-accelerated solver,
+# whose states moved by 2.4e-8 and 7.6e-9 from the unit-step solver's, well
+# inside the 1e-7 certificate. Rotating the outputs leaves the optimal input
+# state the same for every seed.
 _FROZEN_CONSTRAINED = {
-    (3, 3): (0.9627318322833884, 8, _from_upper(
+    (3, 3): (0.9627318322833884, 7, _from_upper(
+        [0.7535390457823753, 0.1929219084353522, 0.05353904578227273],
+        [-0.0031362180918554847 + 0.001666504746563917j,
+         0.005832666454419192 - 0.012196286299636845j,
+         -0.011703370277216353 + 0.032993168031822756j])),
+    (4, 2): (1.4523449899004963, 10, _from_upper(
+        [0.7718616471666419, 0.1642043546733114, 0.05600634915364042,
+         0.007927649006406426],
+        [-0.009197151397176853 - 0.001653394961768433j,
+         -0.013117748234915141 - 0.01939932820151665j,
+         -0.0014912298102582053 - 0.0017647568855621285j,
+         -0.00534136039591383 - 0.00673692994435057j,
+         -0.010876426735753068 + 0.01961207481079429j,
+         0.002209203639742254 - 0.00474043860236204j])),
+}
+
+
+# The same two channels' unit-step solves, iterations and state, from the
+# solver before it took Anderson steps.
+_UNIT_STEP_CONSTRAINED = {
+    (3, 3): (8, _from_upper(
         [0.7535390475689783, 0.19292190486235256, 0.05353904756866994],
         [-0.0031362145754783083 + 0.0016664814078400996j,
          0.005832650046674069 - 0.012196296949815154j,
          -0.011703375407129193 + 0.032993162611807125j])),
-    (4, 2): (1.4523449899004963, 65, _from_upper(
+    (4, 2): (65, _from_upper(
         [0.7718616483430426, 0.16420435207713163, 0.056006350816987856,
          0.007927648762837565],
         [-0.009197148077078785 - 0.001653388795163357j,
@@ -492,14 +520,20 @@ _FROZEN_CONSTRAINED = {
 }
 
 
-def test_constrained_benchmark_cases_unchanged():
-    # the workload draws 14 unconstrained channels, then the two constrained
-    # ones; pass 0 of seed s rotates the 14 first (inputs too), then the two
+def _benchmark_draws():
+    """The workload's base draws from generator(0): 14 free channels, then the capped ones."""
     rng = generator(0)
     free = [random_channel(d, d, env, rng)
             for d, env in [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 5)]
             for _ in range(2)]
-    capped = {key: random_channel(key[0], key[0], key[1], rng) for key in _FROZEN_CONSTRAINED}
+    return free, {key: random_channel(key[0], key[0], key[1], rng)
+                  for key in _FROZEN_CONSTRAINED}
+
+
+def test_constrained_benchmark_cases_unchanged():
+    # pass 0 of seed s rotates the 14 free channels first (inputs too), then
+    # the two capped ones
+    free, capped = _benchmark_draws()
     for seed in (1, 7, 11):
         rng = generator([seed, 0])
         for ch in free:
@@ -511,6 +545,58 @@ def test_constrained_benchmark_cases_unchanged():
             assert res.value == pytest.approx(value, abs=1e-11)
             assert np.max(np.abs(res.rho - rho)) <= 1e-11
             assert res.iterations == iterations
+
+
+def test_env2_benchmark_draws_converge_in_few_iterations():
+    # the Kraus-rank-2 draws took 30 to 218 unit steps (constrained 4x2: 65);
+    # the extrapolated steps reach the gap in 30 or fewer, never losing value
+    free, capped = _benchmark_draws()
+    cases = [(ch, None) for ch in free if len(ch.kraus) == 2 and ch.d_in > 2]
+    cases.append((capped[4, 2], EnergyConstraint(np.diag(np.arange(4.0)), 0.3)))
+    assert len(cases) == 7
+    for ch, cons in cases:
+        values = []
+        cb = lambda it, value, gap: values.append(value)
+        res = (ce_maximize(ch, callback=cb) if cons is None
+               else ce_maximize_constrained(ch, cons, callback=cb))
+        assert res.iterations <= 30
+        assert res.gap_bound <= 1e-7
+        assert res.value == pytest.approx(quantum_mutual_information(ch, res.rho), abs=1e-9)
+        assert np.all(np.diff(values) >= -1e-12)
+
+
+def test_rejected_extrapolation_takes_the_unit_step(monkeypatch):
+    # an extrapolation back to the start is worse than every later iterate,
+    # so each candidate is rejected and the solve is the unit-step one: the
+    # iterations and states of the solver before it took Anderson steps
+    candidates = []
+
+    def to_start(history):
+        candidates.append(len(history))
+        return np.zeros_like(history[-1].y)
+
+    monkeypatch.setattr(capacity, "_anderson", to_start)
+    free, capped = _benchmark_draws()
+    # the env-2 draws of d 3, 4 and 5, then the two capped channels
+    cases = [(ch, None, iterations, None) for ch, iterations in
+             zip([ch for ch in free if len(ch.kraus) == 2 and ch.d_in > 2],
+                 [78, 30, 218, 85, 123, 105])]
+    cases += [(capped[key], EnergyConstraint(np.diag(np.arange(key[0], dtype=float)), 0.3),
+               iterations, rho) for key, (iterations, rho) in _UNIT_STEP_CONSTRAINED.items()]
+    for ch, cons, iterations, rho in cases:
+        values = []
+        candidates.clear()
+        cb = lambda it, value, gap: values.append(value)
+        res = (ce_maximize(ch, callback=cb) if cons is None
+               else ce_maximize_constrained(ch, cons, callback=cb))
+        assert res.iterations == iterations
+        # a rejection restarts the history at the current iterate, so each
+        # later candidate is offered a history of two
+        assert candidates == [2] * (iterations - 1)
+        assert res.gap_bound <= 1e-7
+        assert np.all(np.diff(values) >= -1e-12)
+        if rho is not None:
+            assert np.max(np.abs(res.rho - rho)) <= 1e-11
 
 
 def test_concavity_of_objective():
