@@ -166,7 +166,9 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
     feasible side. The load falls monotonically in mu, so a bracket
     [lo, hi] is kept: an iterate outside it, or a step longer than half the
     one two steps back, becomes a doubling step (while no point is
-    feasible) or a bisection step. Returns (mu, log2 spectrum, eigenvectors).
+    feasible) or a bisection step, at sqrt(max(lo, 1) hi) while hi >
+    4 max(lo, 1): a saturated load's tiny slope can put a Newton root near
+    1e300. Returns (mu, log2 spectrum, eigenvectors).
     Raises ValueError when the doubling overflows: a bound within the slack
     of 0 that the load's rounding error never lets it meet.
     """
@@ -192,7 +194,9 @@ def _project(y: np.ndarray, obs, bound: float, mu: float = 0.0):
             return hi, *best
         nxt = root * (1.0 + 0.25 * _MU_RTOL)
         if not lo < nxt < hi or abs(nxt - mu) > 0.5 * steps[0]:
-            nxt = max(2.0 * lo, 1.0) if hi == math.inf else 0.5 * (lo + hi)
+            base = max(lo, 1.0)
+            nxt = (max(2.0 * lo, 1.0) if hi == math.inf
+                   else math.sqrt(base * hi) if hi > 4.0 * base else 0.5 * (lo + hi))
         steps = (steps[1], abs(nxt - mu))
         mu = max(nxt, 0.0)
         if mu == math.inf:
@@ -490,7 +494,7 @@ def concavity_slack(channel: QuantumChannel, rho0, rho1, p0: float) -> float:
 # Independent brute-force oracle for qubit-input channels.
 
 _BOXES = (16, 8, 4, 2)  # lattice points per side of a pruning box, coarse to fine
-_BOX_RADIUS = 0.98     # box centres are pulled in to this radius
+_BOX_RADIUS = 0.98     # tangent points are pulled in to it, so input eigenvalues stay >= 0.01
 _FLOOR_MARGIN = 1e-9   # covers rounding between the floor and the scan
 _GRID_CHUNK = 1 << 12  # most lattice points in one evaluated batch
 
@@ -506,23 +510,23 @@ def bloch_grid_ce(channel: QuantumChannel, resolution: float = 0.01):
     lattice point in scan order (x, then y, then z) to reach the maximum.
 
     The scan skips lattice boxes that cannot hold the maximum. f is concave
-    on the ball, so the tangent plane at a box's centre c bounds it there:
-    max_box f <= f(c) + sum_k |df/dr_k(c)| max_box |r_k - c_k|. Boxes are
-    bounded coarse to fine, with sides of 16, 8, 4 and 2 lattice points:
-    each level bounds only the halves, along every axis, of the boxes that
-    survived the level above, and raises a floor, the best value at the
-    bounded boxes' middle lattice points less 1e-9 of rounding margin. A box
-    survives when its bound reaches the floor. Two rules stop the refinement
-    where it cannot pay. A box whose centre has an output or environment
-    eigenvalue below `EIG_ZERO_TOL`, where the gradient is unreliable, or
-    whose bound is not finite, is never pruned or refined: it is scanned
-    whole. A level that prunes nothing ends the refinement, and its
-    survivors are scanned whole. So a flat objective, or one singular
-    everywhere, bounds one level of 16-point boxes and then scans the whole
-    lattice. A point's value has the same floats in any batch (see
-    `_objective` and `_family`), so the value and the argmax are those of
-    the whole lattice. Raises ValueError unless 0 < resolution <= 1, a step
-    that puts some lattice point in the ball.
+    on the ball, so the tangent plane at a box's middle lattice point c,
+    pulled in to radius 0.98 if outside it, bounds it there: max_box f <=
+    f(c) + sum_k |df/dr_k(c)| max_box |r_k - c_k|. Boxes are bounded coarse
+    to fine, with sides of 16, 8, 4 and 2 lattice points: each level bounds
+    only the halves, along every axis, of the boxes that survived the level
+    above, and raises a floor, the best f(c) at a c not pulled in, less 1e-9
+    of rounding margin. A box survives when its bound reaches the floor. Two
+    rules stop the refinement where it cannot pay. A box whose c has an
+    output or environment eigenvalue below `EIG_ZERO_TOL`, where the
+    gradient is unreliable, or whose bound is not finite, is never pruned or
+    refined: it is scanned whole. A level that prunes nothing ends the
+    refinement, and its survivors are scanned whole. So a flat objective, or
+    one singular everywhere, bounds one level of 16-point boxes and then
+    scans the whole lattice. A point's value has the same floats in any
+    batch (see `_objective` and `_family`), so the value and the argmax are
+    those of the whole lattice. Raises ValueError unless 0 < resolution <=
+    1, a step that puts some lattice point in the ball.
     """
     if channel.d_in != 2:
         raise DimensionMismatchError("bloch_grid_ce needs a qubit-input channel")
@@ -582,13 +586,8 @@ def _scan_batches(bases, axis):
         lo3, hi3, mid3 = (v[box] for v in (axis[first], axis[last], axis[(first + last) // 2]))
         meets = np.sum(np.clip(0.0, lo3, hi3) ** 2, axis=1) <= 1.0 + 1e-12
         box, lo3, hi3, mid3 = box[meets], lo3[meets], hi3[meets], mid3[meets]
-        # the floor: the objective at each box's middle lattice point in the ball
-        mx, my, mz = mid3.T
-        inside = mx * mx + my**2 + mz**2 <= 1.0 + 1e-12
-        if inside.any():
-            vals = _objective(bases, mx[inside], my[inside], mz[inside])
-            floor = max(floor, float(np.max(vals)) - _FLOOR_MARGIN)
-        bound, unsafe = _box_bounds(bases, lo3, hi3)
+        bound, unsafe, seen = _box_bounds(bases, lo3, hi3, mid3)
+        floor = max(floor, float(np.max(seen, initial=-np.inf)) - _FLOOR_MARGIN)
         kept = unsafe | (bound >= floor)
         final = kept.all() or side == _BOXES[-1]
         split = np.zeros_like(kept) if final else kept & ~unsafe
@@ -604,23 +603,23 @@ def _scan_batches(bases, axis):
         box, above = box[split], side
 
 
-def _box_bounds(bases, lo3, hi3):
-    """Tangent-plane bound on the objective over each box, and whether it is unsafe.
+def _box_bounds(bases, lo3, hi3, mid3):
+    """Tangent-plane bound on the objective over each box, whether it is unsafe, and a floor.
 
-    The boxes' least and greatest lattice points are the rows of lo3 and
-    hi3. The bound at each box centre c, pulled in to radius _BOX_RADIUS so
-    the input's eigenvalues stay at least 0.01, is f(c) + sum_k |g_k| reach_k,
-    with f and g = df/dr from `_objective` and reach_k the box's farthest
-    lattice coordinate from c_k. A box is unsafe when an output or
-    environment eigenvalue at c is below EIG_ZERO_TOL or its bound is not
-    finite.
+    The boxes' least, greatest and middle lattice points are the rows of
+    lo3, hi3 and mid3. The bound at the middle point c, pulled in to radius
+    _BOX_RADIUS if outside it, is f(c) + sum_k |g_k| reach_k, with f and g =
+    df/dr from `_objective` and reach_k the box's farthest lattice
+    coordinate from c_k. A box is unsafe when an output or environment
+    eigenvalue at c is below EIG_ZERO_TOL or its bound is not finite. Its
+    floor is f(c), or -inf where c was pulled in.
     """
-    centre = 0.5 * (lo3 + hi3)
-    centre *= (_BOX_RADIUS / np.maximum(np.linalg.norm(centre, axis=1), _BOX_RADIUS))[:, None]
-    value, grad, low = _objective(bases, *centre.T, gradient=True)
-    reach = np.maximum(np.abs(lo3 - centre), np.abs(hi3 - centre))
+    scale = _BOX_RADIUS / np.maximum(np.linalg.norm(mid3, axis=1), _BOX_RADIUS)
+    c = mid3 * scale[:, None]
+    value, grad, low = _objective(bases, *c.T, gradient=True)
+    reach = np.maximum(np.abs(lo3 - c), np.abs(hi3 - c))
     bound = value + np.sum(np.abs(grad) * reach, axis=1)
-    return bound, (low < EIG_ZERO_TOL) | ~np.isfinite(bound)
+    return bound, (low < EIG_ZERO_TOL) | ~np.isfinite(bound), np.where(scale < 1.0, -np.inf, value)
 
 
 def _family(basis, coef, gradient=False):

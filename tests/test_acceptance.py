@@ -320,6 +320,57 @@ def test_analysis_08c_assisted_ratio_approaches_one():
     assert 0.9 <= r3[2] <= 1.1
 
 
+def _first_match_law(n, size, p=0.1, eps=0.25):
+    # the BSC protocol's exact law on input 0^n with a shared set of `size`
+    # iid uniform words: the private output's Hamming distance d is
+    # Binom(n, p), a word lies on shell d with q_d = C(n, d) / 2^n, and no
+    # word matches with (1 - q_d)^size. The index path sends 1 + ceil(log2
+    # size) bits, the fallback 1 + n. Returns (fallback rate, mean bits per
+    # symbol, P(bits > n(C + eps)))
+    cap = bsc_capacity(p)
+    fallback = sum(math.comb(n, d) * p**d * (1.0 - p)**(n - d)
+                   * math.exp(size * math.log1p(-math.comb(n, d) / 2.0**n))
+                   for d in range(n + 1))
+    index_bits, budget = 1 + (size - 1).bit_length(), n * (cap + eps)
+    mean = ((1.0 - fallback) * index_bits + fallback * (1 + n)) / n
+    exceed = (1.0 - fallback) * (index_bits > budget) + fallback * (1 + n > budget)
+    return fallback, mean, exceed
+
+
+def test_analysis_10_exact_law_explains_the_miss():
+    # criterion 10's set holds ceil(2^(n(C + eps/2))) words; at n = 32
+    # it measured fallback 0.3448 (+0.84 SE from the law) and mean 0.8060
+    cap, eps = bsc_capacity(0.1), 0.25
+
+    def law(n):
+        return _first_match_law(n, math.ceil(2.0 ** (n * (cap + eps / 2.0))))
+
+    assert math.ceil(2.0 ** (32 * (cap + eps / 2.0))) == 2_085_759
+    fallback, mean, exceed = law(32)
+    assert fallback == pytest.approx(0.34079, abs=5e-6)
+    assert mean == pytest.approx(0.80465, abs=5e-6)
+    # the 22-bit index path fits the 24.99-bit budget and the 33-bit
+    # fallback does not, so P(exceed) is the fallback rate
+    assert exceed == fallback
+    # the mean first enters the window at n = 47; P(exceed) first reaches
+    # 0.10 at n = 145
+    assert min(n for n in range(1, 200) if cap <= law(n)[1] <= cap + eps) == 47
+    assert min(n for n in range(1, 200) if law(n)[2] <= 0.10) == 145
+    # no set of 2^k words meets either bound at n = 32: past 2^23 the index
+    # path itself exceeds the budget, and at 2^23 P(exceed) is the
+    # fallback rate 0.22878. The least mean, at 2^21, is above C + eps
+    laws = {k: _first_match_law(32, 2**k) for k in range(64)}
+    assert not any(e <= 0.10 or cap <= m <= cap + eps for _, m, e in laws.values())
+    assert laws[23][2] == laws[23][0] == pytest.approx(0.22878, abs=5e-6)
+    assert laws[24][2] == 1.0
+    assert min(laws, key=lambda k: laws[k][1]) == 21
+    assert laws[21][1] == pytest.approx(0.80447, abs=5e-6)
+    # without a fallback the first match's index is geometric on each
+    # shell; at most 2^24 indices fit in 24 bits, and the index exceeds
+    # 2^24 with the fallback rate of a 2^24-word set
+    assert laws[24][0] == pytest.approx(0.17223, abs=5e-6)
+
+
 def _binomial_typical_mass(n):
     # exact mass of the delta = 0.1 typical projector of diag(0.7, 0.3)^(x)n:
     # both letter counts strictly within delta*n of their centres, with the

@@ -392,6 +392,24 @@ def test_project_bisection_exit(monkeypatch):
     assert bisected.value == pytest.approx(newton.value, abs=1e-9)
 
 
+def test_project_from_a_saturated_start_bisects_geometrically(monkeypatch):
+    # at mu = 0 the load is 1 to within 2^-1000 and its slope under 1e-300,
+    # so the first Newton root lands near mu = 1e300, far past the true
+    # mu = 1000; arithmetic bisection alone took 996 eigensolves back down
+    gibbs, calls = capacity._gibbs, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return gibbs(*args)
+
+    monkeypatch.setattr(capacity, "_gibbs", counted)
+    y, obs = np.diag([0.0, 0.0, 1000.0]), np.diag([0.0, 0.5, 1.0])
+    mu, _, _ = _project(y, obs, 0.5, 0.0)
+    assert calls[0] <= 30
+    assert mu == pytest.approx(1000.0, rel=1e-12)
+    assert _gibbs_load(y, obs, mu) <= 0.5
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_project_raises_where_rounding_hides_a_pinned_bound():
     # rounding in the load of this large non-commuting observable exceeds
@@ -771,6 +789,29 @@ def test_bloch_grid_refinement_stops_where_it_cannot_prune(monkeypatch):
     assert len(keys) < 800
 
 
+def test_scan_evaluates_each_box_once_per_level(monkeypatch):
+    # each level evaluates the objective once, with its gradient, at one
+    # point per bounded box: the tangent points set the floor as well
+    calls, levels = [], []
+
+    def counted(bases, rx, ry, rz, gradient=False):
+        calls.append((len(rx), gradient))
+        return _objective(bases, rx, ry, rz, gradient)
+
+    def bounded(*args):
+        levels.append(len(args[1]))
+        return _box_bounds(*args)
+
+    monkeypatch.setattr(capacity, "_objective", counted)
+    monkeypatch.setattr(capacity, "_box_bounds", bounded)
+    rng = generator(67)
+    for ch in [random_channel(2, 2, env, rng) for env in (2, 3, 4)] + [amplitude_damping(1.0)]:
+        calls.clear()
+        levels.clear()
+        _scanned_keys(ch, 0.02)
+        assert calls == [(n, True) for n in levels]
+
+
 def test_scan_yields_no_batch_for_a_kept_box_without_ball_points(monkeypatch):
     # at resolution 0.04863 the 2-point box over lattice indices 4-5, 20-21
     # and 34-35 meets the ball between its lattice points (y crosses 0)
@@ -778,9 +819,9 @@ def test_scan_yields_no_batch_for_a_kept_box_without_ball_points(monkeypatch):
     axis = np.arange(-1.0, 1.0 + 0.04863 / 2, 0.04863)
     target = 0.5 * (axis[[4, 20, 34]] + axis[[5, 21, 35]])
 
-    def only_target(bases, lo3, hi3):
+    def only_target(bases, lo3, hi3, mid3):
         hit = np.all((lo3 <= target) & (target <= hi3), axis=1)
-        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool)
+        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool), np.zeros(len(lo3))
 
     monkeypatch.setattr(capacity, "_box_bounds", only_target)
     assert _scanned_keys(amplitude_damping(0.3), 0.04863) == []
@@ -864,9 +905,9 @@ def test_bloch_grid_point_alone_in_its_batch_rounds_as_in_its_slice(monkeypatch)
     axis = np.arange(-1.0, 1.0 + 0.05 / 2, 0.05)
     target = axis[[5, 11, 11]]
 
-    def only_target(bases, lo3, hi3):
+    def only_target(bases, lo3, hi3, mid3):
         hit = np.all((lo3 <= target) & (target <= hi3), axis=1)
-        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool)
+        return np.where(hit, np.inf, -np.inf), np.zeros(len(lo3), dtype=bool), np.zeros(len(lo3))
 
     monkeypatch.setattr(capacity, "_box_bounds", only_target)
     ch = random_channel(2, 2, 3, generator(64))
