@@ -29,11 +29,12 @@ MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
 # Shared-set words drawn per step of a scan. At 2^14 no array a chunk
 # makes (its 128 KiB of words, and for 512 DMC members at n = 16 the sort
-# keys, which become the positions, the shifted words, a column's gathered
-# thresholds, the outputs and the labels of about 64 KiB each) is large
-# enough for glibc's malloc to map fresh pages for it, and they fit a
-# 2 MiB L2 cache. Measured when DMC members still formed letter and
-# uniform arrays (a pass still takes about 1 fault at 2^14 without them):
+# keys, which become the positions, the letters, the shifted words, a
+# column's gathered thresholds, the outputs and the labels of about
+# 64 KiB each) is large enough for glibc's malloc to map fresh pages for
+# it, and they fit a 2 MiB L2 cache. Measured when DMC members still
+# formed uniform arrays (a pass still takes about 1 fault at 2^14
+# without them):
 # in a fresh process a 16-trial pass of the 2 -> 3 DMC at n = 16 took 1
 # minor page fault at 2^14, 2,764 at 2^15 and 5,337 at 2^16. Against 2^16 the pass ran 1.30x faster at 2^12, 1.49x at 2^13,
 # 1.62x at 2^14 and 1.64x at 2^15, and 8 BSC trials at n = 32 ran 0.94x,
@@ -46,14 +47,13 @@ _SCAN_CHUNK = 1 << 14
 class DMC:
     """Discrete memoryless channel: row-stochastic transition table.
 
-    Row x holds the output distribution P(y | input x). A channel use on
-    letter x is driven by a uniform u in [0, 1): its output is the number
-    of columns c < d_out - 1 with u > cum[x, c], cum being the row's
-    running sums (inverse-CDF sampling). The general protocol's set
-    members draw u = k 2^-53 from the top 53 bits k of a stream word,
-    and on that grid u > cum[x, c] holds exactly when k >= K[c, x] =
-    floor(cum[x, c] 2^53) + 1, so they compare k with the integer
-    thresholds K and never form u.
+    Row x holds the output distribution P(y | input x). One rule drives
+    every channel use here, from one 64-bit stream word: with k its top
+    53 bits, the output on letter x is the number of columns
+    c < d_out - 1 with k >= K[c, x] = floor(cum[x, c] 2^53) + 1, cum
+    being the row's running sums. That is inverse-CDF sampling on the
+    uniform u = k 2^-53, as u > cum[x, c] holds exactly when
+    k >= K[c, x]; for PCG64DXSM, u is the stream's random().
     """
 
     def __init__(self, matrix):
@@ -62,11 +62,10 @@ class DMC:
             raise ValueError("transition matrix must be 2-d")
         mat.setflags(write=False)
         self.matrix = mat
-        self._cum = np.cumsum(mat, axis=1)
         # K, one row per column c < d_out - 1: the scaling by 2^53 is exact,
         # and the + 1 comes after the cast, as 2^53 + 1 is not a double (a
         # cumulative 1.0 gives K = 2^53 + 1, past every k)
-        scaled = np.floor(self._cum[:, :-1].T * 2.0 ** 53)
+        scaled = np.floor(np.cumsum(mat, axis=1)[:, :-1].T * 2.0 ** 53)
         self._thresholds = scaled.astype(np.uint64) + np.uint64(1)
         self._class_rates = {}  # TypeClass.counts -> _class_rate, filled as classes come up
 
@@ -78,20 +77,18 @@ class DMC:
     def d_out(self) -> int:
         return self.matrix.shape[1]
 
-    def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Channel outputs on inputs x, each driven by the uniform in u at its place.
-
-        u may be any floats in [0, 1); on the grid k 2^-53 the rule is the
-        one the integer thresholds give (see the class docstring).
-        """
+    def outputs(self, x: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Channel outputs on inputs x, each driven by the uint64 word in
+        words at its place, by the rule in the class docstring."""
+        k = words >> np.uint64(11)
         y = np.zeros(np.shape(x), dtype=np.int64)
-        for c in range(self.d_out - 1):  # a u past every one of these gives d_out - 1
-            y += u > self._cum[:, c][x]
+        for column in self._thresholds:  # a k past every one of these gives d_out - 1
+            y += k >= column[x]
         return y
 
     def sample_outputs(self, x: np.ndarray, rng: Generator) -> np.ndarray:
-        """One channel use per letter of x, consuming len(x) uniforms."""
-        return self.outputs(x, rng.random(len(x)))
+        """One channel use per letter of x (DMC.outputs), consuming len(x) raw words of rng."""
+        return self.outputs(x, rng.bit_generator.random_raw(len(x)))
 
     @functools.cached_property
     def _capacity(self) -> float:
@@ -370,11 +367,8 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     top 64 - ceil(log2 n) bits, ties broken by position (odds below
     C(n, 2) * 2^(ceil(log2 n) - 64)). The sorted keys' low bits are then
     that order, with no argsort. The channel on those letters is driven
-    by the other n words: place j's output is the number of columns c
-    with k_j >= K[c, x_j], where x_j is the letter at place j and k_j the
-    top 53 bits of word n + j. That is DMC.outputs on the uniforms
-    k_j 2^-53 (see DMC), with each column's thresholds gathered by sorted
-    position and no letter or uniform array formed.
+    by the other n words: place j's output is DMC.outputs on the letter
+    at place j and word n + j.
     """
     n = tc.n
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -382,11 +376,8 @@ def _class_members(dmc: DMC, tc: TypeClass, words: np.ndarray) -> np.ndarray:
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=1)
     keys &= low
-    pos, k = keys.view(np.int64), words[:, n:] >> np.uint64(11)  # uint64 indices would be cast
-    y = np.zeros(pos.shape, dtype=np.int64)
-    for column in dmc._thresholds[:, tc.letters()]:
-        y += k >= column[pos]
-    return y
+    pos = keys.view(np.int64)  # uint64 indices would be cast
+    return dmc.outputs(tc.letters()[pos], words[:, n:])
 
 
 def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
@@ -535,7 +526,7 @@ def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
     elif name == "iid":
         # the law as a one-row channel: its output on letter 0 is the input
         law, zeros = DMC([_check_distribution(arg, "iid source", dmc.d_in)]), np.zeros(n, int)
-        inputs = lambda t: law.outputs(zeros, base.stream("input", t).random(n))
+        inputs = lambda t: law.sample_outputs(zeros, base.stream("input", t))
     elif name == "itc-uniform":
         tc = TypeClass(tuple(arg))
         if tc.n != n or tc.d != dmc.d_in:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,13 +56,12 @@ def test_dmc_validation():
 
 
 def test_dmc_sample_outputs_stays_in_alphabet():
-    class TopUniform:
-        def random(self, size):
-            return np.full(size, 1.0 - 1e-13)
-
+    # every word 2^64 - 1, so k = 2^53 - 1, the largest top-53-bit value
+    top_words = SimpleNamespace(bit_generator=SimpleNamespace(
+        random_raw=lambda size: np.full(size, 2 ** 64 - 1, dtype=np.uint64)))
     # passes validation, but its row sums round below 1
     d = DMC([[0.5, 0.5 - 5e-13], [0.5, 0.5]])
-    assert d.sample_outputs(np.array([0, 1]), TopUniform()).tolist() == [1, 1]
+    assert d.sample_outputs(np.array([0, 1]), top_words).tolist() == [1, 1]
 
 
 def test_dmc_json_round_trip():
@@ -366,39 +366,45 @@ def test_dmc_member_law_matches_oracle_law():
 
 
 def test_member_thresholds_match_float_rule():
-    # a member's output on letter a from word k << 11 is DMC.outputs(a, k 2^-53)
-    # at and around every threshold K = floor(cum 2^53) + 1, the low 11 bits
-    # ignored; a cumulative entry of 1.0 before the last column makes K = 2^53 + 1
+    # DMC.outputs, _class_members and sample_outputs against the inverse CDF
+    # on u = k 2^-53: the number of columns c < d_out - 1 with u > cum[a, c],
+    # at and around every threshold floor(cum 2^53) + 1, the low 11 bits of
+    # each word ignored; a cumulative entry of 1.0 before the last column
+    # puts its threshold past every k
     top, rng = 2 ** 53 - 1, np.random.default_rng(5)
     for matrix in ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
                    [[1.0 - 2.0 ** -53, 2.0 ** -53, 0.0], [0.3, 0.3, 0.4]],
                    [[0.0, 0.25, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]],
                    [[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]], [[1.0], [1.0]]):
-        d = DMC(matrix)
+        d, cum = DMC(matrix), np.cumsum(matrix, axis=1)
         for a in range(d.d_in):
-            near = [int(t) + step for t in d._thresholds[:, a] for step in (-1, 0, 1)]
+            near = [int(c * 2.0 ** 53) + 1 + step for c in cum[a, :-1] for step in (-1, 0, 1)]
             ks = np.array(sorted({v for v in [0, top] + near if 0 <= v <= top}), dtype=np.uint64)
-            words = np.stack([rng.integers(0, 2 ** 63, len(ks), dtype=np.uint64),
-                              ks << np.uint64(11) | rng.integers(0, 2 ** 11, len(ks),
-                                                                 dtype=np.uint64)], axis=1)
+            words = ks << np.uint64(11) | rng.integers(0, 2 ** 11, len(ks), dtype=np.uint64)
+            want = (ks[:, None] * 2.0 ** -53 > cum[a, :-1]).sum(axis=1)
+            x = np.full(len(ks), a)
+            assert np.array_equal(d.outputs(x, words), want), (matrix, a)
+            raw = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words))
+            assert np.array_equal(d.sample_outputs(x, raw), want), (matrix, a)
+            keyed = np.stack([rng.integers(0, 2 ** 63, len(ks), dtype=np.uint64), words], axis=1)
             counts = np.eye(d.d_in, dtype=int)[a]
-            got = _class_members(d, TypeClass(tuple(counts)), words)[:, 0]
-            want = d.outputs(np.full(len(ks), a), ks * 2.0 ** -53)
+            got = _class_members(d, TypeClass(tuple(counts)), keyed)[:, 0]
             assert np.array_equal(got, want), (matrix, a)
     # a one-output channel's members are all zeros on any class
     words = rng.integers(0, 2 ** 63, (4, 10), dtype=np.uint64)
     assert _class_members(DMC([[1.0], [1.0]]), TypeClass((2, 3)), words).tolist() == [[0] * 5] * 4
-    # the private draw shares that grid: PCG64DXSM's random() is exactly
-    # (raw word >> 11) 2^-53, so sample_outputs is the threshold rule on k
+    # PCG64DXSM's random() is exactly (raw word >> 11) 2^-53, so a private
+    # draw is the inverse CDF on the stream's own uniforms
     for matrix in ([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]], [[0.3, 0.3, 0.4], [1.0, 0.0, 0.0]],
                    [[0.0, 0.25, 0.0, 0.75], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]):
-        d = DMC(matrix)
+        d, cum = DMC(matrix), np.cumsum(matrix, axis=1)
         x = rng.integers(0, d.d_in, 64)
         for seed in range(50):
             shared = SharedRandomness(seed)
             k = shared.bitgen("private").random_raw(len(x)) >> np.uint64(11)
-            assert np.array_equal(shared.stream("private").random(len(x)), k * 2.0 ** -53)
-            want = np.sum(k >= d._thresholds[:, x], axis=0)
+            u = shared.stream("private").random(len(x))
+            assert np.array_equal(u, k * 2.0 ** -53)
+            want = (u[:, None] > cum[x, :-1]).sum(axis=1)
             assert np.array_equal(d.sample_outputs(x, shared.stream("private")), want), seed
 
 
