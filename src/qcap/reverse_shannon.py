@@ -315,6 +315,12 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
     return y_out, tr
 
 
+def _shell(x):
+    """The bit protocol's match label: blocks, along the last axis, to
+    their Hamming distance from x, the shell a member must share with y."""
+    return lambda ys: (ys != x).sum(axis=-1)
+
+
 def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     """One protocol run over the binary symmetric channel.
 
@@ -340,10 +346,10 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     lane = np.dtype(f"u{lane_bits // 8}").type
     x_lane, mask = lane(block_code(xs, 2)), lane((1 << n) - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=lane)
-    # labels: a block's Hamming distance from x, as a packed member's popcount finds it
+    # a packed member's popcount finds the same Hamming shell as _shell
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       lambda y: (y != xs).sum(),
+                       _shell(xs),
                        lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane),
                        lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
 
@@ -407,19 +413,34 @@ def dmc_simulate(dmc: DMC, cfg: ProtocolConfig, shared: SharedRandomness, x):
                        lambda words: label(decode(words)), decode)
 
 
-def _channel_kind(channel):
-    """The one dispatch on the channel kind.
+@dataclass(frozen=True)
+class _Kind:
+    """What the protocol needs of one channel kind, built by _channel_kind.
 
-    A flip probability (bit protocol) or a DMC (general protocol) maps to
-    (DMC, capacity(), rate(x), simulate(cfg, shared, x), members(rows, xs),
-    label(x)), where rate(x) sizes the shared set for input block x and
-    depends on x only through its member class. Given the block law rows
-    and the input blocks xs, members gives the exact oracle each block's
-    member class and, per class, one set member's law over the output
-    blocks; label(x) maps output blocks, one per row, to their match
-    labels, one value per block, which the simulators' match rule
-    compares: a member replaces y when its label equals y's.
+    dmc is the channel law and capacity() its capacity. rate(x) sizes the
+    shared set for input block x and depends on x only through its
+    member class. simulate(cfg, shared, x) runs the protocol once. Given
+    the block law rows and the input blocks xs, members(rows, xs) gives
+    the exact oracle each block's member class and, per class, one set
+    member's law over the output blocks. label(x) maps output blocks, one
+    per row, to their match labels, one value per block, which the
+    simulators' match rule compares: a member replaces y when its label
+    equals y's.
     """
+
+    dmc: DMC
+    capacity: object
+    rate: object
+    label: object
+    members: object
+    simulate: object
+
+
+def _channel_kind(channel) -> _Kind:
+    """The one dispatch on the channel kind: a flip probability (bit
+    protocol) or a DMC (general protocol) to its _Kind."""
+    # simulate looks the simulators up by name per call, so a wrapper installed
+    # on the module after the record is built still sees every trial
     if isinstance(channel, DMC):
         d_in, d_out = channel.d_in, channel.d_out
 
@@ -430,18 +451,17 @@ def _channel_kind(channel):
                             return_inverse=True)[1]
             return cls, np.array([rows[cls == c].mean(axis=0) for c in range(cls.max() + 1)])
 
-        return (channel, lambda: channel._capacity,
-                lambda x: _class_rate(channel, type_of(x, d_in)),
-                lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x), members,
-                lambda x: _joint_type_labels(x, d_in, d_out))  # a match shares y's joint type
+        return _Kind(dmc=channel, capacity=lambda: channel._capacity,
+                     rate=lambda x: _class_rate(channel, type_of(x, d_in)), members=members,
+                     label=lambda x: _joint_type_labels(x, d_in, d_out),  # y's joint type
+                     simulate=lambda cfg, shared, x: dmc_simulate(channel, cfg, shared, x))
 
     p = float(channel)
-    return (bsc(p), lambda: bsc_capacity(p), lambda x: bsc_capacity(p),
-            lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x),
-            # members are uniform words, one class; a match lies on y's Hamming shell
-            lambda rows, xs: (np.zeros(len(xs), dtype=np.intp),
-                              np.full((1, rows.shape[1]), 1.0 / rows.shape[1])),
-            lambda x: lambda ys: (ys != x).sum(axis=1))
+    # members are uniform words, one class
+    return _Kind(dmc=bsc(p), capacity=lambda: bsc_capacity(p), rate=lambda x: bsc_capacity(p),
+                 label=_shell, simulate=lambda cfg, shared, x: bsc_simulate(p, cfg, shared, x),
+                 members=lambda rows, xs: (np.zeros(len(xs), dtype=np.intp),
+                                           np.full((1, rows.shape[1]), 1.0 / rows.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +505,20 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     ProtocolConfig(n, 1.0 if eps is None else eps)
     if zsize is not None:
         _check_count(zsize, "set size zsize")
-    dmc, _, rate, _, members, label = _channel_kind(channel)
-    entries = dmc.d_in ** n * dmc.d_out ** n
+    kind = _channel_kind(channel)
+    entries = kind.dmc.d_in ** n * kind.dmc.d_out ** n
     if entries > ORACLE_MAX_COMBOS:
         raise ValueError(f"a block law of {entries} entries exceeds the enumeration guard")
-    rows, xs, ys = _block_law(dmc, n), _blocks(dmc.d_in, n), _blocks(dmc.d_out, n)
-    classes, laws = members(rows, xs)
+    rows, xs, ys = _block_law(kind.dmc, n), _blocks(kind.dmc.d_in, n), _blocks(kind.dmc.d_out, n)
+    classes, laws = kind.members(rows, xs)
     if zsize is None:  # one rate per member class, read off its first block
-        sizes = [_set_size(rate(xs[i]), n, eps)
+        sizes = [_set_size(kind.rate(xs[i]), n, eps)
                  for i in np.unique(classes, return_index=True)[1]]
     else:
         sizes = [zsize] * len(laws)
     worst = 0.0
     for x, true, c in zip(xs, rows, classes):
-        member, sig = laws[c], np.unique(label(x)(ys), return_inverse=True)[1]
+        member, sig = laws[c], np.unique(kind.label(x)(ys), return_inverse=True)[1]
         m_s, t_s = np.bincount(sig, member)[sig], np.bincount(sig, true)[sig]
         miss = (1.0 - m_s) ** sizes[c]
         share = np.divide(member, m_s, out=np.zeros_like(member), where=m_s > 0)
@@ -507,17 +527,16 @@ def exact_faithfulness_oracle(channel, n: int, eps: float | None = None,
     return worst
 
 
-def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
+def _run_trials(kind: _Kind, cfg: ProtocolConfig, trials: int, source, seed: int):
     """Trials 0, ..., trials - 1 of the protocol in order, trials >= 1.
 
-    kind is _channel_kind(channel) and source is as in cost_statistics.
+    kind is the _Kind of _channel_kind(channel); source is as in cost_statistics.
     Trial t runs on SharedRandomness(seed).derive("trial", t), a random
     source drawing its input from stream("input", t), so any trial
     reproduces alone. Returns (outputs, bits sent, fallback flags,
     itc_bits): a row or entry per trial, and the class prefix width.
     """
-    dmc, _, _, simulate, _, _ = kind
-    n = cfg.n
+    dmc, n = kind.dmc, cfg.n
     base = SharedRandomness(seed)
     name, arg = source
     if name == "fixed":
@@ -538,7 +557,7 @@ def _run_trials(kind, cfg: ProtocolConfig, trials: int, source, seed: int):
     outputs = np.empty((trials, n), dtype=np.int64)
     bits, fell = np.empty(trials), np.empty(trials, dtype=bool)
     for t in range(trials):
-        outputs[t], tr = simulate(cfg, base.derive("trial", t), inputs(t))
+        outputs[t], tr = kind.simulate(cfg, base.derive("trial", t), inputs(t))
         bits[t], fell[t] = tr.bits_sent, tr.fallback
     return outputs, bits, fell, tr.itc_bits
 
@@ -557,7 +576,7 @@ def empirical_faithfulness(channel, cfg: ProtocolConfig, trials: int,
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a stable histogram")
     kind = _channel_kind(channel)
-    dmc, n = kind[0], cfg.n
+    dmc, n = kind.dmc, cfg.n
     if dmc.d_out ** n > 10 ** 4:
         raise ValueError("output space too large to bin")
     xs = letters(x, dmc.d_in, n) if x is not None else np.zeros(n, dtype=np.int64)
@@ -589,7 +608,7 @@ def cost_statistics(channel, cfg: ProtocolConfig, trials: int, source,
     """
     _check_count(trials, "trial count")
     kind, n = _channel_kind(channel), cfg.n
-    cap = kind[1]()
+    cap = kind.capacity()
     _, bits, fell, itc_bits = _run_trials(kind, cfg, trials, source, seed)
 
     mean_bits = float(bits.mean()) / n

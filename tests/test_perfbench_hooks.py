@@ -56,6 +56,14 @@ def test_install_wraps_qcap_names_and_uninstall_restores_them():
         assert moved == [], (owner, moved)
 
 
+def _assert_pass_ok(wl, state, records, name):
+    # a failure the workload expects (cli's overflowing typical check) is its output
+    expected = getattr(wl, "expected_error", lambda rec: False)
+    assert [(r.call.label, r.error) for r in records
+            if wl.failed(r) and not expected(r)] == [], name
+    assert wl.check(qcap, state, records) == [], name
+
+
 def test_every_workload_runs_one_clean_pass(monkeypatch):
     # workloads.py imports laws by its flat name; the name is gone after the test
     monkeypatch.setitem(sys.modules, "laws", _load("laws"))
@@ -70,8 +78,28 @@ def test_every_workload_runs_one_clean_pass(monkeypatch):
             except Exception as exc:  # as the runner does: a raising op is a failed op
                 result, error = None, exc
             records.append(workloads.Record(call, result, error, 0.0))
-        # a failure the workload expects (cli's overflowing typical check) is its output
-        expected = getattr(wl, "expected_error", lambda rec: False)
-        assert [(r.call.label, r.error) for r in records
-                if wl.failed(r) and not expected(r)] == [], name
-        assert wl.check(qcap, state, records) == [], name
+        _assert_pass_ok(wl, state, records, name)
+
+
+def test_every_workload_runs_one_traced_pass(monkeypatch, tmp_path):
+    # as `run.py --trace 1` does: the wrappers must see every layer a
+    # workload's metrics come from, however src/ reaches the wrapped names;
+    # run and trace_report import these by their flat names, gone after the test
+    for flat in ("laws", "instrument", "workloads"):
+        monkeypatch.setitem(sys.modules, flat, _load(flat))
+    workloads, instrument = sys.modules["workloads"], sys.modules["instrument"]
+    tracer_mod, run, trace_report = _load("tracer"), _load("run"), _load("trace_report")
+    for name, wl in workloads.WORKLOADS.items():
+        state = wl.build(qcap, 1)
+        tracer = tracer_mod.Tracer()
+        instrument.install(tracer, qcap)
+        try:  # 0 s: exactly one pass
+            records, _ = run.timed_loop(wl, state, 0.0,
+                                        workloads.Ctx(tracer=tracer, inprocess=True), tracer)
+        finally:
+            tracer.uninstall()
+        _assert_pass_ok(wl, state, records, name)
+        path = tmp_path / f"{name}.jsonl"
+        tracer.write_jsonl(path, {"workload": name, "seed": 1, "overhead_frac": 0.0,
+                                  "cli_import_s": 0.0})
+        assert trace_report.metrics_for(trace_report.Trace.load(path))[1] == [], name

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -360,7 +361,7 @@ def test_dmc_member_law_matches_oracle_law():
     members = _class_members(d, tc, words.reshape(60000, 6))
     hist = np.bincount(members @ [9, 3, 1], minlength=27)
     xs = rs._blocks(2, 3)
-    classes, laws = _channel_kind(d)[4](rs._block_law(d, 3), xs)
+    classes, laws = _channel_kind(d).members(rs._block_law(d, 3), xs)
     assert np.array_equal(xs[3], x)
     assert chisquare(hist, laws[classes[3]] * 60000).pvalue > 1e-3
 
@@ -416,14 +417,14 @@ def test_oracle_class_laws_are_type_class_means():
              (DMC(0.1 + 0.3 * np.eye(7)), 2)]  # its labels take two words
     for d, n in cases:
         rows, xs = rs._block_law(d, n), rs._blocks(d.d_in, n)
-        classes, laws = _channel_kind(d)[4](rows, xs)
+        classes, laws = _channel_kind(d).members(rows, xs)
         types = np.array([type_of(x, d.d_in).counts for x in xs])
         assert len(laws) == len(np.unique(types, axis=0)) == math.comb(n + d.d_in - 1, n)
         for x, c, counts in zip(xs, classes, types):
             same = (types == counts).all(axis=1)
             assert np.array_equal(laws[c], rows[same].mean(axis=0)), (d.d_in, x)
     # the bit protocol's members are uniform words: one class, law 2^-n
-    classes, laws = _channel_kind(0.3)[4](rs._block_law(bsc(0.3), 3), rs._blocks(2, 3))
+    classes, laws = _channel_kind(0.3).members(rs._block_law(bsc(0.3), 3), rs._blocks(2, 3))
     assert classes.tolist() == [0] * 8 and laws.tolist() == [[2.0 ** -3] * 8]
 
 
@@ -717,7 +718,7 @@ def test_exact_oracle_matches_literal_first_match(monkeypatch):
     kind = rs._channel_kind
 
     def coarse(channel):
-        return kind(channel)[:5] + (lambda x: lambda ys: ys.sum(axis=1),)
+        return dataclasses.replace(kind(channel), label=lambda x: lambda ys: ys.sum(axis=1))
 
     monkeypatch.setattr(rs, "_channel_kind", coarse)
     for (channel, matrix, member, _), value in zip(cases, (0.2625, 0.15838875)):
@@ -891,12 +892,12 @@ def test_oracle_labels_group_by_joint_type():
     cases = [(DMC([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]), n) for n in (3, 4)]
     cases.append((DMC(0.1 + 0.3 * np.eye(7)), 2))
     for d, n in cases:
-        _, _, _, _, members, label = _channel_kind(d)
+        kind = _channel_kind(d)
         rows, xs, ys = rs._block_law(d, n), rs._blocks(d.d_in, n), rs._blocks(d.d_out, n)
-        classes, laws = members(rows, xs)
+        classes, laws = kind.members(rows, xs)
         worst = 0.0
         for x, true, c in zip(xs, rows, classes):
-            member, labels = laws[c], label(x)(ys)
+            member, labels = laws[c], kind.label(x)(ys)
             assert labels.shape == (len(ys),)
             assert labels.dtype == (np.dtype((np.void, 16)) if d.d_in == 7 else np.int64)
             sig = np.unique(labels, return_inverse=True)[1]
@@ -911,6 +912,14 @@ def test_oracle_labels_group_by_joint_type():
             worst = max(worst, float(np.max(np.abs((1.0 - miss) * t_s * share
                                                    + miss * true - true))))
         assert exact_faithfulness_oracle(d, n, zsize=4) == worst
+    # the bit kind's label is the one shell rule: on one block, the form the
+    # private draw takes, as on a stack of blocks, its Hamming distance from x
+    label = _channel_kind(0.3).label
+    for n in (1, 3, 5):
+        ys = rs._blocks(2, n)
+        for x in ys:
+            stacked = label(x)(ys)
+            assert stacked.tolist() == [label(x)(y) for y in ys] == (ys != x).sum(axis=1).tolist()
 
 
 def test_trial_t_reproduces_alone():
