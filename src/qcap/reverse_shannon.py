@@ -28,7 +28,8 @@ BA_MAX_ITERS = 10 ** 6
 MAX_SET_EXPONENT = 26.0  # sets beyond ~6.7e7 members are not scannable here
 ORACLE_MAX_COMBOS = 10 ** 7
 # Shared-set words drawn per step of a scan. At 2^14 no array a chunk
-# makes (its 128 KiB of words, and for 512 DMC members at n = 16 the sort
+# makes (its 128 KiB of words; for the BSC only its uint8 popcounts and
+# the flags besides, and for 512 DMC members at n = 16 the sort
 # keys, which become the positions, the letters, the shifted words, a
 # column's gathered thresholds, the outputs and the labels of about
 # 64 KiB each) is large enough for glibc's malloc to map fresh pages for
@@ -249,9 +250,11 @@ def _first_match(bg, size: int, width: int, hit, lane_bits: int):
     words cut into lane_bits-bit lanes (_lanes). The scan draws about
     _SCAN_CHUNK words at a time, drops the spare lanes past the last
     member, hands hit one row of lanes per member, and stops at the first
-    chunk holding a match, whose first flagged row argmax finds. A chunk
-    holds whole words and whole members, as the layouts in use have width
-    1 or 64-bit lanes, so the chunk size never changes which member is sent.
+    chunk holding a match, whose first flagged row argmax finds. The rows
+    are views of words drawn for this call alone, so hit may overwrite
+    them. A chunk holds whole words and whole members, as the layouts in
+    use have width 1 or 64-bit lanes, so the chunk size never changes
+    which member is sent.
     """
     per_word = 64 // lane_bits
     rows = max(_SCAN_CHUNK * per_word // width, 1)
@@ -317,8 +320,10 @@ def _substitute(shared: SharedRandomness, cfg: ProtocolConfig, d_out: int,
 
 def _shell(x):
     """The bit protocol's match label: blocks, along the last axis, to
-    their Hamming distance from x, the shell a member must share with y."""
-    return lambda ys: (ys != x).sum(axis=-1)
+    their Hamming distance from x, the shell a member must share with y.
+    The distance is a uint8, as blocks have at most 64 bits, so the scan
+    compares it with its uint8 popcounts without widening them."""
+    return lambda ys: (ys != x).sum(axis=-1, dtype=np.uint8)
 
 
 def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
@@ -335,6 +340,10 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     leaves the output distribution exactly BSC(p)^n because the channel
     law is constant on each Hamming shell and set members are iid.
 
+    A member's shell is the popcount of its lane masked to the low n bits
+    and XORed with x, worked out in place on the scan's own words: the
+    mask is skipped when n fills the lane, and the XOR when x is 0^n.
+
     Returns (receiver's output block, Transcript).
     """
     _check_probability(p, "flip probability")
@@ -346,11 +355,19 @@ def bsc_simulate(p: float, cfg: ProtocolConfig, shared: SharedRandomness, x):
     lane = np.dtype(f"u{lane_bits // 8}").type
     x_lane, mask = lane(block_code(xs, 2)), lane((1 << n) - 1)
     shifts = np.arange(n - 1, -1, -1, dtype=lane)
-    # a packed member's popcount finds the same Hamming shell as _shell
+
+    def member_shell(lanes):
+        # a packed member's popcount finds the same Hamming shell as _shell
+        members = lanes[:, 0]
+        if n < lane_bits:
+            members &= mask
+        if x_lane:
+            members ^= x_lane
+        return np.bitwise_count(members)
+
     return _substitute(shared, cfg, 2, bsc_capacity(p), "", (), 1, lane_bits,
                        lambda priv: (xs ^ (priv.random(n) < p)).astype(np.int64),
-                       _shell(xs),
-                       lambda lanes: np.bitwise_count((lanes[:, 0] & mask) ^ x_lane),
+                       _shell(xs), member_shell,
                        lambda lanes: (lanes >> shifts & lane(1)).astype(np.int64))
 
 

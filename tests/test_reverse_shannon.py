@@ -461,10 +461,13 @@ def test_dmc_transcripts_pinned(case):
 def test_first_match_sends_no_later_member():
     # no member before the sent index lies in the private output's match class;
     # BSC members sit in the low n bits of 8-, 16- and 32-bit little-endian
-    # lanes, and the 4x4 channel's labels at n = 16 take two words
-    for n, eps, lane_bits in ((6, 0.25, 8), (16, 0.5, 16), (32, 0.5, 32)):
+    # lanes, filling them or not, and x = 0^n and a mixed x take both sides of
+    # the scan's mask and XOR skips; the 4x4 channel's labels at n = 16 take
+    # two words
+    for (n, eps, lane_bits), mixed in itertools.product(
+            ((8, 1.0, 8), (16, 0.5, 16), (24, 0.5, 32), (32, 0.5, 32)), (False, True)):
         cfg, sent_late = ProtocolConfig(n=n, eps=eps, variant="bsc"), 0
-        x = np.resize([0, 1, 1, 0, 0, 1], n)
+        x = np.resize([0, 1, 1, 0, 0, 1], n) if mixed else np.zeros(n, dtype=int)
         for seed in range(8):
             sh = SharedRandomness(seed)
             _, tr = bsc_simulate(0.2, cfg, sh, x)
@@ -478,7 +481,7 @@ def test_first_match_sends_no_later_member():
             shells = [bin(int(v) ^ block_code(x, 2)).count("1") for v in lanes]  # distance to x
             assert shells.index(int(priv.sum())) == chosen
             sent_late += chosen > 0
-        assert sent_late >= 2, n
+        assert sent_late >= 2, (n, mixed)
     cases = [(DMC([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]]), 0.8, np.array([0, 1, 1, 0])),
              (DMC(0.24 + 0.04 * np.eye(4)), 1.5, np.array([3, 0] * 8))]
     for d, eps, x in cases:
