@@ -651,11 +651,10 @@ def _family(basis, coef, gradient=False):
     if not gradient:
         return h, None, None
     if dim == 2:
-        hi, lo = np.clip(evals, EIG_ZERO_TOL, None).T
+        lo, hi = np.clip(evals, EIG_ZERO_TOL, None).T
         b = np.divide(np.log1p((hi - lo) / lo), hi - lo, out=1.0 / lo, where=hi > lo) / _LN2
         logm = b[:, None, None] * mats
     # tr(L B) = sum_il L_il B_li, one product against the transposed basis, in
     # complex: a real-view product rounds a 4x4 L's rows differently by batch
     grad = -(logm.reshape(len(rows), -1) @ basis[1:].transpose(0, 2, 1).reshape(3, -1).T).real
-    # hermitian_spectra's 2x2 rows are (larger, smaller); eigh's rise
-    return h, grad[:n], evals[:n, -1 if dim == 2 else 0]
+    return h, grad[:n], evals[:n, 0]

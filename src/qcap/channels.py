@@ -204,7 +204,11 @@ class ChannelSpec:
 
     kind: one of noiseless, depolarizing, erasure, dephasing,
     amplitude_damping, switched_3to2, classical_embedding, explicit_kraus.
-    params: scalar parameters for the kind. kraus: only for explicit_kraus.
+    params: the keyword arguments of the kind's constructor in this module,
+    such as {"d": 2, "q": 0.5} for depolarizing(d, q). A name the
+    constructor does not take, a missing one, or a value it cannot read
+    (the string "0.5" for q) is a ValueError. kraus: only for
+    explicit_kraus, which takes no params.
     """
 
     kind: str
@@ -212,25 +216,28 @@ class ChannelSpec:
     kraus: list | None = None
 
     _BUILDERS = {
-        "noiseless": lambda p: noiseless(p["d"]),
-        "depolarizing": lambda p: depolarizing(p["d"], float(p["q"])),
-        "erasure": lambda p: erasure(p["d"], float(p["p"])),
-        "dephasing": lambda p: dephasing(p["d"]),
-        "amplitude_damping": lambda p: amplitude_damping(float(p["p"])),
-        "switched_3to2": lambda p: switched_3to2(),
-        "classical_embedding": lambda p: classical_embedding(p["matrix"]),
+        "noiseless": noiseless,
+        "depolarizing": depolarizing,
+        "erasure": erasure,
+        "dephasing": dephasing,
+        "amplitude_damping": amplitude_damping,
+        "switched_3to2": switched_3to2,
+        "classical_embedding": classical_embedding,
     }
 
     def resolve(self) -> QuantumChannel:
         if self.kind == "explicit_kraus":
-            if not self.kraus:
-                raise ValueError("explicit_kraus requires a kraus list")
+            if not self.kraus or self.params:
+                raise ValueError("explicit_kraus takes a kraus list and no params")
             return QuantumChannel([matrix_from_json(m) for m in self.kraus])
         try:
             builder = self._BUILDERS[self.kind]
         except KeyError:
             raise ValueError(f"unknown channel kind {self.kind!r}") from None
-        return builder(self.params)
+        try:
+            return builder(**self.params)
+        except TypeError as exc:  # an unknown or missing name, or a string for a float
+            raise ValueError(f"bad params for channel kind {self.kind!r}: {exc}") from exc
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "params": dict(self.params)}

@@ -59,14 +59,15 @@ def _load_json(path, what, build):
         raise UsageError(f"cannot load {what} {path}: {exc}") from exc
 
 
-# preset name -> (ChannelSpec kind, names of its positional parameters)
+# preset name -> names of its positional parameters; the ChannelSpec kind
+# is the name with "-" read as "_"
 _PRESETS = {
-    "noiseless": ("noiseless", ("d",)),
-    "amplitude-damping": ("amplitude_damping", ("p",)),
-    "erasure": ("erasure", ("p", "d")),
-    "depolarizing": ("depolarizing", ("q", "d")),
-    "dephasing": ("dephasing", ("d",)),
-    "switched-3to2": ("switched_3to2", ()),
+    "noiseless": ("d",),
+    "amplitude-damping": ("p",),
+    "erasure": ("p", "d"),
+    "depolarizing": ("q", "d"),
+    "dephasing": ("d",),
+    "switched-3to2": (),
 }
 
 
@@ -74,15 +75,16 @@ def _parse_preset(text):
     name, _, rest = text.partition(":")
     if name not in _PRESETS:
         raise UsageError(f"unknown preset {name!r}")
-    kind, names = _PRESETS[name]
+    names = _PRESETS[name]
     fields = rest.split(":") if rest else []
     if len(fields) > len(names):
         raise UsageError(f"preset {name!r} takes at most {len(names)} parameters, "
                          f"got {len(fields)}")
-    params = {"d": 2, **dict(zip(names, fields))}
     try:
-        return ChannelSpec(kind, params).resolve()
-    except (KeyError, ValueError) as exc:
+        params = {"d": 2} if "d" in names else {}
+        params.update(zip(names, map(float, fields)))
+        return ChannelSpec(name.replace("-", "_"), params).resolve()
+    except ValueError as exc:
         raise UsageError(f"bad preset parameters in {text!r}: {exc}") from exc
 
 

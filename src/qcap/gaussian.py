@@ -157,6 +157,19 @@ def coherent_bounds(params: GaussianParams) -> tuple[float, float]:
     return lower, upper
 
 
+def _check_squeezed(s: float, n: float, r: float = 0.0) -> None:
+    """Refuse inputs outside the squeezed bounds' domain: S finite and >= 0,
+    N finite and > 0, S + N + 1 <= 1e150, and squeezing r finite and >= 0."""
+    if not 0.0 <= s < INF:  # NaN fails this too
+        raise ValueError(f"signal must be finite and >= 0, got {s}")
+    if not 0.0 < n < INF:
+        raise ValueError(f"noise must be finite and > 0, got {n}")
+    if not s + n + 1.0 <= 1e150:  # past it (N+1)^2 + 4NS overflows
+        raise ValueError(f"S + N + 1 = {s + n + 1.0:.3g} exceeds 1e150")
+    if not 0.0 <= r < INF:
+        raise ValueError(f"squeezing must be finite and >= 0, got {r}")
+
+
 def squeezed_bound_upper_at(s: float, n: float, r: float) -> float:
     """Upper bound at squeezing r: log2(1 + (S + cosh^2 r)/(N - e^-2r)).
 
@@ -164,6 +177,7 @@ def squeezed_bound_upper_at(s: float, n: float, r: float) -> float:
     into a classical one whose capacity caps C_E. Infinite when the
     effective noise N - e^-2r is not positive. k = 1 only.
     """
+    _check_squeezed(s, n, r)
     denom = n - math.exp(-2.0 * r)
     if denom <= 0.0:
         return INF
@@ -177,6 +191,7 @@ def squeezed_bound_lower_at(s: float, n: float, r: float) -> float:
     the squeezing itself costs sinh^2 r quanta of the input budget, so r
     is only usable while sinh^2 r <= S. k = 1 only.
     """
+    _check_squeezed(s, n, r)
     num = s - math.sinh(r) ** 2
     if num < 0.0:
         raise ValueError(f"squeezing r={r} exceeds the input energy budget")
@@ -192,12 +207,7 @@ def squeezed_bounds(s: float, n: float) -> tuple[float, float, float, float]:
     within the energy budget sinh^2 r <= S. At r = 0 the r-dependent bounds
     reduce to coherent_bounds.
     """
-    if not 0.0 <= s < INF:  # NaN fails this too
-        raise ValueError(f"signal must be finite and >= 0, got {s}")
-    if not 0.0 < n < INF:
-        raise ValueError(f"noise must be finite and > 0, got {n}")
-    if not s + n + 1.0 <= 1e150:  # past it (N+1)^2 + 4NS overflows
-        raise ValueError(f"S + N + 1 = {s + n + 1.0:.3g} exceeds 1e150")
+    _check_squeezed(s, n)
     d1 = math.sqrt((n + 1.0) ** 2 + 4.0 * n * s)
     # (D1+1)/N and (S + (D1+N+1)/(2N))/N = (NS + (D1+N+1)/2)/N^2 overflow below
     # N ~ 1e-308 and 1e-154; there each log is the sum of its factors' logs

@@ -225,9 +225,10 @@ def entropy_of_spectrum(evals):
 def hermitian_spectra(mats) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, one row per matrix.
 
-    `mats` has shape (n, d, d). A 2x2 stack gives rows (larger, smaller)
-    from the diagonal's real part a, d and the upper corner c as
-    (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2), a sum of squares that keeps
+    `mats` has shape (n, d, d). Each row rises, as `np.linalg.eigvalsh`
+    gives it. A 2x2 stack gives rows (smaller, larger) from the diagonal's
+    real part a, d and the upper corner c as
+    (a + d)/2 -+ sqrt(((a - d)/2)^2 + |c|^2), a sum of squares that keeps
     close eigenvalues accurate. It serves the Bloch grid's 2x2 entropies and
     their gradients at every box level. Larger stacks go through one batched
     `np.linalg.eigvalsh`.
@@ -238,7 +239,7 @@ def hermitian_spectra(mats) -> np.ndarray:
     a, d, c = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 0, 1]
     disc = np.sqrt((0.5 * (a - d))**2 + c.real**2 + c.imag**2)
     m = 0.5 * (a + d)
-    return np.stack([m + disc, m - disc], axis=1)
+    return np.stack([m - disc, m + disc], axis=1)
 
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityOperator:

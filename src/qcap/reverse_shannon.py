@@ -101,7 +101,7 @@ class DMC:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DMC":
-        return cls(obj["matrix"])
+        return cls(**obj)
 
 
 def bsc(p: float) -> DMC:

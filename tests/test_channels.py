@@ -125,6 +125,16 @@ def test_channel_spec_round_trip():
         ChannelSpec(kind="nonsense").resolve()
     with pytest.raises(ValueError):
         ChannelSpec(kind="explicit_kraus").resolve()
+    # params are the constructor's keyword arguments: a name it does not
+    # take, a missing one, or a string for a number is refused, not dropped
+    # or cast
+    for kind, params in (("noiseless", {"d": 2, "dd": 3}),
+                         ("amplitude_damping", {"p": 0.5, "d": 2}),
+                         ("erasure", {"d": 2}),
+                         ("depolarizing", {"d": 2, "q": "0.5"}),
+                         ("switched_3to2", {"d": 2})):
+        with pytest.raises(ValueError, match=kind):
+            ChannelSpec(kind, params).resolve()
     for data in ([{"kind": "noiseless"}], "noiseless", None, {"params": {"d": 2}}):
         with pytest.raises(ValueError, match="object with a 'kind'"):
             ChannelSpec.from_json(data)
@@ -138,6 +148,8 @@ def test_channel_spec_explicit_kraus():
                        kraus=[matrix_to_json(k) for k in ch0.kraus])
     again = ChannelSpec.from_json(json.loads(json.dumps(spec.to_json())))
     assert again == spec
+    with pytest.raises(ValueError, match="no params"):
+        ChannelSpec("explicit_kraus", {"d": 2}, spec.kraus).resolve()
     rho = DensityOperator(np.diag([0.2, 0.8]))
     for ch in (spec.resolve(), again.resolve()):
         assert np.allclose(apply_channel(ch, rho).mat,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from qcap.cli import main
+from qcap.channels import ChannelSpec
+from qcap.cli import _PRESETS, main
 from qcap.gaussian import ce_over_cshan_limit
 
 
@@ -55,6 +57,19 @@ def test_capacity_spec_file(tmp_path, capsys):
     code, out, _ = run(capsys, "capacity", "ce", "--spec", str(spec))
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.2075187496, abs=1e-5)
+    # preset fields are numbers: depolarizing:0.5:2.0 is the spec with d = 2.0
+    spec.write_text(json.dumps({"kind": "depolarizing", "params": {"d": 2.0, "q": 0.5}}))
+    _, from_spec, _ = run(capsys, "capacity", "ce", "--spec", str(spec))
+    code, from_preset, _ = run(capsys, "capacity", "ce", "--preset", "depolarizing:0.5:2.0")
+    assert code == 0 and from_preset == from_spec
+
+
+def test_presets_name_their_constructors_parameters():
+    # a preset's kind is its name with "-" read as "_", and its fields are
+    # that constructor's parameters
+    for name, names in _PRESETS.items():
+        build = ChannelSpec._BUILDERS[name.replace("-", "_")]
+        assert sorted(names) == sorted(inspect.signature(build).parameters), name
 
 
 def test_capacity_with_constraint_file(tmp_path, capsys):
@@ -454,6 +469,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
             "kind": "depolarizing", "params": {"d": 2.7, "q": 0.5}})),
         ("capacity", "ce", "--spec", write("bool_d.json", {
             "kind": "noiseless", "params": {"d": True}})),
+        # a key the constructor does not take (dropped before), a missing
+        # one, or a string for a number (cast before)
+        ("capacity", "ce", "--spec", write("dd.json", {
+            "kind": "noiseless", "params": {"d": 2, "dd": 3}})),
+        ("capacity", "ce", "--spec", write("ad_d.json", {
+            "kind": "amplitude_damping", "params": {"p": 0.5, "d": 2}})),
+        ("capacity", "ce", "--spec", write("no_p.json", {
+            "kind": "erasure", "params": {"d": 2}})),
+        ("capacity", "ce", "--spec", write("str_q.json", {
+            "kind": "depolarizing", "params": {"d": 2, "q": "0.5"}})),
+        ("capacity", "ce", "--spec", write("kraus_d.json", {
+            "kind": "explicit_kraus", "params": {"d": 2},
+            "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})),
+        ("rst", "verify-exact", "--dmc", write("dmc_n.json", {
+            "matrix": [[0.75, 0.25], [0.25, 0.75]], "n": 4}), "--n", "2", "--zsize", "4"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

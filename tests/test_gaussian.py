@@ -205,11 +205,22 @@ def test_squeezed_upper_bound_at_small_noise():
 
 
 def test_squeezed_bounds_reject_non_finite_and_huge_energies():
-    # S = 1e300 gave lower = inf above upper = 996.58; inf gave NaN
-    inf = math.inf
-    for s, n in ((1e300, 1.0), (inf, 1.0), (1.0, inf), (2e150, 1.0), (1.0, 2e150)):
+    # S = 1e300 gave lower = inf above upper = 996.58; inf gave NaN. The
+    # pointwise bounds took S, N and r unchecked: N = -1 divided by zero in
+    # the lower one, a NaN N gave NaN and S = -5 an infinite upper bound
+    inf, nan = math.inf, math.nan
+    pointwise = (squeezed_bound_lower_at, squeezed_bound_upper_at)
+    for s, n in ((1e300, 1.0), (inf, 1.0), (1.0, inf), (2e150, 1.0), (1.0, 2e150),
+                 (1.0, -1.0), (1.0, nan), (-5.0, 1.0)):
         with pytest.raises(ValueError):
             squeezed_bounds(s, n)
+        for bound in pointwise:
+            with pytest.raises(ValueError):
+                bound(s, n, 0.0)
+    for r in (nan, -0.1, inf):
+        for bound in pointwise:
+            with pytest.raises(ValueError, match="squeezing"):
+                bound(1.0, 1.0, r)
     lb, ub, _, _ = squeezed_bounds(1e149, 1e-3)
     assert 0.0 < lb <= ub < inf
 
